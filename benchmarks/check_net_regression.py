@@ -8,11 +8,15 @@ file aside first, runs the benchmark, then invokes this script::
     python -m pytest benchmarks/bench_net_loopback.py -q
     python benchmarks/check_net_regression.py --baseline bench-baseline.json
 
-Two metrics are guarded — raw codec+socket ``frames_per_second`` and the
-live cluster's logical ``messages_per_second`` — with a 20% tolerance to
-absorb runner-to-runner noise.  Latency is deliberately not gated here:
-wall-clock latency on shared CI runners is too noisy for a hard gate and
-is tracked through the committed JSON diff instead.
+One metric is guarded — raw codec+socket ``frames_per_second`` — with a
+20% tolerance to absorb runner-to-runner noise.  The live cluster's
+``messages_per_second`` is deliberately not: on that workload it is the
+heartbeat timer (3 nodes x 2 peers x 125 heartbeats/s = 750, see
+``bench/README.md`` finding 3), so it cannot tell a slower transport
+from a faster one; the stack benchmark (``python -m bench run``) measures
+the live path instead.  Latency is not gated here either: wall-clock
+latency on shared CI runners is too noisy for a hard gate and is tracked
+through the committed JSON diff.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ TOLERANCE = 0.80
 #: (label, section, key) of each guarded metric
 GUARDED = (
     ("raw frame throughput", "raw_frame_throughput", "frames_per_second"),
-    ("live cluster throughput", "live_cluster", "messages_per_second"),
 )
 
 

@@ -12,12 +12,13 @@ Two pieces make the simulator's process model run live:
   same code as in simulation, including ``send``/``multicast``/
   ``set_timer`` semantics and all accounting.
 * :class:`LiveRuntime` paces a real :class:`~repro.sim.engine.Simulator`
-  against the asyncio wall clock: ``run_until(elapsed)`` executes every
-  due timer and delivery, then the pacer sleeps until the next protocol
-  deadline (or an inbound frame wakes it).  Simulation time therefore
-  *is* wall time, one second per second — protocol timeouts mean what
-  they say, while every handler still executes inside the deterministic
-  event loop with a consistent ``sim.now``.
+  against the asyncio wall clock: a *tick* — a plain loop callback, no
+  task — runs ``run_until(elapsed)``, which executes every due timer
+  and delivery, and arms one loop timer for the next protocol deadline;
+  an inbound frame schedules a tick for the next loop turn.  Simulation
+  time therefore *is* wall time, one second per second — protocol
+  timeouts mean what they say, while every handler still executes
+  inside the deterministic event loop with a consistent ``sim.now``.
 
 Adversity on the live wire comes from :mod:`repro.net.faults`: wrapping
 the transport in a :class:`~repro.net.faults.FaultyTransport` lets the
@@ -217,9 +218,14 @@ class LiveNetwork(Network):
 class LiveRuntime:
     """Paces one :class:`Simulator` against the asyncio wall clock.
 
-    ``io_slice`` bounds how much sim time one synchronous ``run_until``
-    may replay before yielding to the event loop.  Without the bound, a
-    stall (GC pause, scheduler hiccup) is replayed in one blocking call:
+    The pacer is a pair of loop handles, not a task: :meth:`wake` is an
+    idempotent ``call_soon`` of :meth:`_tick`, and every tick re-arms one
+    ``call_at`` for the next protocol deadline.  :meth:`run` only awaits
+    the future the last tick resolves.
+
+    ``io_slice`` bounds how much sim time one tick may replay before
+    yielding to the event loop.  Without the bound, a stall (GC pause,
+    scheduler hiccup) is replayed in one blocking call:
     failure-detector timers inside the stalled window fire while the
     peers' heartbeats from that same window still sit unread in kernel
     socket buffers — every node suspects every peer at once and the
@@ -234,47 +240,98 @@ class LiveRuntime:
         self.sim = sim
         self.max_tick = max_tick
         self.io_slice = io_slice
-        self._wake = asyncio.Event()
         self._stopped = False
+        # the run() window: loop, wall/sim origins, sim end, completion
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._started = 0.0
+        self._origin = 0.0
+        self._end = 0.0
+        self._done: asyncio.Future[None] | None = None
+        self._soon: asyncio.Handle | None = None
+        self._timer: asyncio.TimerHandle | None = None
 
     def wake(self) -> None:
-        """Interrupt the pacer's sleep (an inbound frame was scheduled)."""
-        self._wake.set()
+        """Run a tick on the next loop turn (an inbound frame was
+        scheduled).  Any number of calls within one turn cause one tick;
+        outside a :meth:`run` window there is nothing to wake."""
+        if self._soon is None and self._loop is not None:
+            self._soon = self._loop.call_soon(self._tick)
 
     def stop(self) -> None:
+        """End :meth:`run` — at the current tick when called from inside
+        a simulator event, on the next loop turn otherwise."""
         self._stopped = True
-        self._wake.set()
+        self.wake()
 
     async def run(self, duration: float) -> None:
         """Advance the simulator in lock-step with the wall clock for
-        ``duration`` seconds (of both)."""
+        ``duration`` seconds (of both).  An exception raised by a handler
+        ends the run and is re-raised here."""
+        if self._stopped:
+            return
         loop = asyncio.get_running_loop()
-        started = loop.time()
-        origin = self.sim.now
-        end = origin + duration
-        while not self._stopped:
-            target = min(origin + (loop.time() - started), end)
-            while target > self.sim.now and not self._stopped:
-                self.sim.run_until(min(self.sim.now + self.io_slice, target))
-                if self.sim.now >= target:
-                    break
-                # catching up a long gap: drain inbound frames between
-                # slices so heartbeats refute suspicions in time order
-                await asyncio.sleep(0)
-                target = min(origin + (loop.time() - started), end)
-            if self.sim.now >= end:
-                break
-            upcoming = self.sim.next_event_time()
-            behind = origin + (loop.time() - started)
-            if upcoming is None:
-                delay = self.max_tick
-            else:
-                delay = min(max(upcoming - behind, 0.0), self.max_tick)
-            self._wake.clear()
+        self._loop = loop
+        self._started = loop.time()
+        self._origin = self.sim.now
+        self._end = self._origin + duration
+        self._done = loop.create_future()
+        try:
+            self._tick()
+            await self._done
+        finally:
+            self._loop = self._done = None
+            self._disarm()
+
+    def _disarm(self) -> None:
+        if self._soon is not None:
+            self._soon.cancel()
+            self._soon = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _on_timer(self) -> None:
+        self._timer = None
+        self._tick()
+
+    def _tick(self) -> None:
+        """One pacer step: run at most ``io_slice`` of due events, then
+        finish the run or arm the timer for the next deadline."""
+        loop, done = self._loop, self._done
+        if loop is None or done is None or done.done():
+            return
+        if self._soon is not None:
+            self._soon.cancel()  # this tick serves that wake-up too
+            self._soon = None
+        sim = self.sim
+        target = min(self._origin + (loop.time() - self._started), self._end)
+        if not self._stopped:
             try:
-                await asyncio.wait_for(self._wake.wait(), timeout=delay)
-            except (TimeoutError, asyncio.TimeoutError):
-                pass
+                sim.run_until(min(sim.now + self.io_slice, target))
+            except Exception as exc:
+                done.set_exception(exc)
+                return
+        if self._stopped or sim.now >= self._end:
+            done.set_result(None)
+            return
+        if sim.now < target:
+            # catching up a long gap: a due *timer* runs after the loop
+            # has polled the sockets, so frames that queued up in the
+            # kernel are ingested between slices and heartbeats refute
+            # suspicions in time order
+            due = target
+        else:
+            due = min(target + self.max_tick, self._end)
+            upcoming = sim.next_event_time()
+            if upcoming is not None and upcoming < due:
+                due = upcoming
+        when = self._started + (due - self._origin)
+        timer = self._timer
+        if timer is not None:
+            if timer.when() == when:
+                return  # woken by a frame: the armed deadline still stands
+            timer.cancel()
+        self._timer = loop.call_at(when, self._on_timer)
 
 
 __all__ = ["IngressRecorder", "LiveNetwork", "LiveRuntime"]

@@ -14,27 +14,37 @@ Two interchangeable transports move opaque frames (produced by
   127.0.0.1.  A single frame larger than the coalescing bound is sent
   *standalone* in its own datagram (never spliced into a packed batch)
   and counted in ``oversize_frames``; loopback's 64kB MTU usually
-  carries it, and if the kernel refuses the send the drop is counted
-  via ``error_received``.
+  carries it, and if the kernel refuses the send (``EMSGSIZE``) the
+  drop is counted in ``dropped_oversize``.
 
-Both transports *coalesce*: the TCP writer drains its whole queue into
-one writev-style payload per wakeup (one ``write``, one ``drain``), and
-the UDP sender packs frames queued within one event-loop turn into a
-single datagram up to :data:`UDP_MAX_FRAME`.  The length-prefixed frame
-format makes the receive side split coalesced payloads back into frames
-without decoding anything.  ``frames_sent``/``frames_received`` count
-*logical* frames so throughput metrics stay comparable across
-transports; the ``writes`` counter records actual socket operations.
+Both are callback-driven — ``asyncio.Protocol`` objects on TCP, an
+``add_reader`` callback on UDP; no streams, no task per connection, no
+future per send — so a hop costs one socket read, one pacer tick and one
+socket write, each in its own loop turn (DESIGN.md §12).
 
-Frames are counted as sent only once the socket accepted them (after a
-successful ``drain`` on TCP); a batch in flight when the connection
-drops is re-queued ahead of newer frames, so a reconnect re-sends it
-instead of silently losing it.
+Both transports *coalesce*: frames queued for a peer within one
+event-loop turn leave in one socket operation on the next — the TCP
+channel joins its whole queue into a single ``transport.write``, the UDP
+sender packs them into a single datagram up to :data:`UDP_MAX_FRAME`.
+The length-prefixed frame format makes the receive side split coalesced
+payloads back into frames without decoding anything.
+``frames_sent``/``frames_received`` count *logical* frames so throughput
+metrics stay comparable across transports; the ``writes`` counter
+records actual socket operations.
+
+Frames are counted as sent only once the kernel accepted them.  On TCP a
+write the kernel takes only part of pauses the channel (the write-buffer
+high-water mark is zero): later frames wait in the same bounded
+drop-oldest queue until ``resume_writing``, and a batch still in flight
+when the connection drops is re-queued ahead of newer frames, so a
+reconnect re-sends it instead of silently losing it.  On UDP a send the
+kernel has no room for (``EAGAIN``) waits in a bounded backlog until the
+socket turns writable.
 
 Both deliver inbound frames by calling ``on_frame(data)`` with one
-complete raw frame; decoding stays the caller's business so the byte
-accounting can see actual frame sizes.  Everything runs on the calling
-asyncio loop — no threads, no locks.
+complete raw frame, in the loop turn that read it; decoding stays the
+caller's business so the byte accounting can see actual frame sizes.
+Everything runs on the calling asyncio loop — no threads, no locks.
 
 Transports register themselves by name (:func:`register_transport`), so
 alternative backends can be benchmarked by name without touching the
@@ -45,9 +55,10 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import socket
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Protocol, cast
 
 from repro.net.codec import CodecError, split_frames
 from repro.sim.topology import NodeId
@@ -147,8 +158,17 @@ def available_transports() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # TCP mesh
 # ---------------------------------------------------------------------------
-class _PeerChannel:
-    """Outbound state for one peer: queue, writer task, backoff.
+#: Bytes asked of the kernel per read (above the UDP payload ceiling).
+_READ_SIZE = 65536
+
+#: Doublings after which the reconnect delay stops growing: the cap is
+#: reached long before, and ``2**attempt`` overflows a float near 1024.
+_BACKOFF_MAX_DOUBLINGS = 32
+
+
+class _PeerChannel(asyncio.Protocol):
+    """Outbound state for one peer — queue, connection, backoff — and
+    the asyncio protocol of that connection.
 
     Carries its own counters so :meth:`TcpMeshTransport.stats_snapshot`
     can attribute reconnect churn and requeues to the peer that caused
@@ -156,25 +176,175 @@ class _PeerChannel:
     """
 
     __slots__ = (
+        "owner",
         "addr",
         "queue",
-        "task",
-        "ready",
+        "transport",
+        "connecting",
+        "flushing",
+        "paused",
+        "in_flight",
         "reconnects",
         "connect_failures",
         "requeued_batches",
         "requeued_frames",
     )
 
-    def __init__(self, addr: tuple[str, int]) -> None:
+    def __init__(self, owner: "TcpMeshTransport", addr: tuple[str, int]) -> None:
+        self.owner = owner
         self.addr = addr
         self.queue: deque[bytes] = deque()
-        self.task: asyncio.Task[None] | None = None
-        self.ready = asyncio.Event()
+        self.transport: asyncio.WriteTransport | None = None
+        self.connecting: asyncio.Task[None] | None = None
+        #: a :meth:`flush` is scheduled for the next loop turn
+        self.flushing = False
+        #: the connection holds bytes the kernel has not taken yet
+        self.paused = False
+        #: the batch those bytes belong to: not yet counted as sent
+        self.in_flight: list[bytes] = []
         self.reconnects = 0
         self.connect_failures = 0
         self.requeued_batches = 0
         self.requeued_frames = 0
+
+    # -- connecting ------------------------------------------------------
+    def connect(self) -> None:
+        if self.connecting is None:
+            self.connecting = asyncio.get_running_loop().create_task(self._connect())
+
+    async def _connect(self) -> None:
+        """Open the connection, retrying with capped deterministic
+        backoff; every call starts again from the base delay."""
+        owner = self.owner
+        stats = owner.stats
+        loop = asyncio.get_running_loop()
+        attempt = 0
+        try:
+            while not owner._closed:
+                try:
+                    await loop.create_connection(lambda: self, *self.addr)
+                except OSError:
+                    stats.connect_failures += 1
+                    self.connect_failures += 1
+                    delay = min(
+                        owner.backoff_base * 2 ** min(attempt, _BACKOFF_MAX_DOUBLINGS),
+                        owner.backoff_cap,
+                    )
+                    attempt += 1
+                    await asyncio.sleep(delay)
+                    continue
+                if attempt > 0:
+                    stats.reconnects += 1
+                    self.reconnects += 1
+                return
+        finally:
+            self.connecting = None
+
+    # -- asyncio.Protocol ------------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        connection = cast(asyncio.WriteTransport, transport)
+        if self.owner._closed:
+            connection.abort()
+            return
+        # pause as soon as one byte stays behind in user space: "paused"
+        # then means exactly "the last batch is not with the kernel yet"
+        connection.set_write_buffer_limits(high=0)
+        self.transport = connection
+        self.paused = False
+        self.flush()
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        stats = self.owner.stats
+        stats.frames_sent += len(self.in_flight)
+        stats.bytes_sent += sum(map(len, self.in_flight))
+        self.in_flight = []
+        self.flush()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.transport = None
+        self.paused = False
+        if self.in_flight:
+            # never counted as sent: back ahead of newer frames, so the
+            # next connection re-sends it in order
+            stats = self.owner.stats
+            self.queue.extendleft(reversed(self.in_flight))
+            stats.requeued_batches += 1
+            stats.requeued_frames += len(self.in_flight)
+            self.requeued_batches += 1
+            self.requeued_frames += len(self.in_flight)
+            self.in_flight = []
+        if self.queue and not self.owner._closed:
+            self.connect()
+
+    # -- writing ---------------------------------------------------------
+    def flush(self) -> None:
+        """Hand the whole queue to the connection as one write."""
+        self.flushing = False
+        transport, queue = self.transport, self.queue
+        if transport is None or self.paused or not queue or transport.is_closing():
+            return  # resume_writing / the next connection picks the queue up
+        payload = queue[0] if len(queue) == 1 else b"".join(queue)
+        transport.write(payload)
+        stats = self.owner.stats
+        stats.writes += 1
+        if self.paused or transport.is_closing():
+            self.in_flight = list(queue)
+        else:
+            stats.frames_sent += len(queue)
+            stats.bytes_sent += len(payload)
+        queue.clear()
+
+
+class _Inbound(asyncio.BufferedProtocol):
+    """One accepted connection: reassemble, split, hand frames up in the
+    loop turn that read them.  Inbound connections are never written to.
+
+    Reads land in the owner's one read buffer (asyncio's plain
+    ``data_received`` path allocates 256 kB for every ``recv``)."""
+
+    __slots__ = ("owner", "buffer", "transport")
+
+    def __init__(self, owner: "TcpMeshTransport") -> None:
+        self.owner = owner
+        self.buffer = bytearray()  # a partial frame between reads
+        self.transport: asyncio.BaseTransport | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        if self.owner._closed:
+            transport.close()  # accepted while the transport was closing
+        else:
+            self.owner._inbound.add(transport)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self.transport is not None:
+            self.owner._inbound.discard(self.transport)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.owner._read_view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        owner = self.owner
+        if owner._closed:
+            return
+        self.buffer += owner._read_view[:nbytes]
+        try:
+            frames = split_frames(self.buffer)
+        except CodecError:
+            if self.transport is not None:
+                self.transport.close()  # unframeable stream: this connection only
+            return
+        stats = owner.stats
+        on_frame = owner.on_frame
+        for frame in frames:
+            stats.frames_received += 1
+            stats.bytes_received += len(frame)
+            if on_frame is not None:
+                on_frame(frame)
 
 
 class TcpMeshTransport:
@@ -203,7 +373,10 @@ class TcpMeshTransport:
         self._peers: dict[NodeId, _PeerChannel] = {}
         self._server: asyncio.Server | None = None
         self._address: tuple[str, int] | None = None
-        self._readers: set[asyncio.Task[None]] = set()
+        self._inbound: set[asyncio.BaseTransport] = set()
+        #: where every inbound connection's ``recv_into`` lands (reads are
+        #: consumed before the next one starts: one loop, no threads)
+        self._read_view = memoryview(bytearray(_READ_SIZE))
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -211,7 +384,8 @@ class TcpMeshTransport:
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         """Bind the listening socket; returns the bound ``(host, port)``."""
-        self._server = await asyncio.start_server(self._accept, host, port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(lambda: _Inbound(self), host, port)
         sockname = self._server.sockets[0].getsockname()
         self._address = (str(sockname[0]), int(sockname[1]))
         return self._address
@@ -224,92 +398,46 @@ class TcpMeshTransport:
 
     async def close(self) -> None:
         self._closed = True
+        for channel in self._peers.values():
+            if channel.connecting is not None:
+                channel.connecting.cancel()
+            if channel.transport is not None:
+                channel.transport.close()
+        for transport in list(self._inbound):
+            transport.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for channel in self._peers.values():
-            if channel.task is not None:
-                channel.task.cancel()
-        for task in list(self._readers):
-            task.cancel()
         await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
     def set_peer(self, peer: NodeId, host: str, port: int) -> None:
-        self._peers[peer] = _PeerChannel((host, port))
+        self._peers[peer] = _PeerChannel(self, (host, port))
 
     def send(self, peer: NodeId, frame: bytes) -> None:
-        """Queue ``frame`` for ``peer`` (bounded; oldest dropped when full)."""
+        """Queue ``frame`` for ``peer`` (bounded; oldest dropped when full).
+
+        The queue goes out as one write on the next loop turn; while the
+        peer is unreachable or not reading, frames wait here under the
+        same bound."""
         if self._closed:
             return
         channel = self._peers.get(peer)
         if channel is None:
             self.stats.dropped_unroutable += 1
             return
-        if len(channel.queue) >= self.queue_limit:
-            channel.queue.popleft()
+        queue = channel.queue
+        if len(queue) >= self.queue_limit:
+            queue.popleft()
             self.stats.note_oldest_drop(peer)
-        channel.queue.append(frame)
-        channel.ready.set()
-        if channel.task is None or channel.task.done():
-            channel.task = asyncio.get_running_loop().create_task(
-                self._pump(peer, channel)
-            )
-
-    async def _pump(self, peer: NodeId, channel: _PeerChannel) -> None:
-        """Writer loop for one peer: connect (with capped deterministic
-        backoff), then drain the queue for as long as the link holds.
-
-        Each wakeup coalesces the whole queue into one write and one
-        drain.  The batch is only counted as sent after the drain
-        succeeds; if the connection dies first, the batch is re-queued
-        ahead of newer frames so the reconnect re-sends it in order.
-        """
-        attempt = 0
-        while not self._closed:
-            try:
-                reader, writer = await asyncio.open_connection(*channel.addr)
-            except OSError:
-                self.stats.connect_failures += 1
-                channel.connect_failures += 1
-                delay = min(self.backoff_base * (2**attempt), self.backoff_cap)
-                attempt += 1
-                await asyncio.sleep(delay)
-                continue
-            if attempt > 0:
-                self.stats.reconnects += 1
-                channel.reconnects += 1
-            attempt = 0
-            batch: list[bytes] = []
-            try:
-                while not self._closed:
-                    if not channel.queue:
-                        channel.ready.clear()
-                        await channel.ready.wait()
-                        continue
-                    batch = []
-                    while channel.queue:
-                        batch.append(channel.queue.popleft())
-                    writer.write(b"".join(batch))
-                    self.stats.writes += 1
-                    await writer.drain()
-                    self.stats.frames_sent += len(batch)
-                    self.stats.bytes_sent += sum(len(f) for f in batch)
-                    batch = []
-            except (OSError, ConnectionError):
-                # the in-flight batch was never counted as sent; put it
-                # back ahead of newer frames and reconnect
-                if batch:
-                    channel.queue.extendleft(reversed(batch))
-                    self.stats.requeued_batches += 1
-                    self.stats.requeued_frames += len(batch)
-                    channel.requeued_batches += 1
-                    channel.requeued_frames += len(batch)
-                continue
-            finally:
-                writer.close()
+        queue.append(frame)
+        if channel.transport is None:
+            channel.connect()
+        elif not (channel.flushing or channel.paused):
+            channel.flushing = True
+            asyncio.get_running_loop().call_soon(channel.flush)
 
     # ------------------------------------------------------------------
     # observability
@@ -334,54 +462,18 @@ class TcpMeshTransport:
             "peers": peers,
         }
 
-    # ------------------------------------------------------------------
-    # receiving
-    # ------------------------------------------------------------------
-    async def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._readers.add(task)
-        buffer = bytearray()
-        try:
-            while not self._closed:
-                data = await reader.read(65536)
-                if not data:
-                    break
-                buffer.extend(data)
-                try:
-                    frames = split_frames(buffer)
-                except CodecError:
-                    break  # unframeable stream: drop the connection
-                for frame in frames:
-                    self.stats.frames_received += 1
-                    self.stats.bytes_received += len(frame)
-                    if self.on_frame is not None:
-                        self.on_frame(frame)
-        except (OSError, ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            if task is not None:
-                self._readers.discard(task)
-            writer.close()
-
 
 # ---------------------------------------------------------------------------
 # UDP loopback
 # ---------------------------------------------------------------------------
-class _UdpBridge(asyncio.DatagramProtocol):
-    def __init__(self, owner: "UdpLoopbackTransport") -> None:
-        self._owner = owner
+#: Datagrams read per readiness callback: enough to drain what a stall
+#: queued in a few loop turns, bounded so one busy socket cannot starve
+#: the pacer.
+_UDP_READS_PER_TURN = 64
 
-    def datagram_received(self, data: bytes, addr: tuple[str, int]) -> None:
-        self._owner.handle_datagram(data)
-
-    def error_received(self, exc: Exception) -> None:
-        # asyncio swallows per-send OSErrors (e.g. EMSGSIZE for a
-        # standalone oversize frame the kernel refuses) and reports
-        # them here instead of raising from sendto().
-        self._owner.handle_send_error(exc)
+#: Datagrams held while the kernel's send buffer is full (drop-oldest
+#: beyond it, counted like the TCP queue).
+_UDP_BACKLOG_LIMIT = 1024
 
 
 class UdpLoopbackTransport:
@@ -396,8 +488,15 @@ class UdpLoopbackTransport:
     bound, not the loopback MTU — is flushed around and sent standalone
     in its own datagram, counted in ``oversize_frames``; loopback's
     64kB MTU carries payloads up to ~65507 bytes, and anything the
-    kernel still refuses surfaces through ``error_received`` and is
-    counted as ``dropped_oversize``.
+    kernel still refuses (``EMSGSIZE``) is counted as
+    ``dropped_oversize``.
+
+    The socket is the transport's own, non-blocking, watched with
+    ``add_reader``: one readiness callback drains every datagram the
+    kernel holds (up to a fixed bound) and ``sendto`` goes straight to
+    the kernel.  A send the kernel cannot take yet (``EAGAIN``) waits in
+    a bounded backlog and is retried, in order, when the socket turns
+    writable.
     """
 
     def __init__(self, node_id: NodeId) -> None:
@@ -407,17 +506,29 @@ class UdpLoopbackTransport:
         self._peers: dict[NodeId, tuple[str, int]] = {}
         self._pending: dict[NodeId, list[bytes]] = {}
         self._pending_size: dict[NodeId, int] = {}
-        self._transport: asyncio.DatagramTransport | None = None
+        #: datagrams the kernel had no room for: (peer, payload, frames)
+        self._backlog: deque[tuple[NodeId, bytes, int]] = deque()
+        self._sock: socket.socket | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._address: tuple[str, int] | None = None
         self._closed = False
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
         loop = asyncio.get_running_loop()
-        transport, _protocol = await loop.create_datagram_endpoint(
-            lambda: _UdpBridge(self), local_addr=(host, port)
-        )
-        self._transport = transport
-        sockname = transport.get_extra_info("sockname")
+        family, _type, _proto, _name, bind_to = (
+            await loop.getaddrinfo(host, port, type=socket.SOCK_DGRAM)
+        )[0]
+        sock = socket.socket(family, socket.SOCK_DGRAM)
+        try:
+            sock.setblocking(False)
+            sock.bind(bind_to)
+        except OSError:
+            sock.close()
+            raise
+        self._sock = sock
+        self._loop = loop
+        loop.add_reader(sock, self._on_readable)
+        sockname = sock.getsockname()
         self._address = (str(sockname[0]), int(sockname[1]))
         return self._address
 
@@ -431,10 +542,9 @@ class UdpLoopbackTransport:
         self._peers[peer] = (host, port)
 
     def send(self, peer: NodeId, frame: bytes) -> None:
-        if self._closed or self._transport is None:
+        if self._closed or self._loop is None:
             return
-        addr = self._peers.get(peer)
-        if addr is None:
+        if peer not in self._peers:
             self.stats.dropped_unroutable += 1
             return
         if len(frame) > UDP_MAX_FRAME:
@@ -443,11 +553,8 @@ class UdpLoopbackTransport:
             # frame standalone in its own datagram.
             if peer in self._pending:
                 self._flush(peer)
-            self._transport.sendto(frame, addr)
             self.stats.oversize_frames += 1
-            self.stats.writes += 1
-            self.stats.frames_sent += 1
-            self.stats.bytes_sent += len(frame)
+            self._sendto(peer, frame, 1)
             return
         pending = self._pending.get(peer)
         if pending is not None and self._pending_size[peer] + len(frame) > UDP_MAX_FRAME:
@@ -456,7 +563,7 @@ class UdpLoopbackTransport:
         if pending is None:
             self._pending[peer] = [frame]
             self._pending_size[peer] = len(frame)
-            asyncio.get_running_loop().call_soon(self._flush, peer)
+            self._loop.call_soon(self._flush, peer)
         else:
             pending.append(frame)
             self._pending_size[peer] += len(frame)
@@ -465,19 +572,75 @@ class UdpLoopbackTransport:
         """Send the pending frames for ``peer`` as one packed datagram."""
         frames = self._pending.pop(peer, None)
         self._pending_size.pop(peer, None)
-        if not frames or self._closed or self._transport is None:
+        if not frames or self._closed:
             return
-        addr = self._peers.get(peer)
-        if addr is None:
+        if peer not in self._peers:
             self.stats.dropped_unroutable += len(frames)
             return
         payload = frames[0] if len(frames) == 1 else b"".join(frames)
-        self._transport.sendto(payload, addr)
-        self.stats.writes += 1
-        self.stats.frames_sent += len(frames)
-        self.stats.bytes_sent += len(payload)
+        self._sendto(peer, payload, len(frames))
 
-    def handle_datagram(self, data: bytes) -> None:
+    def _sendto(self, peer: NodeId, payload: bytes, frames: int) -> None:
+        """One datagram to the kernel — or, when the kernel has no room
+        or earlier datagrams still wait for it, to the bounded backlog."""
+        sock, loop, backlog = self._sock, self._loop, self._backlog
+        if sock is None or loop is None:
+            return
+        if not backlog:
+            if self._try_send(sock, peer, payload, frames):
+                return
+            loop.add_writer(sock, self._on_writable)
+        elif len(backlog) >= _UDP_BACKLOG_LIMIT:
+            dropped_peer, _payload, dropped = backlog.popleft()
+            for _ in range(dropped):
+                self.stats.note_oldest_drop(dropped_peer)
+        backlog.append((peer, payload, frames))
+
+    def _try_send(
+        self, sock: socket.socket, peer: NodeId, payload: bytes, frames: int
+    ) -> bool:
+        """``sendto``, counted once the kernel took the datagram; False
+        when it has no room right now (the caller keeps the datagram)."""
+        try:
+            sock.sendto(payload, self._peers[peer])
+        except (BlockingIOError, InterruptedError):
+            return False
+        except OSError as exc:
+            # refused for good: an oversize frame is counted, anything
+            # else is loss on the wire like any other datagram's
+            if exc.errno == errno.EMSGSIZE:
+                self.stats.dropped_oversize += 1
+            return True
+        self.stats.writes += 1
+        self.stats.frames_sent += frames
+        self.stats.bytes_sent += len(payload)
+        return True
+
+    def _on_writable(self) -> None:
+        """The socket has room again: retry the backlog in order."""
+        sock, loop, backlog = self._sock, self._loop, self._backlog
+        if sock is None or loop is None:
+            return
+        while backlog:
+            if not self._try_send(sock, *backlog[0]):
+                return
+            backlog.popleft()
+        loop.remove_writer(sock)
+
+    def _on_readable(self) -> None:
+        """Drain the datagrams the kernel holds (asyncio's own datagram
+        transport reads one per loop turn)."""
+        sock = self._sock
+        if sock is None:
+            return
+        for _ in range(_UDP_READS_PER_TURN):
+            try:
+                data = sock.recv(_READ_SIZE)
+            except (BlockingIOError, InterruptedError):
+                return
+            self._on_datagram(data)
+
+    def _on_datagram(self, data: bytes) -> None:
         if self._closed:
             return
         self.stats.bytes_received += len(data)
@@ -498,11 +661,6 @@ class UdpLoopbackTransport:
             if self.on_frame is not None:
                 self.on_frame(frame)
 
-    def handle_send_error(self, exc: Exception) -> None:
-        """A queued datagram the kernel refused (via ``error_received``)."""
-        if isinstance(exc, OSError) and exc.errno == errno.EMSGSIZE:
-            self.stats.dropped_oversize += 1
-
     def stats_snapshot(self) -> dict[str, object]:
         """Global counters plus per-peer pending state (``--stats-json``)."""
         peers: dict[str, object] = {}
@@ -522,8 +680,11 @@ class UdpLoopbackTransport:
         for peer in list(self._pending):
             self._flush(peer)  # don't strand frames queued this turn
         self._closed = True
-        if self._transport is not None:
-            self._transport.close()
+        sock, self._sock = self._sock, None
+        if sock is not None and self._loop is not None:
+            self._loop.remove_reader(sock)
+            self._loop.remove_writer(sock)
+            sock.close()
         await asyncio.sleep(0)
 
 

@@ -1,6 +1,10 @@
 """The live runtime adapter: pacing, ingress, and local/remote split."""
 
 import asyncio
+import socket
+import time
+
+import pytest
 
 from repro.net.codec import WireEnvelope, encode_frame
 from repro.net.runtime import LiveNetwork, LiveRuntime
@@ -61,6 +65,148 @@ def test_runtime_stop_interrupts_run():
         started = loop.time()
         await asyncio.gather(runtime.run(30.0), stopper())
         assert loop.time() - started < 5.0
+
+    _run(scenario())
+
+
+def test_runtime_stop_from_inside_an_event_ends_the_run_at_that_tick():
+    async def scenario():
+        sim = Simulator()
+        runtime = LiveRuntime(sim, max_tick=0.02)
+        fired = []
+        sim.schedule(0.05, runtime.stop)
+        sim.schedule(0.05 + 2 * runtime.io_slice, lambda: fired.append("after stop"))
+        await asyncio.wait_for(runtime.run(30.0), 5.0)
+        assert fired == []
+        assert 0.05 <= sim.now < 0.05 + 2 * runtime.io_slice
+        # a stopped runtime stays stopped
+        await asyncio.wait_for(runtime.run(30.0), 5.0)
+        assert fired == []
+
+    _run(scenario())
+
+
+def test_runtime_reraises_a_handler_exception():
+    """A handler that raises inside a tick must fail ``run()``, not
+    vanish into the loop's exception handler while the pacer sleeps on."""
+
+    async def scenario():
+        sim = Simulator()
+
+        def broken_handler():
+            raise LookupError("handler bug")
+
+        sim.schedule(0.03, broken_handler)
+        runtime = LiveRuntime(sim, max_tick=0.02)
+        with pytest.raises(LookupError, match="handler bug"):
+            await asyncio.wait_for(runtime.run(30.0), 5.0)
+
+    _run(scenario())
+
+
+def test_runtime_wake_outside_a_run_window_is_a_no_op():
+    """Harnesses build one runtime per window and re-point ``set_wake``;
+    a late frame may still wake the previous one."""
+
+    async def scenario():
+        sim = Simulator()
+        fired = []
+        sim.schedule(0.0, lambda: fired.append("ran"))
+        runtime = LiveRuntime(sim, max_tick=0.02)
+        runtime.wake()  # before any run(): nothing to wake
+        await asyncio.sleep(0.01)
+        assert fired == [] and sim.now == 0.0
+        await runtime.run(0.05)
+        assert fired == ["ran"]
+        sim.schedule(0.0, lambda: fired.append("after the window"))
+        runtime.wake()  # after run(): the window is over
+        await asyncio.sleep(0.01)
+        assert fired == ["ran"] and sim.now == 0.05
+
+    _run(scenario())
+
+
+class _CountingSimulator(Simulator):
+    """Counts pacer ticks (one ``run_until`` each) and records them as
+    ``(loop turn, from, to)``."""
+
+    def __init__(self):
+        super().__init__()
+        self.turn = 0
+        self.ticks = []
+
+    def count_turns(self, loop):
+        self.turn += 1
+        loop.call_soon(self.count_turns, loop)
+
+    def run_until(self, time, max_events=None):
+        self.ticks.append((self.turn, self.now, time))
+        super().run_until(time, max_events)
+
+
+def test_frames_ingressed_in_one_loop_turn_cause_one_tick():
+    async def scenario():
+        sim = _CountingSimulator()
+        runtime = LiveRuntime(sim, max_tick=5.0)
+        transport = UdpLoopbackTransport("a")
+        await transport.start()
+        network = LiveNetwork(sim, transport, wake=runtime.wake)
+        got = []
+        network.attach("a", got.append, lambda: True)
+        task = asyncio.get_running_loop().create_task(runtime.run(10.0))
+        await asyncio.sleep(0.01)
+        before = len(sim.ticks)
+        for i in range(50):
+            network._ingress(
+                encode_frame(WireEnvelope("b", "a", "k", 1, i))
+            )
+        await asyncio.sleep(0)  # the one tick those 50 wake-ups asked for
+        await asyncio.sleep(0)
+        assert len(got) == 50
+        assert len(sim.ticks) == before + 1
+        runtime.stop()
+        await task
+        await transport.close()
+
+    _run(scenario())
+
+
+def test_stall_is_replayed_in_slices_with_socket_reads_between_them():
+    """The stall-replay guarantee (PR 6): after the loop was blocked, the
+    pacer catches up at most ``io_slice`` per loop turn, and a frame that
+    reached the kernel during the stall is ingested before a timer from
+    inside the stalled window fires — a heartbeat refutes the suspicion
+    deadline it arrived ahead of."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        sim = _CountingSimulator()
+        runtime = LiveRuntime(sim, max_tick=0.05, io_slice=0.01)
+        transport = UdpLoopbackTransport("a")
+        await transport.start()
+        network = LiveNetwork(sim, transport, wake=runtime.wake)
+        order = []
+        network.attach("a", lambda message: order.append("heartbeat"), lambda: True)
+        frame = encode_frame(WireEnvelope("b", "a", "hb", 1, "alive"))
+
+        def stall():
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as peer:
+                peer.sendto(frame, transport.address)  # sits in the kernel
+            time.sleep(0.2)
+
+        # the loop blocks from t=0.05 to t=0.25; the suspicion deadline
+        # falls inside the stalled window
+        loop.call_later(0.05, stall)
+        sim.schedule(0.15, lambda: order.append("suspicion deadline"))
+        sim.count_turns(loop)
+        await runtime.run(0.4)
+        await transport.close()
+        assert order == ["heartbeat", "suspicion deadline"]
+        catch_up = [tick for tick in sim.ticks if tick[1] >= 0.04 and tick[2] <= 0.26]
+        assert len(catch_up) >= 15  # ~0.2 s in slices of 0.01 s
+        assert all(until - start <= 0.01 + 1e-9 for _turn, start, until in sim.ticks)
+        turns = [turn for turn, _start, _until in catch_up]
+        assert all(later > earlier for earlier, later in zip(turns, turns[1:]))
 
     _run(scenario())
 

@@ -1,6 +1,7 @@
 """The asyncio transports: delivery, coalescing, backpressure, rejection."""
 
 import asyncio
+import socket
 
 import pytest
 
@@ -147,37 +148,93 @@ def test_tcp_address_before_start_raises():
 # ---------------------------------------------------------------------------
 # TCP writer coalescing and reconnect hygiene (scripted connections)
 # ---------------------------------------------------------------------------
-class _ScriptedWriter:
-    """A StreamWriter stand-in that can fail specific drain() calls."""
+class _ScriptedTransport(asyncio.Transport):
+    """An ``asyncio.Transport`` stand-in that can lose specific writes.
 
-    def __init__(self, fail_on_drain=()):
+    A write whose number is in ``die_on_write`` stays in user space — the
+    protocol is paused, as a full kernel buffer pauses it — and the
+    connection is then lost with that batch in flight."""
+
+    def __init__(self, die_on_write=()):
+        super().__init__()
         self.chunks = []
-        self.drain_calls = 0
-        self._fail_on = set(fail_on_drain)
+        self.limits = None
+        self._die_on = set(die_on_write)
+        self._protocol = None
+        self._closing = False
+
+    def attach(self, protocol):
+        self._protocol = protocol
+        protocol.connection_made(self)
+
+    def set_write_buffer_limits(self, high=None, low=None):
+        self.limits = (high, low)
+
+    def is_closing(self):
+        return self._closing
 
     def write(self, data):
         self.chunks.append(data)
+        if len(self.chunks) in self._die_on:
+            self._protocol.pause_writing()
+            asyncio.get_running_loop().call_soon(self._lose)
 
-    async def drain(self):
-        self.drain_calls += 1
-        if self.drain_calls in self._fail_on:
-            raise ConnectionResetError("scripted drop")
+    def _lose(self):
+        self._closing = True
+        self._protocol.connection_lost(ConnectionResetError("scripted drop"))
 
     def close(self):
-        pass
+        self._closing = True
+
+    abort = close
 
 
-def test_tcp_burst_coalesces_into_one_write_and_drain(monkeypatch):
-    """A burst queued before the writer wakes must go out as ONE write
-    and ONE drain, not one flow-control round-trip per frame."""
-    writer = _ScriptedWriter()
+def _script_connections(monkeypatch, script):
+    """Fake the running loop's ``create_connection``: each call takes the
+    next script item — ``None`` refuses, a transport connects."""
+    items = iter(script)
 
-    async def fake_open(host, port):
-        return (None, writer)
+    async def fake_create_connection(factory, host, port):
+        item = next(items)
+        if item is None:
+            raise OSError("connection refused")
+        protocol = factory()
+        item.attach(protocol)
+        return item, protocol
 
-    monkeypatch.setattr(asyncio, "open_connection", fake_open)
+    monkeypatch.setattr(
+        asyncio.get_running_loop(), "create_connection", fake_create_connection
+    )
+
+
+def _record_sleeps(monkeypatch):
+    """Make ``asyncio.sleep`` record its delay and yield once; returns
+    the delays and a ``settle(predicate)`` that spins real loop turns."""
+    delays = []
+    real_sleep = asyncio.sleep
+
+    async def recording_sleep(delay):
+        delays.append(delay)
+        await real_sleep(0)
+
+    async def settle(predicate):
+        for _ in range(10_000):
+            if predicate():
+                return
+            await real_sleep(0)
+        raise AssertionError("condition not reached")
+
+    monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+    return delays, settle
+
+
+def test_tcp_burst_coalesces_into_one_write(monkeypatch):
+    """A burst queued within one loop turn must go out as ONE write, not
+    one socket operation per frame."""
+    connection = _ScriptedTransport()
 
     async def scenario():
+        _script_connections(monkeypatch, [connection])
         a = TcpMeshTransport("a")
         a.set_peer("b", "127.0.0.1", 9)
         frames = [encode_frame(i) for i in range(64)]
@@ -185,9 +242,12 @@ def test_tcp_burst_coalesces_into_one_write_and_drain(monkeypatch):
             a.send("b", frame)
         await _wait_for(lambda: a.stats.frames_sent == len(frames))
         assert a.stats.writes <= 2  # the whole burst, coalesced
-        assert writer.drain_calls == a.stats.writes
-        assert b"".join(writer.chunks) == b"".join(frames)
+        assert len(connection.chunks) == a.stats.writes
+        assert b"".join(connection.chunks) == b"".join(frames)
         assert a.stats.bytes_sent == sum(len(f) for f in frames)
+        # bytes left in user space pause the channel at once, so "paused"
+        # means exactly "the last batch is still in flight"
+        assert connection.limits == (0, None)
         await a.close()
 
     _run(scenario())
@@ -198,33 +258,14 @@ def test_tcp_backoff_resets_and_requeues_in_flight_batch(monkeypatch):
     after a successful connect, so a later drop retries from the base
     delay; (2) a batch in flight when the connection dies is re-queued
     and re-sent — neither silently dropped nor double-counted."""
-    writer1 = _ScriptedWriter(fail_on_drain={2})  # dies on the second batch
-    writer2 = _ScriptedWriter()
-    script = iter([None, None, None, writer1, None, writer2])
-    delays = []
-    real_sleep = asyncio.sleep
-
-    async def fake_open(host, port):
-        item = next(script)
-        if item is None:
-            raise OSError("connection refused")
-        return (None, item)
-
-    async def recording_sleep(delay):
-        delays.append(delay)
-        await real_sleep(0)
-
-    monkeypatch.setattr(asyncio, "open_connection", fake_open)
-    monkeypatch.setattr(asyncio, "sleep", recording_sleep)
-
-    async def settle(predicate):
-        for _ in range(10_000):
-            if predicate():
-                return
-            await real_sleep(0)
-        raise AssertionError("condition not reached")
+    connection1 = _ScriptedTransport(die_on_write={2})  # dies on the second batch
+    connection2 = _ScriptedTransport()
+    delays, settle = _record_sleeps(monkeypatch)
 
     async def scenario():
+        _script_connections(
+            monkeypatch, [None, None, None, connection1, None, connection2]
+        )
         a = TcpMeshTransport("a", backoff_base=0.01, backoff_cap=2.0)
         a.set_peer("b", "127.0.0.1", 9)
         first = encode_frame("first")
@@ -235,7 +276,7 @@ def test_tcp_backoff_resets_and_requeues_in_flight_batch(monkeypatch):
         assert a.stats.connect_failures == 3
         assert a.stats.reconnects == 1
         second = encode_frame("second")
-        a.send("b", second)  # writer1's drain dies with this in flight
+        a.send("b", second)  # connection1 dies with this in flight
         await settle(lambda: a.stats.frames_sent == 2)
         # the post-drop reconnect backed off from the BASE delay again:
         # a successful connect reset the attempt counter (0.08 here would
@@ -244,7 +285,7 @@ def test_tcp_backoff_resets_and_requeues_in_flight_batch(monkeypatch):
         assert a.stats.connect_failures == 4
         assert a.stats.reconnects == 2
         # the in-flight frame was re-sent on the new connection, once
-        assert writer2.chunks == [second]
+        assert connection2.chunks == [second]
         assert a.stats.frames_sent == 2  # not double-counted
         assert a.stats.bytes_sent == len(first) + len(second)
         await a.close()
@@ -258,55 +299,36 @@ def test_tcp_multiple_consecutive_losses_requeue_and_reset_backoff(monkeypatch):
     backoff from the base delay (a single-loss test cannot tell a
     correctly reset counter from one that was simply never incremented
     twice)."""
-    writer1 = _ScriptedWriter(fail_on_drain={2})  # dies on its second batch
-    writer2 = _ScriptedWriter(fail_on_drain={2})  # ... and so does its successor
-    writer3 = _ScriptedWriter()
-    script = iter([writer1, None, writer2, None, None, writer3])
-    delays = []
-    real_sleep = asyncio.sleep
-
-    async def fake_open(host, port):
-        item = next(script)
-        if item is None:
-            raise OSError("connection refused")
-        return (None, item)
-
-    async def recording_sleep(delay):
-        delays.append(delay)
-        await real_sleep(0)
-
-    monkeypatch.setattr(asyncio, "open_connection", fake_open)
-    monkeypatch.setattr(asyncio, "sleep", recording_sleep)
-
-    async def settle(predicate):
-        for _ in range(10_000):
-            if predicate():
-                return
-            await real_sleep(0)
-        raise AssertionError("condition not reached")
+    connection1 = _ScriptedTransport(die_on_write={2})  # dies on its second batch
+    connection2 = _ScriptedTransport(die_on_write={2})  # ... and so does its successor
+    connection3 = _ScriptedTransport()
+    delays, settle = _record_sleeps(monkeypatch)
 
     async def scenario():
+        _script_connections(
+            monkeypatch, [connection1, None, connection2, None, None, connection3]
+        )
         a = TcpMeshTransport("a", backoff_base=0.01, backoff_cap=2.0)
         a.set_peer("b", "127.0.0.1", 9)
         f1, f2, f3, f4 = (encode_frame(f"frame-{i}") for i in range(4))
         a.send("b", f1)
         await settle(lambda: a.stats.frames_sent == 1)
-        # cycle 1: a two-frame batch dies in flight on writer1
+        # cycle 1: a two-frame batch dies in flight on connection1
         a.send("b", f2)
         a.send("b", f3)
         await settle(lambda: a.stats.frames_sent == 3)
         # one refused connect, backed off from the BASE delay (reset
-        # after writer1's successful connect)
+        # after connection1's successful connect)
         assert delays == [0.01]
         # the whole batch was re-queued in order and re-sent as one write
-        assert writer2.chunks == [f2 + f3]
-        # cycle 2: a single-frame batch dies in flight on writer2
+        assert connection2.chunks == [f2 + f3]
+        # cycle 2: a single-frame batch dies in flight on connection2
         a.send("b", f4)
         await settle(lambda: a.stats.frames_sent == 4)
         # two refused connects this cycle — and again from the base
         # delay, not continuing cycle 1's progression
         assert delays[1:] == [0.01, 0.02]
-        assert writer3.chunks == [f4]
+        assert connection3.chunks == [f4]
         assert a.stats.reconnects == 2
         assert a.stats.connect_failures == 3
         assert a.stats.requeued_batches == 2
@@ -321,6 +343,109 @@ def test_tcp_multiple_consecutive_losses_requeue_and_reset_backoff(monkeypatch):
         assert peer["requeued_frames"] == 3
         assert peer["queue_depth"] == 0
         await a.close()
+
+    _run(scenario())
+
+
+def test_tcp_backoff_stays_at_cap_for_a_long_dead_peer(monkeypatch):
+    """2 000 consecutive refused connects: ``2**attempt`` used to
+    overflow a float at attempt 1024 and kill the writer for good."""
+    connection = _ScriptedTransport()
+    delays, settle = _record_sleeps(monkeypatch)
+
+    async def scenario():
+        _script_connections(monkeypatch, [None] * 2000 + [connection])
+        a = TcpMeshTransport("a", backoff_base=0.05, backoff_cap=2.0)
+        a.set_peer("b", "127.0.0.1", 9)
+        frame = encode_frame("patient")
+        a.send("b", frame)
+        await settle(lambda: a.stats.frames_sent == 1)
+        assert len(delays) == 2000
+        assert delays[:7] == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
+        assert set(delays[6:]) == {2.0}
+        assert a.stats.connect_failures == 2000
+        assert connection.chunks == [frame]
+        await a.close()
+
+    _run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# TCP overload and hostile input (real sockets)
+# ---------------------------------------------------------------------------
+def test_tcp_peer_that_stops_reading_fills_the_bounded_queue(monkeypatch):
+    """The overload policy at the new seam: a peer that never reads
+    pauses the connection, frames then wait in the per-peer queue up to
+    ``queue_limit``, the oldest are dropped and counted, and once the
+    peer reads again the survivors go out in order."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        near, far = socket.socketpair()
+        near.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        far.setblocking(False)
+        real_create_connection = loop.create_connection
+
+        async def over_socketpair(factory, host, port):
+            return await real_create_connection(factory, sock=near)
+
+        monkeypatch.setattr(loop, "create_connection", over_socketpair)
+        a = TcpMeshTransport("a", queue_limit=8)
+        a.set_peer("b", "127.0.0.1", 9)
+        channel = a._peers["b"]
+        filler = [encode_frame(("fill", i, "x" * 4000)) for i in range(2000)]
+        sent = 0
+        while not channel.paused:  # the peer reads nothing: the kernel fills up
+            a.send("b", filler[sent])
+            sent += 1
+            await asyncio.sleep(0)
+        accepted = a.stats.frames_sent  # all but the batch in flight
+        assert accepted < sent
+        assert channel.transport.get_write_buffer_size() > 0
+        # paused: frames wait in the bounded queue, oldest dropped
+        late = [encode_frame(("late", i)) for i in range(12)]
+        for frame in late:
+            a.send("b", frame)
+        await asyncio.sleep(0)
+        assert a.stats.frames_sent == accepted  # nothing went out
+        assert len(channel.queue) == 8
+        assert a.stats.dropped_oldest == 4
+        assert a.stats.dropped_by_peer == {"b": 4}
+        # the peer starts reading: in-flight batch, then the survivors
+        received = bytearray()
+        expected = b"".join(filler[:sent] + late[4:])
+        while len(received) < len(expected):
+            received.extend(await loop.sock_recv(far, 65536))
+        assert bytes(received) == expected
+        await _wait_for(lambda: a.stats.frames_sent == sent + 8)
+        assert a.stats.requeued_frames == 0
+        await a.close()
+        far.close()
+
+    _run(scenario())
+
+
+def test_tcp_unframeable_stream_closes_that_connection_only():
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        a = TcpMeshTransport("a")
+        got = []
+        a.on_frame = got.append
+        await a.start()
+        hostile, honest = socket.socket(), socket.socket()
+        for sock in (hostile, honest):
+            sock.setblocking(False)
+            await loop.sock_connect(sock, a.address)
+        good = encode_frame("still served")
+        await loop.sock_sendall(hostile, b"\xff\xff\xff\xff junk")
+        # the insane length prefix drops the hostile connection...
+        assert await asyncio.wait_for(loop.sock_recv(hostile, 1), 5.0) == b""
+        # ...and nothing else: the listener and other connections live on
+        await loop.sock_sendall(honest, good)
+        await _wait_for(lambda: got == [good])
+        await a.close()
+        hostile.close()
+        honest.close()
 
     _run(scenario())
 
@@ -472,6 +597,80 @@ def test_udp_coalescing_respects_datagram_size_bound():
         assert a.stats.writes == 2
         assert a.stats.dropped_oversize == 0
         assert got == [big, big]
+
+    _run(scenario())
+
+
+def test_udp_datagrams_queued_in_the_kernel_arrive_in_one_loop_turn():
+    """One readiness callback drains the socket (asyncio's datagram
+    transport reads one datagram per loop turn, so a burst that built up
+    during a stall used to trickle in behind the timers it refutes)."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        a = UdpLoopbackTransport("a")
+        turn = 0
+        seen = []
+
+        def count_turn():
+            nonlocal turn
+            turn += 1
+            loop.call_soon(count_turn)
+
+        a.on_frame = lambda frame: seen.append((turn, frame))
+        await a.start()
+        frames = [encode_frame(("queued", i)) for i in range(20)]
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+            for frame in frames:
+                sender.sendto(frame, a.address)  # loopback: queued on return
+        count_turn()
+        await _wait_for(lambda: len(seen) == len(frames))
+        await a.close()
+        assert [frame for _turn, frame in seen] == frames
+        assert len({turn for turn, _frame in seen}) == 1
+
+    _run(scenario())
+
+
+class _FullSocket:
+    """The transport's socket, except that the first ``refusals`` calls
+    of ``sendto`` find the kernel's send buffer full."""
+
+    def __init__(self, sock, refusals):
+        self._sock = sock
+        self.refusals = refusals
+
+    def sendto(self, data, addr):
+        if self.refusals:
+            self.refusals -= 1
+            raise BlockingIOError("scripted EAGAIN")
+        return self._sock.sendto(data, addr)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_udp_send_the_kernel_cannot_take_is_retried_in_order():
+    async def scenario():
+        a, b = UdpLoopbackTransport("a"), UdpLoopbackTransport("b")
+        got = []
+        b.on_frame = got.append
+        await a.start()
+        await b.start()
+        a.set_peer("b", *b.address)
+        a._sock = _FullSocket(a._sock, refusals=1)
+        first, second = encode_frame("refused once"), encode_frame("behind it")
+        a.send("b", first)
+        await asyncio.sleep(0)  # the flush ran into the scripted EAGAIN
+        assert a.stats.frames_sent == 0 and a.stats.writes == 0  # not counted yet
+        a.send("b", second)  # must not overtake the held datagram
+        await _wait_for(lambda: len(got) == 2)
+        await a.close()
+        await b.close()
+        assert got == [first, second]
+        assert a.stats.frames_sent == 2 and a.stats.writes == 2
+        assert a.stats.bytes_sent == len(first) + len(second)
+        assert a.stats.dropped_oldest == 0
 
     _run(scenario())
 

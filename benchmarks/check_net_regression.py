@@ -8,8 +8,10 @@ file aside first, runs the benchmark, then invokes this script::
     python -m pytest benchmarks/bench_net_loopback.py -q
     python benchmarks/check_net_regression.py --baseline bench-baseline.json
 
-One metric is guarded — raw codec+socket ``frames_per_second`` — with a
-20% tolerance to absorb runner-to-runner noise.  The live cluster's
+Three metrics are guarded — raw codec+socket ``frames_per_second`` and
+the compiled codec's ``encodes_per_second`` / ``decodes_per_second`` on
+the hot envelope — each with a 20% tolerance to absorb runner-to-runner
+noise.  The live cluster's
 ``messages_per_second`` is deliberately not: on that workload it is the
 heartbeat timer (3 nodes x 2 peers x 125 heartbeats/s = 750, see
 ``bench/README.md`` finding 3), so it cannot tell a slower transport
@@ -29,28 +31,32 @@ from pathlib import Path
 #: fresh value must reach this fraction of the committed value
 TOLERANCE = 0.80
 
-#: (label, section, key) of each guarded metric
+#: (label, dotted path into the results) of each guarded metric
 GUARDED = (
-    ("raw frame throughput", "raw_frame_throughput", "frames_per_second"),
+    ("raw frame throughput", "raw_frame_throughput.frames_per_second"),
+    ("codec encode rate", "codec.fast.encodes_per_second"),
+    ("codec decode rate", "codec.fast.decodes_per_second"),
 )
 
 
-def _metric(data: dict, section: str, key: str, origin: str) -> float:
+def _metric(data: dict, path: str, origin: str) -> float:
+    value = data
     try:
-        value = data[section][key]
-    except KeyError:
-        raise SystemExit(f"{origin}: missing {section}.{key}") from None
+        for key in path.split("."):
+            value = value[key]
+    except (KeyError, TypeError):
+        raise SystemExit(f"{origin}: missing {path}") from None
     if not isinstance(value, (int, float)) or value <= 0:
-        raise SystemExit(f"{origin}: bad value for {section}.{key}: {value!r}")
+        raise SystemExit(f"{origin}: bad value for {path}: {value!r}")
     return float(value)
 
 
 def check(baseline: dict, current: dict) -> list[str]:
     """Return one failure line per guarded metric below tolerance."""
     failures = []
-    for label, section, key in GUARDED:
-        before = _metric(baseline, section, key, "baseline")
-        after = _metric(current, section, key, "current")
+    for label, path in GUARDED:
+        before = _metric(baseline, path, "baseline")
+        after = _metric(current, path, "current")
         ratio = after / before
         status = "ok" if ratio >= TOLERANCE else "REGRESSED"
         print(

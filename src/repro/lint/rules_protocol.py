@@ -342,27 +342,20 @@ def check_codec_registration(context: LintContext) -> Iterator[Finding]:
     if not codec_modules:
         return  # partial scan (no codec module): nothing to cross-check
     registered: set[str] = set()
-    fast_registered: dict[str, tuple[ModuleInfo, ast.AST]] = {}
     for module in codec_modules:
         for node in ast.walk(module.tree):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
-                and node.func.id in ("register", "register_fast")
+                and node.func.id == "register"
                 and node.args
             ):
                 continue
             target = node.args[0]
             if isinstance(target, ast.Name):
-                name = target.id
+                registered.add(target.id)
             elif isinstance(target, ast.Attribute):
-                name = target.attr
-            else:
-                continue
-            if node.func.id == "register":
-                registered.add(name)
-            else:
-                fast_registered[name] = (module, node)
+                registered.add(target.attr)
     for name, (module, node) in sorted(wire.items()):
         if name not in registered:
             yield _finding(
@@ -373,19 +366,6 @@ def check_codec_registration(context: LintContext) -> Iterator[Finding]:
                 f"wire message {name} is not registered with the live "
                 f"codec (add register({name}) to net/codec.py — append at "
                 "the end; registration order is the wire contract)",
-            )
-    # the struct fast path is an optimization over the generic form, so
-    # every register_fast() type needs a register() call to fall back to
-    for name, (module, node) in sorted(fast_registered.items()):
-        if name not in registered:
-            yield _finding(
-                "P205",
-                "codec-registration",
-                module,
-                node,
-                f"fast-path codec for {name} has no generic registration "
-                f"(register_fast without register({name}): the fallback "
-                "encoding would reject the value)",
             )
 
 

@@ -65,7 +65,7 @@ def test_cli_json_artifact(bad_dir, tmp_path, capsys):
     capsys.readouterr()
     data = json.loads(artifact.read_text(encoding="utf-8"))
     assert data["ok"] is False
-    assert len(data["findings"]) == 24
+    assert len(data["findings"]) == 23
 
 
 def test_cli_missing_path_exits_two(tmp_path, capsys):

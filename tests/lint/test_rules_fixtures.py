@@ -104,17 +104,10 @@ def test_p204_knob_sync(bad_dir):
 
 
 def test_p205_codec_registration(bad_dir):
-    found = _findings(bad_dir, "P205")
-    assert len(found) == 2
-    missing = [f for f in found if "is not registered" in f.message]
-    fast_orphan = [f for f in found if "register_fast" in f.message]
-    assert len(missing) == 1 and "Pong" in missing[0].message
+    (missing,) = _findings(bad_dir, "P205")
+    assert "is not registered" in missing.message and "Pong" in missing.message
     # the finding points at the unregistered class, not at the codec
-    assert missing[0].path.endswith("gcs/messages.py")
-    # a fast-path registration without its generic fallback is flagged
-    # at the register_fast() call site
-    assert len(fast_orphan) == 1 and "Pong" in fast_orphan[0].message
-    assert fast_orphan[0].path.endswith("net/codec.py")
+    assert missing.path.endswith("gcs/messages.py")
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +127,7 @@ def test_bad_fixture_totals(bad_dir):
         "P202": 1,
         "P203": 2,
         "P204": 2,
-        "P205": 2,
+        "P205": 1,
     }
 
 

@@ -1,18 +1,12 @@
-"""Fixture codec: Pong is a wire message but never registered (P205),
-and its fast-path registration has no generic fallback registration."""
+"""Fixture codec: Pong is a wire message but never registered (P205)."""
 
 from gcs.messages import Mutable, Ping, Pong
 
 
-def register(cls):
-    return cls
-
-
-def register_fast(cls, tag, encoder, decoder):
+def register(cls, tag=None, layout=None):
     return cls
 
 
 register(Ping)
 register(Mutable)
 # Pong is missing: P205
-register_fast(Pong, 14, None, None)  # fast path without register(): P205

@@ -1,16 +1,11 @@
-"""Fixture codec: every wire message is registered; the fast path is a
-subset of the generic registrations."""
+"""Fixture codec: every wire message is registered (a packed layout is
+part of the same call)."""
 
 from gcs.messages import Ping
 
 
-def register(cls):
+def register(cls, tag=None, layout=None):
     return cls
 
 
-def register_fast(cls, tag, encoder, decoder):
-    return cls
-
-
-register(Ping)
-register_fast(Ping, 14, None, None)
+register(Ping, 14, "seq:u32")

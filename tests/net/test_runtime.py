@@ -10,6 +10,7 @@ from repro.net.codec import WireEnvelope, encode_frame
 from repro.net.runtime import LiveNetwork, LiveRuntime
 from repro.net.transport import UdpLoopbackTransport
 from repro.sim.engine import Simulator
+from repro.sim.trace import TraceLog
 
 
 def _run(coro):
@@ -265,6 +266,31 @@ def test_live_network_rejects_garbage_frames():
         sim.run_until(0.0)
         await transport.close()
         assert network.frames_rejected == 2
+
+    _run(scenario())
+
+
+def test_live_network_survives_hostile_frames(hostile_frames):
+    """Invalid UTF-8, unhashable keys and runaway nesting are rejected
+    like any other malformed frame: counted, traced, and the node runs on
+    (they used to leave ``run_until`` as UnicodeDecodeError / TypeError /
+    RecursionError and end the process)."""
+
+    async def scenario():
+        sim = Simulator()
+        transport = UdpLoopbackTransport("a")
+        await transport.start()
+        network = LiveNetwork(sim, transport, trace=TraceLog())
+        delivered = []
+        network.attach("a", delivered.append, lambda: True)
+        for frame in hostile_frames.values():
+            network._ingress(frame)
+        network._ingress(encode_frame(WireEnvelope("b", "a", "k", 1, "still here")))
+        sim.run_until(0.0)
+        await transport.close()
+        assert network.frames_rejected == 5
+        assert network.trace.count("live.frame_rejected") == 5
+        assert [message.payload for message in delivered] == ["still here"]
 
     _run(scenario())
 

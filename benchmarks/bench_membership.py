@@ -234,6 +234,7 @@ def test_membership_scaling_sweep(benchmark, bench_persist):
             "sim_sweep": {
                 "sizes": sizes,
                 "window_seconds": window,
+                "suspect_timeout_seconds": _settings("heartbeat").suspect_timeout,
                 "modes": results,
             }
         },

@@ -11,6 +11,12 @@ Two kinds of gate:
   zero false evictions.  These hold at any sweep size, so CI can run a
   capped sweep while the committed JSON carries the full 8..200 one.
 
+* **One absolute bound** — the mesh detects *at* its timeout: detection
+  p99 at every swept size is at most ``suspect_timeout`` (recorded in the
+  results) plus the bench's polling resolution and a link latency.  A
+  detector that polls its deadlines again reads a heartbeat interval
+  more (0.41 s for a 0.35 s timeout, before PR 15) and fails this row.
+
 * **Baseline comparison** — detection p99 and gossip bytes/node at the
   sizes both files share, with generous tolerances (sim-time metrics are
   deterministic, but sweep sizes and windows may legitimately shift).
@@ -39,6 +45,10 @@ GROWTH_FRACTION_CEILING = 0.60
 
 #: gossip detection p99 at the smallest size within this factor of mesh
 DETECTION_FACTOR_CEILING = 2.0
+
+#: mesh detection p99 may exceed the suspect timeout by at most this much
+#: (the bench polls the detectors every 10 ms; one link latency is 2 ms)
+MESH_DETECTION_SLACK_SECONDS = 0.02
 
 #: baseline comparison: fresh latency may grow, fresh bytes may grow, by
 #: at most this factor at shared sizes
@@ -119,6 +129,25 @@ def check_invariants(current: dict) -> list[str]:
             f"gossip detection p99 {gossip_p99:.3f}s exceeds "
             f"{DETECTION_FACTOR_CEILING:.1f}x mesh {mesh_p99:.3f}s at n={small}"
         )
+
+    try:
+        timeout = float(current["sim_sweep"]["suspect_timeout_seconds"])
+    except KeyError:
+        raise SystemExit("current: missing sim_sweep.suspect_timeout_seconds") from None
+    ceiling = timeout + MESH_DETECTION_SLACK_SECONDS
+    for size in sizes:
+        p99 = float(_row(current, "mesh", size, "current")["detection_p99_seconds"])
+        status = "ok" if p99 <= ceiling else "REGRESSED"
+        print(
+            f"mesh detection p99 at n={size}: {p99:.3f}s (suspect timeout "
+            f"{timeout:.2f}s, ceiling {ceiling:.2f}s) {status}"
+        )
+        if p99 > ceiling:
+            failures.append(
+                f"mesh detection p99 {p99:.3f}s at n={size} exceeds the "
+                f"{timeout:.2f}s suspect timeout by more than "
+                f"{MESH_DETECTION_SLACK_SECONDS}s: a deadline is being polled"
+            )
 
     for mode in ("mesh", "gossip"):
         for size in sizes:

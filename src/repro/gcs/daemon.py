@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable
 
+from repro.gcs.detector import Detector
 from repro.gcs.failure_detector import FailureDetector
 from repro.gcs.groups import GroupMap, MEMBERSHIP_GROUP
 from repro.gcs.membership import MembershipEngine
@@ -45,6 +46,7 @@ from repro.gcs.settings import GcsSettings
 from repro.gcs.spec import SpecMonitor
 from repro.gcs.swim import SwimDetector
 from repro.gcs.view import Configuration, GroupView, ViewId
+from repro.sim.engine import Event
 from repro.sim.network import Message, Network
 from repro.sim.process import Process
 from repro.sim.topology import NodeId
@@ -108,7 +110,7 @@ class GcsDaemon(Process):
                 self._swim_local_state,
                 self._swim_schedule,
             )
-            self.fd: Any = self.swim
+            self.fd: Detector = self.swim
         else:
             self.fd = FailureDetector(
                 node_id,
@@ -133,6 +135,10 @@ class GcsDaemon(Process):
         self._config_installed_at = 0.0
         self._hb_timer = None
         self._probe_timer = None
+        # the tick is the coarse wheel; a protocol deadline that falls
+        # between two ticks gets this one-shot (see _arm_deadline)
+        self._next_tick = 0.0
+        self._deadline_timer: Event | None = None
         # sequencer batching: messages stamped but not yet disseminated
         self._batch: list[Sequenced] = []
         self._batch_timer = None
@@ -152,10 +158,14 @@ class GcsDaemon(Process):
     def on_start(self) -> None:
         self._boot()
 
+    def on_crash(self) -> None:
+        self._disarm_deadline()
+
     def on_recover(self) -> None:
         """After a crash, come back as a fresh singleton configuration; the
         heartbeat exchange merges us back into the component.  All group
         memberships are gone — the application re-joins what it needs."""
+        self._disarm_deadline()
         self.fd.reset()
         self.membership.reset()
         self.config = Configuration.make(
@@ -202,6 +212,7 @@ class GcsDaemon(Process):
             )
 
     def _tick(self) -> None:
+        self._next_tick = self.sim.now + self.settings.heartbeat_interval
         if self.swim is None:
             self._broadcast_heartbeat()
         self.fd.check()
@@ -211,6 +222,30 @@ class GcsDaemon(Process):
         self._resubmit_stale()
         self._nack_gaps()
         self.holdback.prune(self.settings.holdback_keep)
+        self._arm_deadline()
+
+    def _arm_deadline(self) -> None:
+        """A suspicion, sync, install or proposal wait that runs out before
+        the next tick is noticed *at* its deadline, by one one-shot timer,
+        rather than up to a heartbeat interval later.  While every peer is
+        heard each interval no deadline is that close and nothing is armed
+        — steady state runs the tick's events and no others."""
+        self._disarm_deadline()
+        deadline = min(self.fd.next_deadline(), self.membership.next_deadline())
+        if self.sim.now < deadline < self._next_tick:
+            self._deadline_timer = self.set_timer_at(
+                deadline, self._on_deadline, label=f"deadline:{self.node_id}"
+            )
+
+    def _on_deadline(self) -> None:
+        self.fd.check()
+        self.membership.on_tick()
+        self._arm_deadline()
+
+    def _disarm_deadline(self) -> None:
+        if self._deadline_timer is not None:
+            self._deadline_timer.cancel()
+            self._deadline_timer = None
 
     def _broadcast_heartbeat(self, force: bool = False) -> None:
         """Heartbeat every world peer, skipping peers that recent outgoing

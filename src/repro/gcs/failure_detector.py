@@ -4,7 +4,7 @@ Each daemon periodically multicasts a :class:`~repro.gcs.messages.Heartbeat`
 to every daemon in the world (the statically known set of potential
 servers; the paper likewise assumes a-priori knowledge of the service
 group's name).  A peer is *alive* if a heartbeat arrived within the suspect
-timeout; it becomes suspected when the silence exceeds the timeout, and
+timeout; it becomes suspected when the silence reaches the timeout, and
 alive again as soon as a heartbeat is heard — including after a partition
 heals, which is how components discover each other and merge.
 
@@ -14,6 +14,8 @@ a membership change even if it restarted faster than the suspect timeout.
 
 from __future__ import annotations
 
+import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,9 +40,11 @@ class FailureDetector:
     """Tracks which daemons are currently believed alive.
 
     The detector is passive: the owning daemon feeds it heartbeats via
-    :meth:`on_heartbeat` and pumps time via :meth:`check` (called from a
-    periodic timer).  ``on_change`` fires whenever the alive set — or the
-    incarnation of an alive peer — changes.
+    :meth:`on_heartbeat` and pumps time via :meth:`check` — from its
+    periodic tick and, when :meth:`next_deadline` falls between two
+    ticks, from a one-shot timer at that instant.  ``on_change`` fires
+    whenever the alive set — or the incarnation of an alive peer —
+    changes.
     """
 
     def __init__(
@@ -55,15 +59,16 @@ class FailureDetector:
         self._now = now
         self._on_change = on_change
         self._peers: dict[NodeId, _PeerState] = {}
-        self._alive: set[NodeId] = set()
+        # Alive peers, least recently heard first: every refresh moves its
+        # peer to the end, so the head is the next peer that can expire —
+        # next_deadline() is exact and check() idles on it, both in O(1).
+        # (A stale lower bound would do for check() but not as a timer
+        # deadline: the daemon would arm a no-op firing every time the
+        # bound came due, steady state included.)
+        self._alive: OrderedDict[NodeId, None] = OrderedDict()
         self.max_view_counter_seen = 0
-        # Conservative lower bound on the earliest instant any alive peer
-        # can expire: check() is O(1) until the clock passes it.  Refreshes
-        # (heartbeats, traffic) only push real expiries *later*, so a
-        # stale-low bound costs one redundant scan, never a missed expiry.
-        self._next_expiry = float("inf")
         # Observability for the bound (pinned by the unit test): how many
-        # check() calls returned without scanning vs. scanned the table.
+        # check() calls returned on it vs. walked the table to expire peers.
         self.idle_checks = 0
         self.full_scans = 0
 
@@ -101,13 +106,7 @@ class FailureDetector:
             state.incarnation = heartbeat.incarnation
             state.config_view_id = heartbeat.config_view_id
             state.last_view_report = self._now()
-        if peer not in self._alive:
-            self._alive.add(peer)
-            self._next_expiry = min(
-                self._next_expiry, self._now() + self.suspect_timeout
-            )
-            changed = True
-        if changed:
+        if self._refresh(peer) or changed:
             self._on_change()
 
     def observe_traffic(self, peer: NodeId) -> None:
@@ -123,51 +122,54 @@ class FailureDetector:
         if state is None or peer == self.me:
             return
         state.last_heard = self._now()
-        if peer not in self._alive:
-            self._alive.add(peer)
-            self._next_expiry = min(
-                self._next_expiry, self._now() + self.suspect_timeout
-            )
+        if self._refresh(peer):
             self._on_change()
 
-    def check(self) -> None:
-        """Expire peers whose last heartbeat is older than the timeout.
+    def _refresh(self, peer: NodeId) -> bool:
+        """``peer`` was heard just now: most recently heard, hence last to
+        expire.  True when this revived it."""
+        if peer in self._alive:
+            self._alive.move_to_end(peer)
+            return False
+        self._alive[peer] = None
+        return True
 
-        O(1) while the clock has not reached the tracked next-expiry
-        bound — with hundreds of daemons ticking several times per
-        suspect timeout, the common case is "nothing can have expired
-        yet" and must not rescan the whole peer table.
+    def next_deadline(self) -> float:
+        """The instant the longest-silent alive peer expires unless heard
+        again (``inf`` with nobody alive): exactly when :meth:`check` next
+        has something to do."""
+        for peer in self._alive:
+            return self._peers[peer].last_heard + self.suspect_timeout
+        return math.inf
+
+    def check(self) -> None:
+        """Expire peers whose silence has reached the timeout.
+
+        O(1) while the clock has not reached :meth:`next_deadline` — with
+        hundreds of daemons ticking several times per suspect timeout,
+        the common case is "nothing can have expired yet" and must not
+        rescan the whole peer table.
         """
         now = self._now()
-        if now <= self._next_expiry:
+        if now < self.next_deadline():
             self.idle_checks += 1
             return
         self.full_scans += 1
-        expired: set[NodeId] = set()
-        next_expiry = float("inf")
-        for peer in sorted(self._alive, key=str):
-            deadline = self._peers[peer].last_heard + self.suspect_timeout
-            if now > deadline:
-                expired.add(peer)
-            else:
-                next_expiry = min(next_expiry, deadline)
-        self._next_expiry = next_expiry
-        if expired:
-            self._alive -= expired
-            self._on_change()
+        while now >= self.next_deadline():
+            self._alive.popitem(last=False)
+        self._on_change()
 
     def forget(self, peer: NodeId) -> None:
         """Drop a peer immediately (used when a reply times out so the next
         formation attempt excludes it without waiting for heartbeat expiry)."""
         if peer in self._alive:
-            self._alive.discard(peer)
+            del self._alive[peer]
             self._on_change()
 
     def reset(self) -> None:
         """Forget everything (used on process recovery)."""
         self._peers.clear()
         self._alive.clear()
-        self._next_expiry = float("inf")
 
     def alive_peers(self) -> frozenset[NodeId]:
         """Peers currently believed alive (never includes ``me``)."""
@@ -175,7 +177,7 @@ class FailureDetector:
 
     def alive_set(self) -> frozenset[NodeId]:
         """Alive peers plus ``me`` — the membership estimate."""
-        return frozenset(self._alive | {self.me})
+        return frozenset(self._alive) | {self.me}
 
     def incarnation_of(self, peer: NodeId) -> int | None:
         state = self._peers.get(peer)

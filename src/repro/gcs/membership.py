@@ -31,6 +31,7 @@ views, which is precisely the partitionable behaviour the paper builds on.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterable
 
 from repro.gcs.messages import (
@@ -66,14 +67,14 @@ class MembershipEngine:
         # participant state
         self.accepted_attempt: AttemptId | None = None
         self.forming = False
-        self._install_deadline: float | None = None
+        self._install_deadline = math.inf  # inf: not awaiting an install
         self._waiting_for: NodeId | None = None  # expected coordinator
         self._waiting_since: float | None = None
         # coordinator state
         self._attempt: AttemptId | None = None
         self._attempt_members: tuple[NodeId, ...] = ()
         self._replies: dict[NodeId, SyncReply] = {}
-        self._sync_deadline: float | None = None
+        self._sync_deadline = math.inf  # inf: no attempt of ours running
 
     # ------------------------------------------------------------------
     # triggers
@@ -103,28 +104,33 @@ class MembershipEngine:
                 self._waiting_for = coordinator
                 self._waiting_since = self.daemon.sim.now
 
+    def next_deadline(self) -> float:
+        """The earliest instant :meth:`on_tick` has a wait to expire:
+        sync replies (coordinator), the install (participant), or a
+        proposal from the expected coordinator; ``inf`` when idle."""
+        return min(
+            self._sync_deadline, self._install_deadline, self._proposal_deadline()
+        )
+
+    def _proposal_deadline(self) -> float:
+        if (
+            self._waiting_for is None
+            or self._waiting_since is None
+            or self.forming
+            or self._attempt is not None
+        ):
+            return math.inf
+        return self._waiting_since + self.settings.install_timeout
+
     def on_tick(self) -> None:
-        """Periodic maintenance: expire sync/install waits."""
+        """Expire the sync/install/proposal waits that have run out (the
+        daemon calls this every tick and at :meth:`next_deadline`)."""
         now = self.daemon.sim.now
-        if (
-            self._attempt is not None
-            and self._sync_deadline is not None
-            and now >= self._sync_deadline
-        ):
+        if now >= self._sync_deadline:
             self._on_sync_timeout()
-        if (
-            self.forming
-            and self._install_deadline is not None
-            and now >= self._install_deadline
-        ):
+        if now >= self._install_deadline:
             self._on_install_timeout()
-        if (
-            self._waiting_for is not None
-            and self._waiting_since is not None
-            and not self.forming
-            and self._attempt is None
-            and now - self._waiting_since > self.settings.install_timeout
-        ):
+        if now >= self._proposal_deadline():
             # The expected coordinator never proposed to us (it may not be
             # able to hear us).  Drop it from the estimate and retry.
             silent = self._waiting_for
@@ -138,7 +144,7 @@ class MembershipEngine:
         """Forget all protocol state (process recovery)."""
         self.accepted_attempt = None
         self.forming = False
-        self._install_deadline = None
+        self._install_deadline = math.inf
         self._waiting_for = None
         self._waiting_since = None
         self._abandon_coordination()
@@ -180,7 +186,7 @@ class MembershipEngine:
         self._attempt = None
         self._attempt_members = ()
         self._replies = {}
-        self._sync_deadline = None
+        self._sync_deadline = math.inf
 
     def _on_sync_timeout(self) -> None:
         """Some proposed members never replied: drop them and retry."""
@@ -309,7 +315,7 @@ class MembershipEngine:
         self.view_counter = max(self.view_counter, install.view_id.counter)
         self.accepted_attempt = None
         self.forming = False
-        self._install_deadline = None
+        self._install_deadline = math.inf
         self.daemon.apply_install(install)
 
     def _on_install_timeout(self) -> None:
@@ -317,7 +323,7 @@ class MembershipEngine:
         attempt = self.accepted_attempt
         self.accepted_attempt = None
         self.forming = False
-        self._install_deadline = None
+        self._install_deadline = math.inf
         if attempt is not None and attempt.coordinator != self.me:
             self.daemon.trace("gcs.install_timeout", coordinator=attempt.coordinator)
             self.daemon.fd.forget(attempt.coordinator)

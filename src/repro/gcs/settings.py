@@ -13,14 +13,19 @@ class GcsSettings:
     delays).  WAN experiments scale them up via :meth:`scaled`.
 
     Attributes:
-        heartbeat_interval: period of the failure detector's heartbeats.
-        suspect_timeout: silence after which a peer is suspected; must be a
-            few heartbeat intervals to ride out jitter.
+        heartbeat_interval: period of the failure detector's heartbeats
+            (and of the daemon's upkeep tick).
+        suspect_timeout: silence after which a peer is suspected — the
+            detection time itself, not a lower bound on it: shorter
+            silence never suspects, and silence that reaches it suspects
+            at that instant, not at the next tick (DESIGN.md §5.9).  Must
+            be a few heartbeat intervals to ride out jitter and loss.
         sync_timeout: how long a view-formation coordinator waits for
             synchronization replies before dropping non-responders and
             restarting the attempt.
         install_timeout: how long a participant waits for the INSTALL after
-            accepting a proposal before giving up on the coordinator.
+            accepting a proposal before giving up on the coordinator
+            (this wait and the sync wait end at their deadline too).
         client_ack_timeout: how long a client waits for a contact daemon's
             receipt acknowledgement before rotating to another contact.
         client_max_retries: give up (surface an error to the application)

@@ -25,10 +25,10 @@ heals) bumps its epoch ONCE per superseding observation and gossips an
 anti-entropy digest exchange plus a low-rate "rejoin" probe of
 currently-dead world members bound convergence after partitions heal.
 
-The class presents the same surface as
-:class:`~repro.gcs.failure_detector.FailureDetector` (``check``,
-``forget``, ``alive_set``, ``incarnation_of``, ``divergent_peers``,
-...), so everything above the detector interface — view formation,
+The class implements the same :class:`~repro.gcs.detector.Detector`
+protocol as :class:`~repro.gcs.failure_detector.FailureDetector`
+(``check``, ``next_deadline``, ``forget``, ``alive_set``, ...), so
+everything above the detector interface — view formation,
 merge/reconciliation, divergence and restart detection — is unchanged.
 
 Determinism: all draws come from one ``random.Random`` stream seeded
@@ -126,10 +126,10 @@ class SwimDetector:
 
     The owning daemon drives it with :meth:`on_probe_tick` (a periodic
     timer at ``settings.probe_interval``), :meth:`check` (suspicion
-    expiry, from the main protocol tick) and :meth:`on_message`
-    (dispatch of received swim payloads); ``send`` / ``schedule`` /
-    ``local_state`` are thin callbacks back into the daemon so the
-    detector never touches the network or simulator directly.
+    expiry: every protocol tick and at :meth:`next_deadline`) and
+    :meth:`on_message` (dispatch of received swim payloads); ``send`` /
+    ``schedule`` / ``local_state`` are thin callbacks back into the daemon
+    so the detector never touches the network or simulator directly.
     """
 
     def __init__(
@@ -192,6 +192,12 @@ class SwimDetector:
     def incarnation_of(self, peer: NodeId) -> int | None:
         state = self._members.get(peer)
         return state.incarnation if state is not None else None
+
+    def next_deadline(self) -> float:
+        """The earliest instant a suspicion can run out (``inf`` with none
+        pending).  A lower bound — a refuted suspicion leaves it standing
+        until :meth:`check` passes it, which costs one idle firing."""
+        return self._next_expiry
 
     def check(self) -> None:
         """Evict members whose suspicion outlived the refutation window.

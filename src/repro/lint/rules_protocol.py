@@ -33,7 +33,7 @@ KNOB_MODULES = ("core/config.py", "gcs/settings.py")
 #: ``settings.y``, ``daemon.settings.z`` ...).
 KNOB_BASES = frozenset({"policy", "settings"})
 
-_TIMER_FACTORIES = frozenset({"set_timer", "set_periodic_timer"})
+_TIMER_FACTORIES = frozenset({"set_timer", "set_timer_at", "set_periodic_timer"})
 _TIMER_CANCELLERS = frozenset({"cancel", "stop"})
 
 _MUTATOR_METHODS = frozenset(

@@ -176,6 +176,24 @@ class Process:
         self, delay: float, callback: Callable[[], None], label: str = ""
     ) -> Event:
         """One-shot timer; auto-cancelled if the process crashes first."""
+        return self._one_shot(self.sim.schedule, delay, callback, label)
+
+    def set_timer_at(
+        self, time: float, callback: Callable[[], None], label: str = ""
+    ) -> Event:
+        """One-shot timer at the absolute instant ``time``.  For a stored
+        deadline this is exact where ``set_timer(deadline - now)`` is not:
+        ``now + (deadline - now)`` may round one ulp short of ``deadline``
+        and the firing would find it not yet reached."""
+        return self._one_shot(self.sim.schedule_at, time, callback, label)
+
+    def _one_shot(
+        self,
+        schedule: Callable[[float, Callable[[], None], str], Event],
+        when: float,
+        callback: Callable[[], None],
+        label: str,
+    ) -> Event:
         if not self.is_up():
             raise RuntimeError(f"{self.node_id} is crashed; cannot set timer")
 
@@ -187,7 +205,7 @@ class Process:
                 return
             callback()
 
-        event = self.sim.schedule(delay, guarded, label=label or f"{self.node_id}")
+        event = schedule(when, guarded, label or f"{self.node_id}")
         self._timers.append(event)
         if len(self._timers) > 256:
             # Evict timers that can never fire again — both cancelled ones

@@ -77,8 +77,56 @@ def test_self_messages_never_lost():
     assert len(received) == 50
 
 
+def assert_cohabitants_agree(monitor):
+    """Two daemons that installed a view and left it for the same successor
+    — or are both still in it, the run being quiet — delivered the same
+    requests in it.  This is virtual synchrony (``check_all`` covers the
+    transitions) extended to the final view, and it is where a broken NACK
+    repair would show: a daemon stalled on a holdback gap sits in the same
+    final view as the daemons that delivered past it."""
+    views = {
+        node: [config.view_id for config in history.configs]
+        for node, history in monitor.history.items()
+    }
+
+    def delivered(node, view_id):
+        return {
+            d.request.request_id._key()
+            for d in monitor.history[node].deliveries.get(view_id, [])
+        }
+
+    for a in views:
+        for b in views:
+            if not a < b:
+                continue
+            for view_id in set(views[a]) & set(views[b]):
+                successors = [
+                    (ids + [None])[ids.index(view_id) + 1]
+                    for ids in (views[a], views[b])
+                ]
+                if successors[0] == successors[1]:
+                    assert delivered(a, view_id) == delivered(b, view_id), (
+                        a, b, str(view_id),
+                    )
+
+
 @pytest.mark.parametrize("loss", [0.05, 0.15])
 def test_total_order_complete_despite_loss(loss):
+    """What the GCS owes forty multicasts over lossy links — no more.
+
+    At 15 % loss three heartbeats in a row go missing every few seconds,
+    so a healthy daemon is now and then dropped from the view and merged
+    back.  A request it submitted meanwhile may be sequenced and delivered
+    by the others in a view it was not in (open groups: the sender need
+    not be a member); the merge then tells it "already delivered" and it
+    rightly never sees the message — a partitionable GCS promises a
+    message to the members of the view that delivers it, not to whoever
+    joins later (DESIGN.md §6, "What a merged daemon is owed").  The old
+    form of this test asked every daemon for all forty and passed on the
+    luck of its seed.  Asserted instead: nothing is lost or delivered
+    twice, daemons that shared a view to its end agree on it, nothing
+    stays pending, and once the links are clean and one view holds
+    everybody, everything sent arrives everywhere in one order."""
     sim, network, daemons, apps, monitor = lossy_world(3, loss)
     for daemon in daemons.values():
         daemon.join("g")
@@ -86,10 +134,33 @@ def test_total_order_complete_despite_loss(loss):
     for index in range(40):
         daemons[f"s{index % 3}"].mcast("g", index)
     sim.run_until(sim.now + 12.0)
-    for name, app in apps.items():
-        payloads = app.payloads("g")
-        assert sorted(payloads) == list(range(40)), (name, sorted(payloads))
+    monitor.check_all()  # includes at-most-once per daemon
+    assert_cohabitants_agree(monitor)
+    somewhere = set().union(*(app.payloads("g") for app in apps.values()))
+    assert somewhere == set(range(40))
+    for name, daemon in daemons.items():
+        assert len(daemon.pending) == 0, name
+
+    network.loss_probability = 0.0
+    deadline = sim.now + 10.0
+    while sim.now < deadline:
+        sim.run_until(sim.now + 0.25)
+        if (
+            len({d.config.view_id for d in daemons.values()}) == 1
+            and set(daemons["s0"].config.members) == set(daemons)
+            and not any(d.membership.forming for d in daemons.values())
+        ):
+            break
+    else:
+        pytest.fail("no agreed view of all three within 10 s of clean links")
+    for index in range(40, 80):
+        daemons[f"s{index % 3}"].mcast("g", index)
+    sim.run_until(sim.now + 2.0)
+    fresh = [[p for p in app.payloads("g") if p >= 40] for app in apps.values()]
+    assert sorted(fresh[0]) == list(range(40, 80))
+    assert fresh[0] == fresh[1] == fresh[2]
     monitor.check_all()
+    assert_cohabitants_agree(monitor)
 
 
 def test_client_injection_survives_loss():

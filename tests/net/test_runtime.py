@@ -212,6 +212,37 @@ def test_stall_is_replayed_in_slices_with_socket_reads_between_them():
     _run(scenario())
 
 
+def test_stalled_loop_raises_no_suspicion_under_live_lan():
+    """The same guarantee for the daemons' deadline one-shots: they are
+    simulator events like the tick, so after a 0.2 s stall — almost seven
+    ``live_lan`` suspect timeouts — each catch-up slice ingests the
+    heartbeats that queued up before the deadlines they refute come due.
+    Nobody is suspected and no view changes."""
+    from repro.net.cluster import LiveClusterOptions, build_live_cluster
+
+    async def scenario():
+        cluster = await build_live_cluster(
+            LiveClusterOptions(nodes=3, loopback=True, profile="live_lan")
+        )
+        try:
+            await cluster.runtime.run(0.5)
+            daemons = [server.daemon for server in cluster.servers.values()]
+            assert len({d.config.view_id for d in daemons}) == 1
+            assert len(daemons[0].config.members) == 3
+            formed = cluster.trace.count("gcs.view_installed")
+            proposed = cluster.trace.count("gcs.propose")
+            asyncio.get_running_loop().call_later(0.05, time.sleep, 0.2)
+            await cluster.runtime.run(0.6)
+            for daemon in daemons:
+                assert len(daemon.fd.alive_peers()) == 2, daemon.node_id
+            assert cluster.trace.count("gcs.propose") == proposed
+            assert cluster.trace.count("gcs.view_installed") == formed
+        finally:
+            await cluster.close()
+
+    _run(scenario())
+
+
 def test_live_network_local_and_remote_paths():
     async def scenario():
         sim = Simulator()

@@ -332,13 +332,16 @@ def test_parallel_sweep_wallclock(benchmark, bench_persist):
 _ANCHOR_CONFIG = ChaosConfig(
     n_servers=3, n_sessions=2, duration=8.0, profile="mixed"
 )
-_ANCHOR_EMPTY = "a45ddff0e30981fe2dce45dc47e49d826c4e34aa15cd05f620198fcf44697b13"
-# Re-captured in PR 15, which changed the protocol and not the kernel: a
-# crashed peer is suspected at its timeout, no longer at the tick after it
-# (DESIGN.md §5.9), so every faulted run reacts earlier than it did (before:
-# af86cd8b840e0130b86f02c6770e38a047258492d5891a456e89c199cb9b8ff7).  The
-# fault-free anchor above did not move — steady state arms no deadline timer.
-_ANCHOR_MIXED = "489839eb9c3c08fba56bf0a3d434ed9bc9f1c16e4939333811ab9c7c374e1e80"
+# Both re-captured in PR 16, which changed the sequencer's batching policy
+# and not the kernel: a request that finds the total order quiet leaves at
+# once instead of waiting out batch_window, and a quiet sequencer repeats
+# its tail for three ticks (DESIGN.md §5.8, §6 hazard 9) — so every run
+# that orders anything, the fault-free one included, sends other frames at
+# other instants than it did (before: a45ddff0e309... empty,
+# 489839eb9c3c... mixed — the mixed one had moved once already, in PR 15,
+# when suspicion became deadline-driven, §5.9; git has the full values).
+_ANCHOR_EMPTY = "9c2636d6a046ca70d2869d4a5f9cdd98d386eb9643bec7f4e706996811b8d55b"
+_ANCHOR_MIXED = "67a712360adaec31afb6e7a7b23ce7a411f3eb2a4fed65bce54d637567314b7c"
 
 
 def test_trace_digest_anchors(benchmark, bench_persist):

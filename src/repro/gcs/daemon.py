@@ -52,6 +52,12 @@ from repro.sim.process import Process
 from repro.sim.topology import NodeId
 
 
+# quiet ticks on which a sequencer repeats its highest Sequenced (tail
+# repair, DESIGN.md §6 hazard 9); with independent loss p per link the
+# tail stays unrepaired with probability p ** (_TAIL_REPEATS + 1)
+_TAIL_REPEATS = 3
+
+
 class GcsDaemon(Process):
     """A group-communication daemon (one per server machine).
 
@@ -139,9 +145,15 @@ class GcsDaemon(Process):
         # between two ticks gets this one-shot (see _arm_deadline)
         self._next_tick = 0.0
         self._deadline_timer: Event | None = None
-        # sequencer batching: messages stamped but not yet disseminated
+        # sequencer batching: messages stamped but not yet disseminated,
+        # and the earliest instant the next batch may leave (the previous
+        # flush + batch_window; a message that finds it passed is not held)
         self._batch: list[Sequenced] = []
-        self._batch_timer = None
+        self._batch_timer: Event | None = None
+        self._next_flush_at = 0.0
+        # tail repair: ticks since the sequencer last disseminated anything
+        # (past _TAIL_REPEATS: nothing sent yet, or the repeats are used up)
+        self._quiet_ticks = _TAIL_REPEATS + 1
         # heartbeat piggybacking: when we last sent each peer a *real*
         # heartbeat (traffic suppresses them, but view-id/incarnation
         # reporting must not starve — see heartbeat_refresh_factor)
@@ -178,8 +190,7 @@ class GcsDaemon(Process):
         self.pending.clear()
         self._pending_since.clear()
         self._next_seq = 0
-        self._batch = []
-        self._batch_timer = None
+        self._discard_batch()
         self._last_hb_sent.clear()
         self._evicted.clear()
         self._amnesia_traced.clear()
@@ -221,6 +232,7 @@ class GcsDaemon(Process):
             self.membership.reconfigure()
         self._resubmit_stale()
         self._nack_gaps()
+        self._reannounce_tail()
         self.holdback.prune(self.settings.holdback_keep)
         self._arm_deadline()
 
@@ -396,25 +408,30 @@ class GcsDaemon(Process):
         )
         self._next_seq += 1
         if self.settings.batching_enabled and len(self.config.members) > 1:
+            # Leading edge + spacing: batch_window is the least distance
+            # between two batches, not a wait on every first message.  A
+            # message that finds the window since the last flush already
+            # over leaves in this event; one that arrives inside it waits,
+            # with whatever else arrives, for the window's end — so nothing
+            # is held longer than batch_window and no more than
+            # 1/batch_window batches leave per second.
             self._batch.append(sequenced)
-            if len(self._batch) >= self.settings.batch_max:
+            if (
+                self.sim.now >= self._next_flush_at
+                or len(self._batch) >= self.settings.batch_max
+            ):
                 self._flush_batch()
-            elif self._batch_timer is None or self._batch_timer.finished:
-                self._batch_timer = self.set_timer(
-                    self.settings.batch_window,
+            elif self._batch_timer is None:
+                self._batch_timer = self.set_timer_at(
+                    self._next_flush_at,
                     self._flush_batch,
                     label=f"batch:{self.node_id}",
                 )
         else:
-            for member in self.config.members:
-                if member == self.node_id:
-                    continue
-                self.send(
-                    member,
-                    sequenced,
-                    kind="gcs.sequenced",
-                    size=request.size_estimate,
-                )
+            self._quiet_ticks = 0
+            self._send_to_members(
+                sequenced, "gcs.sequenced", request.size_estimate
+            )
         # The sequencer takes its own copy synchronously: a message it has
         # sequenced must be visible to any sync reply it builds from this
         # instant on, or a racing view formation could install a view
@@ -424,8 +441,8 @@ class GcsDaemon(Process):
         self._on_sequenced(sequenced)
 
     def _flush_batch(self) -> None:
-        """Disseminate the accumulated window as one SequencedBatch per
-        configuration member."""
+        """Disseminate the buffer as one SequencedBatch per configuration
+        member; the next batch may leave one ``batch_window`` from now."""
         if self._batch_timer is not None:
             self._batch_timer.cancel()
             self._batch_timer = None
@@ -438,23 +455,61 @@ class GcsDaemon(Process):
             messages=tuple(self._batch),
         )
         self._batch = []
+        self._next_flush_at = self.sim.now + self.settings.batch_window
+        self._quiet_ticks = 0
+        self._send_to_members(batch, "gcs.sequenced_batch", batch.size_estimate)
+
+    def _send_to_members(
+        self, payload: Sequenced | SequencedBatch, kind: str, size: int
+    ) -> None:
+        """The sequencer's dissemination step (its own copy is inserted
+        synchronously, never sent)."""
         for member in self.config.members:
-            if member == self.node_id:
-                continue
-            self.send(
-                member,
-                batch,
-                kind="gcs.sequenced_batch",
-                size=batch.size_estimate,
-            )
+            if member != self.node_id:
+                self.send(member, payload, kind=kind, size=size)
 
     def _discard_batch(self) -> None:
         """Drop buffered-but-unsent sequenced messages (configuration died;
-        survivors obtain them from the flush union instead)."""
+        survivors obtain them from the flush union instead) and forget the
+        old configuration's batch spacing and tail."""
         if self._batch_timer is not None:
             self._batch_timer.cancel()
             self._batch_timer = None
         self._batch = []
+        self._next_flush_at = 0.0
+        self._quiet_ticks = _TAIL_REPEATS + 1
+
+    def _reannounce_tail(self) -> None:
+        """A receiver learns of a lost Sequenced only from a later one (the
+        NACK reports holes *below* the highest seq it holds), so the last
+        dissemination before a quiet period is the one loss nothing
+        repairs.  The sequencer therefore repeats its highest Sequenced on
+        each of the first ``_TAIL_REPEATS`` ticks that follow a whole tick
+        interval without a dissemination: a receiver that has it drops the
+        duplicate, one that missed it — or anything below it — now holds
+        the evidence its NACK needs.  While traffic flows (a dissemination
+        per tick) nothing is added."""
+        if self._quiet_ticks > _TAIL_REPEATS or self._batch:
+            return  # nothing to repeat, or a flush is about to say more
+        self._quiet_ticks += 1
+        if (
+            self._quiet_ticks == 1  # disseminated since the previous tick
+            or self.membership.forming
+            or self.config.sequencer != self.node_id
+        ):
+            return
+        tail = self.holdback.get(self._next_seq - 1)
+        if tail is None:
+            return
+        size = tail.request.size_estimate
+        if self.settings.batching_enabled:
+            self._send_to_members(
+                SequencedBatch(config_view_id=tail.config_view_id, messages=(tail,)),
+                "gcs.sequenced_batch",
+                size,
+            )
+        else:
+            self._send_to_members(tail, "gcs.sequenced", size)
 
     def _on_sequenced(self, sequenced: Sequenced) -> None:
         if sequenced.config_view_id != self.config.view_id:

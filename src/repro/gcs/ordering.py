@@ -27,28 +27,36 @@ class HoldbackBuffer:
     :meth:`all_received` for the flush round.  ``pruned_below`` is the
     lowest sequence number still retransmittable: anything below it was
     discarded by :meth:`prune` and can never be served to a NACK again.
+
+    The per-tick upkeep (:meth:`prune`, :meth:`missing_seqs`) costs what
+    moved since the last call, not what is retained: the highest received
+    sequence number is a field, and pruning walks only the range the floor
+    crossed (a late duplicate from below the floor is refused at insert,
+    so nothing is ever left behind it).
     """
 
     def __init__(self) -> None:
         self._all: dict[int, Sequenced] = {}
+        self._highest = -1
         self.delivered_upto = 0
         self.pruned_below = 0
 
     def insert(self, message: Sequenced) -> None:
         """Record a sequenced message (duplicates are ignored)."""
-        if message.seq not in self._all:
-            self._all[message.seq] = message
+        seq = message.seq
+        if seq >= self.pruned_below and seq not in self._all:
+            self._all[seq] = message
+            if seq > self._highest:
+                self._highest = seq
 
     def insert_batch(self, batch: SequencedBatch) -> int:
         """Record every message of a batch; returns how many were new.
         Re-received batches (e.g. a NACK retransmission overlapping a late
         original) are de-duplicated per entry."""
-        inserted = 0
+        before = len(self._all)
         for message in batch.messages:
-            if message.seq not in self._all:
-                self._all[message.seq] = message
-                inserted += 1
-        return inserted
+            self.insert(message)
+        return len(self._all) - before
 
     def take_ready(self) -> list[Sequenced]:
         """Pop the messages now deliverable in contiguous order, advancing
@@ -70,11 +78,8 @@ class HoldbackBuffer:
         """Sequence numbers between the delivery point and the highest
         received that have not arrived — the gaps a lossy link leaves,
         reported to the sequencer in a NACK for retransmission."""
-        if not self._all:
-            return []
-        highest = max(self._all)
-        missing = []
-        for seq in range(self.delivered_upto, highest):
+        missing: list[int] = []
+        for seq in range(self.delivered_upto, self._highest):
             if seq not in self._all:
                 missing.append(seq)
                 if len(missing) >= limit:
@@ -95,9 +100,9 @@ class HoldbackBuffer:
         floor = self.delivered_upto - keep
         if floor <= self.pruned_below:
             return
+        for seq in range(self.pruned_below, floor):
+            self._all.pop(seq, None)
         self.pruned_below = floor
-        for seq in [s for s in self._all if s < floor]:
-            del self._all[seq]
 
 
 class DuplicateFilter:

@@ -2,7 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+
+# the fields scaled() multiplies: every setting that is a length of time
+# (tests/gcs/test_units.py holds every float field to this list or to an
+# explicit not-a-duration set, so a new timeout cannot be forgotten here)
+DURATION_FIELDS = (
+    "heartbeat_interval",
+    "suspect_timeout",
+    "sync_timeout",
+    "install_timeout",
+    "client_ack_timeout",
+    "batch_window",
+    "probe_interval",
+    "probe_timeout",
+    "anti_entropy_interval",
+)
 
 
 @dataclass(frozen=True)
@@ -36,13 +52,19 @@ class GcsSettings:
         end_to_end_client_acks: acknowledge a client multicast only once
             it is delivered in the total order (not merely received by
             the contact daemon).  Disable only for the ablation study.
-        batch_window: how long the sequencer accumulates order requests
-            before disseminating them as one ``SequencedBatch`` (amortizes
-            the per-member unicast over many multicasts).  ``0.0`` disables
-            batching and restores the one-``Sequenced``-per-request wire
-            behaviour.
-        batch_max: flush a partially filled batch early once it holds this
-            many messages (bounds latency *and* message size under bursts).
+        batch_window: minimum spacing between two ``SequencedBatch``
+            disseminations of the sequencer.  A message that finds the
+            sequencer quiet (no batch sent within the last window) is not
+            delayed: it leaves at once, as a batch of one.  Messages that
+            arrive inside the window after a flush leave together at its
+            end, so nothing is held longer than ``batch_window`` and at
+            most ``1/batch_window`` batches leave per second — under load
+            the per-member unicast is amortized over many multicasts,
+            when idle ordering costs no wait.  ``0.0`` disables batching
+            and restores the one-``Sequenced``-per-request wire behaviour.
+        batch_max: flush the buffer before the window's end once it holds
+            this many messages (bounds message size under bursts; the only
+            case in which two batches are closer than ``batch_window``).
         piggyback_liveness: treat any received GCS message as liveness
             evidence for its sender and suppress an explicit heartbeat to
             a peer the sender messaged within the last interval.  Cuts the
@@ -149,29 +171,9 @@ class GcsSettings:
     def scaled(self, factor: float) -> "GcsSettings":
         """Return a copy with all timeouts multiplied by ``factor``
         (e.g. ``settings.scaled(50)`` for WAN latencies)."""
-        return GcsSettings(
-            heartbeat_interval=self.heartbeat_interval * factor,
-            suspect_timeout=self.suspect_timeout * factor,
-            sync_timeout=self.sync_timeout * factor,
-            install_timeout=self.install_timeout * factor,
-            client_ack_timeout=self.client_ack_timeout * factor,
-            client_max_retries=self.client_max_retries,
-            detect_divergence=self.detect_divergence,
-            end_to_end_client_acks=self.end_to_end_client_acks,
-            batch_window=self.batch_window * factor,
-            batch_max=self.batch_max,
-            piggyback_liveness=self.piggyback_liveness,
-            heartbeat_refresh_factor=self.heartbeat_refresh_factor,
-            holdback_keep=self.holdback_keep,
-            readmit_evicted=self.readmit_evicted,
-            membership_mode=self.membership_mode,
-            probe_interval=self.probe_interval * factor,
-            probe_timeout=self.probe_timeout * factor,
-            suspicion_multiplier=self.suspicion_multiplier,
-            swim_fanout=self.swim_fanout,
-            anti_entropy_interval=self.anti_entropy_interval * factor,
-            gossip_max_updates=self.gossip_max_updates,
+        return replace(
+            self, **{name: getattr(self, name) * factor for name in DURATION_FIELDS}
         )
 
 
-__all__ = ["GcsSettings"]
+__all__ = ["DURATION_FIELDS", "GcsSettings"]

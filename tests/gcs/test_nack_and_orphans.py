@@ -3,6 +3,7 @@ delivery — the machinery added for lossy links (DESIGN.md §6)."""
 
 import pytest
 
+from repro.gcs.daemon import _TAIL_REPEATS
 from repro.gcs.messages import NackSeqs, OrderRequest, RequestId, Sequenced
 from repro.gcs.ordering import HoldbackBuffer
 from repro.gcs.settings import GcsSettings
@@ -107,6 +108,84 @@ class TestNackHandling:
         )
         world.run(0.5)
         assert world.network.sent_count("s0", "gcs.sequenced") == before
+
+
+def drop_disseminations(world, to, sequencer="s0"):
+    """Lose what the sequencer disseminates to ``to`` while the returned
+    switch is on (heartbeats and NACK answers asked for later still pass
+    once it is off)."""
+    daemon = world.daemons[sequencer]
+    switch = {"on": False}
+
+    def send(receiver, payload, kind="msg", size=1, send=daemon.send):
+        if switch["on"] and receiver == to and kind.startswith("gcs.sequenced"):
+            return
+        send(receiver, payload, kind=kind, size=size)
+
+    daemon.send = send
+    return switch
+
+
+@pytest.mark.parametrize("batching", [True, False])
+class TestTailLossRepair:
+    """DESIGN.md §6 hazard 9: a receiver learns of a lost Sequenced only
+    from a later one, so the last dissemination before a quiet period was
+    never repaired — the sequencer now repeats its tail into the quiet."""
+
+    def world(self, batching):
+        settings = GcsSettings() if batching else GcsSettings(batch_window=0.0)
+        world = GcsWorld(3, settings=settings)
+        world.settle()
+        for node in world.daemon_ids:
+            world.daemons[node].join("g")
+        world.run(1.0)
+        return world
+
+    def test_lost_last_dissemination_is_repaired_in_the_quiet(self, batching):
+        world = self.world(batching)
+        interval = world.settings.heartbeat_interval
+        lossy = drop_disseminations(world, to="s2")
+        lossy["on"] = True
+        world.daemons["s1"].mcast("g", "last")
+        world.run(0.01)
+        lossy["on"] = False
+        assert world.apps["s1"].payloads("g") == ["last"]
+        assert world.apps["s2"].payloads("g") == []
+        # no further multicast: the repeat on the second quiet tick is the
+        # repair (the tail itself was what s2 missed)
+        world.run(2 * interval)
+        assert world.apps["s2"].payloads("g") == ["last"]
+        assert world.network.sent_count("s2", "gcs.nack_seq") == 0
+        world.check_spec()
+
+    def test_repeated_tail_exposes_the_losses_below_it(self, batching):
+        world = self.world(batching)
+        interval = world.settings.heartbeat_interval
+        lossy = drop_disseminations(world, to="s2")
+        lossy["on"] = True
+        for index in range(3):
+            world.daemons["s1"].mcast("g", index)
+            world.run(0.01)  # three disseminations, all lost to s2
+        lossy["on"] = False
+        # repeat (<= 2 ticks) -> s2 holds seq n, NACKs n-2, n-1 on its next
+        # tick -> the sequencer's answer: within four intervals in all
+        world.run(4 * interval)
+        assert world.apps["s2"].payloads("g") == [0, 1, 2]
+        assert world.network.sent_count("s2", "gcs.nack_seq") >= 1
+        world.check_spec()
+
+    def test_repeats_are_bounded_and_cost_nothing_under_traffic(self, batching):
+        world = self.world(batching)
+        kind = "gcs.sequenced_batch" if batching else "gcs.sequenced"
+        world.network.reset_stats()
+        for index in range(40):  # a dissemination in every tick interval
+            world.daemons["s1"].mcast("g", index)
+            world.run(0.05)
+        assert world.network.sent_count("s0", kind) == 40 * 2
+        world.run(5.0)
+        assert world.network.sent_count("s0", kind) == (40 + _TAIL_REPEATS) * 2
+        for node in world.daemon_ids:
+            assert world.apps[node].payloads("g") == list(range(40))
 
 
 class TestOrphanDeliveryAtNewView:

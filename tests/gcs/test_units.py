@@ -1,5 +1,7 @@
 """Unit tests for GCS building blocks: views, ordering, groups, FD, clocks."""
 
+import dataclasses
+
 import pytest
 
 from repro.gcs.causal import VectorClock
@@ -12,6 +14,7 @@ from repro.gcs.ordering import (
     PendingRequests,
     flush_union,
 )
+from repro.gcs.settings import DURATION_FIELDS, GcsSettings
 from repro.gcs.view import Configuration, GroupView, ViewId
 
 
@@ -106,6 +109,92 @@ class TestHoldbackBuffer:
         buf.insert(seqd(VID, 1, req("a", 1)))  # held back (gap at 0)
         buf.prune(keep=0)
         assert 1 in buf.all_received()
+
+    @pytest.mark.parametrize("keep", [16, 4096])
+    def test_upkeep_touches_only_what_moved(self, keep):
+        """The daemon calls prune and missing_seqs on every tick: their cost
+        is the progress since the last call, whatever is retained."""
+
+        class CountingDict(dict):
+            scans = lookups = removals = 0
+
+            def __iter__(self):
+                CountingDict.scans += 1
+                return super().__iter__()
+
+            def __contains__(self, key):
+                CountingDict.lookups += 1
+                return super().__contains__(key)
+
+            def pop(self, *args):
+                CountingDict.removals += 1
+                return super().pop(*args)
+
+            def __delitem__(self, key):
+                CountingDict.removals += 1
+                super().__delitem__(key)
+
+        buf = HoldbackBuffer()
+        for i in range(keep + 100):
+            buf.insert(seqd(VID, i, req("a", i)))
+        buf.take_ready()
+        buf.prune(keep=keep)
+        assert len(buf.all_received()) == keep
+        buf._all = CountingDict(buf._all)
+        # an idle tick: nothing new, no gap
+        buf.prune(keep=keep)
+        assert buf.missing_seqs() == []
+        assert (CountingDict.scans, CountingDict.lookups, CountingDict.removals) == (
+            0, 0, 0,
+        )
+        # five more delivered, then a gap of two below a held-back message
+        top = keep + 100
+        for i in range(top, top + 5):
+            buf.insert(seqd(VID, i, req("a", i)))
+        buf.take_ready()
+        buf.insert(seqd(VID, top + 7, req("a", top + 7)))
+        CountingDict.lookups = 0  # (insert and take_ready look up, rightly)
+        buf.prune(keep=keep)
+        assert buf.missing_seqs() == [top + 5, top + 6]
+        assert CountingDict.scans == 0
+        assert CountingDict.removals == 5  # the floor moved by five
+        assert CountingDict.lookups == 2  # the two seqs below the highest
+        assert set(buf.all_received()) == set(range(top + 5 - keep, top + 5)) | {
+            top + 7
+        }
+
+    def test_late_duplicate_below_the_prune_floor_is_not_retained(self):
+        buf = HoldbackBuffer()
+        for i in range(50):
+            buf.insert(seqd(VID, i, req("a", i)))
+        buf.take_ready()
+        buf.prune(keep=10)
+        buf.insert(seqd(VID, 3, req("a", 3)))  # e.g. a reordered retransmission
+        assert buf.get(3) is None
+        assert set(buf.all_received()) == set(range(40, 50))
+
+
+class TestSettingsScaling:
+    def test_every_float_setting_is_a_duration_or_declared_not_one(self):
+        """scaled() multiplies DURATION_FIELDS; a new timeout that is not
+        listed there would silently keep its LAN value in every WAN
+        experiment."""
+        not_durations = {"suspicion_multiplier"}
+        floats = {
+            f.name for f in dataclasses.fields(GcsSettings) if f.type == "float"
+        }
+        assert floats == set(DURATION_FIELDS) | not_durations
+        assert not set(DURATION_FIELDS) & not_durations
+
+    def test_scaled_multiplies_durations_and_keeps_the_rest(self):
+        base = dataclasses.replace(
+            GcsSettings.live_lan(), membership_mode="gossip", holdback_keep=7
+        )
+        scaled = base.scaled(2.5)
+        for f in dataclasses.fields(GcsSettings):
+            value = getattr(base, f.name)
+            expected = value * 2.5 if f.name in DURATION_FIELDS else value
+            assert getattr(scaled, f.name) == expected, f.name
 
 
 class TestDuplicateFilter:

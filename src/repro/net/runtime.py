@@ -38,6 +38,9 @@ run bit-for-bit (see DESIGN.md §13).
 from __future__ import annotations
 
 import asyncio
+import ctypes
+import os
+import struct
 from typing import Any, Callable
 
 from repro.net.codec import (
@@ -59,6 +62,62 @@ from repro.sim.trace import TraceLog
 #: coordinates: ``(node, event_time, event_seq, raw_frame)``.  The live
 #: chaos runner installs :meth:`repro.net.replay.IngressLog.record` here.
 IngressRecorder = Callable[[NodeId, float, int, bytes], None]
+
+#: What the selector rounds a ``call_at`` timeout up to, and therefore the
+#: spacing the pacer keeps between timer-driven ticks (DESIGN.md §12).
+_QUANTUM = 0.001
+
+_CLOCK_MONOTONIC = 1  # what ``loop.time()`` reads
+_TFD_TIMER_ABSTIME = 1
+#: ``struct itimerspec``: interval then value, each a ``timespec`` of two
+#: longs.  A zero interval makes a one-shot, a zero value disarms.
+_ITIMERSPEC = struct.Struct("llll")
+
+
+def _timerfd_libc() -> ctypes.CDLL | None:
+    """libc with ``timerfd_create``/``timerfd_settime`` declared, or
+    ``None`` where it has neither (anything but Linux).  ``os.timerfd_*``
+    replaces this shim once the oldest supported Python is 3.13."""
+    try:
+        libc = ctypes.CDLL(None, use_errno=True)
+        create, settime = libc.timerfd_create, libc.timerfd_settime
+    except (OSError, AttributeError):
+        return None
+    create.argtypes = (ctypes.c_int, ctypes.c_int)
+    create.restype = ctypes.c_int
+    settime.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p)
+    settime.restype = ctypes.c_int
+    return libc
+
+
+class _TimerFd:
+    """One kernel timer on the loop's clock, readable once it expired."""
+
+    def __init__(self, libc: ctypes.CDLL) -> None:
+        self._settime = libc.timerfd_settime
+        self._spec = ctypes.create_string_buffer(_ITIMERSPEC.size)
+        #: the instant last armed, expired or not; 0.0 when disarmed
+        self.when = 0.0
+        self.fd: int = libc.timerfd_create(_CLOCK_MONOTONIC, os.O_CLOEXEC)
+        if self.fd < 0:
+            errno = ctypes.get_errno()
+            raise OSError(errno, f"timerfd_create: {os.strerror(errno)}")
+
+    def arm(self, when: float) -> None:
+        """Expire at ``loop.time() == when`` (at once if that is past); 0.0
+        disarms.  Either way an expiry not yet read is forgotten, so the
+        reader never has to ``read()`` one off."""
+        seconds = int(when)
+        _ITIMERSPEC.pack_into(
+            self._spec, 0, 0, 0, seconds, int((when - seconds) * 1e9)
+        )
+        if self._settime(self.fd, _TFD_TIMER_ABSTIME, self._spec, None) < 0:
+            errno = ctypes.get_errno()
+            raise OSError(errno, f"timerfd_settime: {os.strerror(errno)}")
+        self.when = when
+
+    def close(self) -> None:
+        os.close(self.fd)
 
 
 class LiveNetwork(Network):
@@ -218,10 +277,19 @@ class LiveNetwork(Network):
 class LiveRuntime:
     """Paces one :class:`Simulator` against the asyncio wall clock.
 
-    The pacer is a pair of loop handles, not a task: :meth:`wake` is an
-    idempotent ``call_soon`` of :meth:`_tick`, and every tick re-arms one
-    ``call_at`` for the next protocol deadline.  :meth:`run` only awaits
-    the future the last tick resolves.
+    The pacer is a pair of wake-ups, not a task: :meth:`wake` is an
+    idempotent ``call_soon`` of :meth:`_tick`, and every tick arms the
+    next protocol deadline on one kernel timer — a ``timerfd`` under
+    ``add_reader``, open for the length of :meth:`run` — because the
+    selector rounds a ``call_at`` up to a whole millisecond, which was a
+    third of a request's latency (DESIGN.md §12).  The timer is armed by
+    leading edge + spacing: a deadline fires at its instant when the
+    previous timer-driven tick was at least that millisecond ago,
+    otherwise one millisecond after that tick — never later than
+    ``call_at`` would have run it, and never more than 1000 timer-driven
+    ticks a second, so dense timers coalesce as before.  Where libc has
+    no ``timerfd`` the deadline goes to ``call_at``.  :meth:`run` only
+    awaits the future the last tick resolves.
 
     ``io_slice`` bounds how much sim time one tick may replay before
     yielding to the event loop.  Without the bound, a stall (GC pause,
@@ -248,7 +316,12 @@ class LiveRuntime:
         self._end = 0.0
         self._done: asyncio.Future[None] | None = None
         self._soon: asyncio.Handle | None = None
+        # the armed deadline (0.0: none): on ``_timer`` when that is set,
+        # else on ``_timerfd``, spaced after ``_last_expiry``
+        self._armed = 0.0
         self._timer: asyncio.TimerHandle | None = None
+        self._timerfd: _TimerFd | None = None
+        self._last_expiry = 0.0
 
     def wake(self) -> None:
         """Run a tick on the next loop turn (an inbound frame was
@@ -275,28 +348,81 @@ class LiveRuntime:
         self._origin = self.sim.now
         self._end = self._origin + duration
         self._done = loop.create_future()
+        libc = _timerfd_libc()
         try:
+            if libc is not None:
+                self._timerfd = _TimerFd(libc)
+                loop.add_reader(self._timerfd.fd, self._on_expiry)
             self._tick()
             await self._done
         finally:
             self._loop = self._done = None
-            self._disarm()
+            self._disarm(loop)
 
-    def _disarm(self) -> None:
+    def _disarm(self, loop: asyncio.AbstractEventLoop) -> None:
         if self._soon is not None:
             self._soon.cancel()
             self._soon = None
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+        self._armed = 0.0
+        timerfd, self._timerfd = self._timerfd, None
+        if timerfd is not None:
+            loop.remove_reader(timerfd.fd)
+            timerfd.close()
+
+    def _arm(self, loop: asyncio.AbstractEventLoop, when: float, late: bool) -> None:
+        """Have a tick run at loop time ``when``: on the kernel timer, or
+        — when there is none, or the tick is ``late`` and must queue
+        behind this turn's socket reads — on a ``call_at``."""
+        if when == self._armed:
+            return  # woken by a frame: the armed deadline still stands
+        self._armed = when
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        timerfd = self._timerfd
+        if timerfd is None or late:
+            self._timer = loop.call_at(when, self._on_timer)
+            if timerfd is not None and timerfd.when:
+                timerfd.arm(0.0)
+        else:
+            when = max(when, self._last_expiry + _QUANTUM)
+            if when != timerfd.when:  # else spacing had put the old one there too
+                timerfd.arm(when)
 
     def _on_timer(self) -> None:
         self._timer = None
+        self._armed = 0.0
         self._tick()
+
+    def _on_expiry(self) -> None:
+        """The kernel timer expired.  Its readiness is an I/O event, which
+        the loop may hand over *before* the socket reads of the same turn:
+        after a stall that would run suspicion deadlines ahead of the
+        heartbeats that refute them, so an expiry that arrives an
+        ``io_slice`` late ticks from a due ``call_at`` like a catch-up
+        slice does."""
+        loop, timerfd = self._loop, self._timerfd
+        if loop is None or timerfd is None:
+            return
+        expired = timerfd.when
+        now = loop.time()
+        if not 0.0 < expired <= now:
+            return  # stale: a frame-driven tick of this turn re-armed it
+        self._armed = 0.0
+        if now - expired >= self.io_slice:
+            self._arm(loop, now, late=True)
+            return
+        self._last_expiry = now
+        self._tick()
+        if timerfd.when == expired:
+            timerfd.arm(0.0)  # the run is over: nothing re-armed it
 
     def _tick(self) -> None:
         """One pacer step: run at most ``io_slice`` of due events, then
-        finish the run or arm the timer for the next deadline."""
+        finish the run or arm the next deadline."""
         loop, done = self._loop, self._done
         if loop is None or done is None or done.done():
             return
@@ -314,24 +440,18 @@ class LiveRuntime:
         if self._stopped or sim.now >= self._end:
             done.set_result(None)
             return
-        if sim.now < target:
-            # catching up a long gap: a due *timer* runs after the loop
-            # has polled the sockets, so frames that queued up in the
-            # kernel are ingested between slices and heartbeats refute
-            # suspicions in time order
-            due = target
-        else:
+        # catching up a long gap (``late``): a due *timer* runs after the
+        # loop has polled the sockets, so frames that queued up in the
+        # kernel are ingested between slices and heartbeats refute
+        # suspicions in time order
+        late = sim.now < target
+        due = target
+        if not late:
             due = min(target + self.max_tick, self._end)
             upcoming = sim.next_event_time()
             if upcoming is not None and upcoming < due:
                 due = upcoming
-        when = self._started + (due - self._origin)
-        timer = self._timer
-        if timer is not None:
-            if timer.when() == when:
-                return  # woken by a frame: the armed deadline still stands
-            timer.cancel()
-        self._timer = loop.call_at(when, self._on_timer)
+        self._arm(loop, self._started + (due - self._origin), late)
 
 
 __all__ = ["IngressRecorder", "LiveNetwork", "LiveRuntime"]

@@ -1,11 +1,15 @@
 """The live runtime adapter: pacing, ingress, and local/remote split."""
 
 import asyncio
+import os
+import random
 import socket
 import time
+import types
 
 import pytest
 
+from repro.net import runtime as runtime_module
 from repro.net.codec import WireEnvelope, encode_frame
 from repro.net.runtime import LiveNetwork, LiveRuntime
 from repro.net.transport import UdpLoopbackTransport
@@ -241,6 +245,244 @@ def test_stalled_loop_raises_no_suspicion_under_live_lan():
             await cluster.close()
 
     _run(scenario())
+
+
+# ----------------------------------------------------------------------
+# the pacer's clock: a kernel timer, leading edge + spacing (DESIGN §12)
+# ----------------------------------------------------------------------
+needs_timerfd = pytest.mark.skipif(
+    runtime_module._timerfd_libc() is None, reason="libc has no timerfd"
+)
+
+#: what one wake-up may cost on a shared host, on top of the pacer's bound
+#: (a timerfd expiry reaches an idle loop in 0.06-0.26 ms at the median)
+_WAKE_UP = 0.00035
+
+
+@pytest.fixture(params=["timerfd", "call_at"])
+def pacer(request, monkeypatch):
+    """Run a test on the kernel timer and on the ``call_at`` fallback."""
+    if request.param == "call_at":
+        monkeypatch.setattr(runtime_module, "_timerfd_libc", lambda: None)
+    elif runtime_module._timerfd_libc() is None:
+        pytest.skip("libc has no timerfd")
+    return request.param
+
+
+def _run_deadlines(times, sim=None):
+    """Schedule one event per time on an otherwise idle runtime; return
+    how late each one ran against the wall clock."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        runtime = LiveRuntime(sim if sim is not None else Simulator(), max_tick=5.0)
+        late = []
+        for at in times:
+            runtime.sim.schedule(at, lambda at=at: late.append(loop.time() - started - at))
+        started = loop.time()
+        await runtime.run(max(times) + 0.005)
+        return late
+
+    return _run(scenario())
+
+
+@needs_timerfd
+def test_sub_millisecond_deadlines_fire_on_time():
+    """A deadline that finds the pacer quiet fires at its instant, not at
+    the selector's next whole millisecond (median ≈ 0.6 ms late on
+    ``call_at``).  The host pauses, for 100 ms at times, so the bounds
+    are on the median and the upper quartile, not on single samples."""
+    rng = random.Random(20)
+    times = [0.01 + 0.002 * i + rng.uniform(0.0, 0.001) for i in range(200)]
+    late = sorted(_run_deadlines(times))
+    assert len(late) == 200
+    assert late[0] >= 0.0
+    assert late[100] < _WAKE_UP
+    assert late[150] < 0.001 + 0.01  # the old bound plus one io_slice
+
+
+@needs_timerfd
+def test_dense_deadlines_are_spaced_a_millisecond_apart():
+    """Spacing: 50 deadlines 0.1 ms apart ride on a tick per millisecond
+    (the coalescing ``call_at`` gave), each less than that late.  Three
+    bursts, judged by the median one."""
+    ticks, worst = [], []
+    for _burst in range(3):
+        sim = _CountingSimulator()
+        late = _run_deadlines([0.005 + 0.0001 * i for i in range(50)], sim)
+        assert len(late) == 50
+        ticks.append(sum(1 for _turn, _start, until in sim.ticks if 0.005 <= until < 0.011))
+        worst.append(max(late))
+    assert sorted(ticks)[1] <= 7
+    assert sorted(worst)[1] < 0.001 + _WAKE_UP
+
+
+@needs_timerfd
+def test_frame_driven_tick_that_leaves_the_deadline_unchanged_arms_nothing(monkeypatch):
+    armed = []
+    arm = runtime_module._TimerFd.arm
+    monkeypatch.setattr(
+        runtime_module._TimerFd, "arm", lambda self, when: (armed.append(when), arm(self, when))
+    )
+
+    async def scenario():
+        sim = _CountingSimulator()
+        sim.schedule(0.5, lambda: None)  # the standing deadline
+        runtime = LiveRuntime(sim, max_tick=5.0)
+        transport = UdpLoopbackTransport("a")
+        await transport.start()
+        network = LiveNetwork(sim, transport, wake=runtime.wake)
+        got = []
+        network.attach("a", got.append, lambda: True)
+        task = asyncio.get_running_loop().create_task(runtime.run(10.0))
+        await asyncio.sleep(0.005)  # under one io_slice: nothing to catch up
+        assert len(armed) == 1
+        before = len(sim.ticks)
+        network._ingress(encode_frame(WireEnvelope("b", "a", "k", 1, 0)))
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        assert len(got) == 1 and len(sim.ticks) == before + 1
+        assert len(armed) == 1
+        runtime.stop()
+        await task
+        await transport.close()
+
+    _run(scenario())
+
+
+def test_deadline_already_due_when_armed_fires_on_the_next_turn(pacer):
+    async def scenario():
+        sim = _CountingSimulator()
+        turns = {}
+
+        def slow():  # overruns the next deadline before the pacer arms it
+            turns["slow"] = sim.turn
+            time.sleep(0.003)
+
+        sim.schedule(0.02, slow)
+        sim.schedule(0.021, lambda: turns.setdefault("next", sim.turn))
+        runtime = LiveRuntime(sim, max_tick=5.0)
+        sim.count_turns(asyncio.get_running_loop())
+        await runtime.run(0.03)
+        assert turns["next"] == turns["slow"] + 1
+
+    _run(scenario())
+
+
+@needs_timerfd
+def test_late_expiry_yields_to_the_socket_reads_of_its_turn():
+    """A timerfd expiry is an I/O event: after a stall the loop may hand
+    it over ahead of a socket that became readable later, and ticking
+    from it would run the stalled window's deadlines before the frames
+    that reached the kernel in it.  An expiry ``io_slice`` late defers
+    to a due ``call_at``, like every catch-up slice."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        sim = Simulator()
+        runtime = LiveRuntime(sim, max_tick=5.0, io_slice=0.01)
+        transport = UdpLoopbackTransport("a")
+        await transport.start()
+        network = LiveNetwork(sim, transport, wake=runtime.wake)
+        order = []
+        network.attach("a", lambda message: order.append("frame"), lambda: True)
+        frame = encode_frame(WireEnvelope("b", "a", "hb", 1, "alive"))
+
+        def stall():
+            order.append("stall")
+            time.sleep(0.002)  # the armed deadline (+0.8 ms) expires first ...
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as peer:
+                peer.sendto(frame, transport.address)  # ... then the frame lands
+            time.sleep(0.02)
+
+        for at in (0.008, 0.016):  # an idle simulator would be catching up
+            sim.schedule(at, lambda: None)
+        sim.schedule(0.02, lambda: loop.call_soon(stall))
+        sim.schedule(0.0208, lambda: order.append("deadline"))
+        await runtime.run(0.06)
+        await transport.close()
+        return order
+
+    for _attempt in range(3):
+        order = _run(scenario())
+        if order[0] == "stall":  # else the host was late and the deadline ran first
+            break
+    assert order == ["stall", "frame", "deadline"]
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_run_windows_release_the_timer_fd(pacer):
+    async def scenario():
+        sim = Simulator()
+        await LiveRuntime(sim).run(0.001)  # loop and selector are set up
+        before = _open_fds()
+        for _window in range(50):
+            await LiveRuntime(sim).run(0.001)
+        assert _open_fds() == before
+
+        stopped = LiveRuntime(sim)
+        sim.schedule(0.001, stopped.stop)
+        await stopped.run(30.0)
+        assert _open_fds() == before
+
+        def broken_handler():
+            raise LookupError("handler bug")
+
+        sim.schedule(0.001, broken_handler)
+        with pytest.raises(LookupError):
+            await LiveRuntime(sim).run(30.0)
+        assert _open_fds() == before
+
+        task = asyncio.get_running_loop().create_task(LiveRuntime(sim).run(30.0))
+        await asyncio.sleep(0.001)
+        assert _open_fds() == before + (pacer == "timerfd")
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+        assert _open_fds() == before
+
+    _run(scenario())
+
+
+@needs_timerfd
+def test_timerfd_errors_raise_oserror():
+    """A failed libc call is an ``OSError`` with its errno, never a
+    ``-1`` file descriptor handed to the loop."""
+    timerfd = runtime_module._TimerFd(runtime_module._timerfd_libc())
+    timerfd.close()
+    with pytest.raises(OSError, match="timerfd_settime"):
+        timerfd.arm(1.0)
+
+    def out_of_fds(_clock, _flags):
+        runtime_module.ctypes.set_errno(24)
+        return -1
+
+    no_fds = types.SimpleNamespace(timerfd_create=out_of_fds, timerfd_settime=None)
+    with pytest.raises(OSError, match="timerfd_create") as raised:
+        runtime_module._TimerFd(no_fds)
+    assert raised.value.errno == 24
+
+
+@pytest.mark.parametrize(
+    "pacing_test",
+    [
+        test_runtime_paces_sim_against_wall_clock,
+        test_runtime_stop_interrupts_run,
+        test_runtime_stop_from_inside_an_event_ends_the_run_at_that_tick,
+        test_runtime_reraises_a_handler_exception,
+        test_runtime_wake_outside_a_run_window_is_a_no_op,
+        test_frames_ingressed_in_one_loop_turn_cause_one_tick,
+        test_stall_is_replayed_in_slices_with_socket_reads_between_them,
+    ],
+)
+def test_pacing_holds_on_the_call_at_fallback(monkeypatch, pacing_test):
+    """Where libc has no ``timerfd`` the deadline goes to ``call_at``
+    through the same ``_arm``: the pacing tests above, run through it."""
+    monkeypatch.setattr(runtime_module, "_timerfd_libc", lambda: None)
+    pacing_test()
 
 
 def test_live_network_local_and_remote_paths():

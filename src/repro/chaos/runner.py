@@ -152,7 +152,103 @@ def trace_digest(trace) -> str:
 
 
 # ----------------------------------------------------------------------
-# the run itself
+# the three phases both runtimes share
+# ----------------------------------------------------------------------
+def vod_units(config: ChaosConfig) -> dict[str, VodApplication]:
+    """The content units of a chaos cluster, all served by one app."""
+    movies = {
+        unit: build_movie(unit, duration_seconds=600.0, frame_rate=10.0)
+        for unit in config.unit_ids
+    }
+    app = VodApplication(movies)
+    return {unit: app for unit in movies}
+
+
+def start_session(cluster, config: ChaosConfig, index: int, client, rngs):
+    """Open session ``index`` on ``client`` and start its viewer; the
+    returned workload carries the ``client`` and the session ``handle``."""
+    workload = VodViewerWorkload(
+        cluster=cluster,
+        client=client,
+        handle=client.start_session(config.unit_ids[index % len(config.unit_ids)]),
+        rng=rngs.stream(f"chaos-workload-{index}"),
+        skip_interval_mean=3.0,
+    )
+    workload.start()
+    return workload
+
+
+def heal_sweep(cluster, workloads: list[VodViewerWorkload]) -> None:
+    """Lift every fault so the cluster can converge before the oracles
+    look: exactly what :func:`disruption_spans` promises at ``heal_time``."""
+    for workload in workloads:
+        workload.stop()  # quiesce updates so lost-update checks are exact
+        # a viewer stopped mid-pause would legitimately stay silent and
+        # fake a responsiveness stall: hit play one final time
+        if workload.client.is_up():
+            workload.client.send_update(workload.handle, {"op": "resume"})
+    for server in cluster.servers.values():
+        server.disarm_crash_hooks()
+        if server.is_up():
+            server.daemon.set_dispatch_delay(0.0)
+    if cluster.faults is not None:  # None: a replay, faults are in the frame log
+        cluster.faults.clear_all()
+    for _server_id, server in sorted(cluster.servers.items()):
+        if not server.is_up():
+            server.recover()
+
+
+def phase_times(config: ChaosConfig, inject_t0: float) -> tuple[float, float]:
+    """``(heal_time, end)`` of a run whose schedule starts at ``inject_t0``."""
+    heal_time = inject_t0 + config.duration
+    return heal_time, heal_time + config.settle
+
+
+def evaluate(
+    cluster,
+    config: ChaosConfig,
+    seed: int,
+    schedule: FaultSchedule,
+    workloads: list[VodViewerWorkload],
+    inject_t0: float,
+    replay_log: str | None = None,
+    keep_cluster: bool = False,
+):
+    """Clean windows, oracles, digest: the verdict on a finished run."""
+    heal_time, end = phase_times(config, inject_t0)
+    handles = [workload.handle for workload in workloads]
+    disrupted = pad_intervals(
+        disruption_spans(schedule, inject_t0, heal_time), config.stabilize_margin
+    )
+    clean_windows = subtract_intervals([(inject_t0, end)], disrupted)
+    observation = RunObservation(
+        cluster=cluster,
+        config=config,
+        schedule=schedule,
+        handles=handles,
+        clean_windows=clean_windows,
+        serve_start=inject_t0,
+        end=end,
+    )
+    result = RunResult(
+        seed=seed,
+        schedule=schedule,
+        violations=run_oracles(observation),
+        digest=trace_digest(cluster.trace_log()),
+        clean_windows=clean_windows,
+        responses=sum(len(h.received) for h in handles),
+        updates=sum(h.update_counter for h in handles),
+        end_time=end,
+        mode=config.mode,
+        replay_log=replay_log,
+    )
+    if keep_cluster:
+        return result, observation
+    return result
+
+
+# ----------------------------------------------------------------------
+# the simulated run
 # ----------------------------------------------------------------------
 def run_schedule(
     config: ChaosConfig,
@@ -166,101 +262,49 @@ def run_schedule(
     ``config.mode == "live"`` dispatches to :mod:`repro.chaos.live`,
     which runs the identical schedule/oracle pipeline against a real
     asyncio socket cluster wrapped in fault-injecting transports.
+
+    The simulated run keeps its phases imperative — run, act, run — where
+    the live one pre-schedules them as events: the order in which its
+    events enter the heap is pinned by the trace-digest anchors.
     """
-    if getattr(config, "mode", "sim") == "live":
+    if config.mode == "live":
         # local import: repro.chaos.live imports this module for the
-        # shared windows/digest/oracle helpers
+        # shared phases and the digest
         from repro.chaos.live import run_live_schedule
 
         return run_live_schedule(config, seed, schedule, keep_cluster=keep_cluster)
-    movies = {
-        unit: build_movie(unit, duration_seconds=600.0, frame_rate=10.0)
-        for unit in config.unit_ids
-    }
-    app = VodApplication(movies)
     cluster = ServiceCluster.build(
         n_servers=config.n_servers,
-        units={unit: app for unit in movies},
+        units=vod_units(config),
         replication=config.n_servers,
         policy=config.build_policy(),
         settings=config.apply_plant_settings(GcsSettings()),
         seed=seed,
     )
     cluster.settle()
-
-    handles = []
     workloads = []
-    for index in range(config.n_sessions):
-        unit = config.unit_ids[index % len(config.unit_ids)]
-        client = cluster.add_client(config.client_ids[index])
-        handle = client.start_session(unit)
-        handles.append(handle)
-        workload = VodViewerWorkload(
-            cluster=cluster,
-            client=client,
-            handle=handle,
-            rng=cluster.rngs.stream(f"chaos-workload-{index}"),
-            skip_interval_mean=3.0,
-        )
-        workloads.append(workload)
-        workload.start()
+    for index, client_id in enumerate(config.client_ids):
+        client = cluster.add_client(client_id)
+        workloads.append(start_session(cluster, config, index, client, cluster.rngs))
     cluster.run(config.establish)
-    serve_start = cluster.sim.now
-
     inject_t0 = cluster.sim.now
     inject(cluster, schedule)
     cluster.run(config.duration)
-
-    # --- heal phase: lift every fault, then let the cluster converge ---
-    heal_time = cluster.sim.now
-    for workload in workloads:
-        workload.stop()  # quiesce updates so lost-update checks are exact
-    for index, handle in enumerate(handles):
-        # a viewer stopped mid-pause would legitimately stay silent and
-        # fake a responsiveness stall: hit play one final time
-        client = cluster.clients[config.client_ids[index]]
-        if client.is_up():
-            client.send_update(handle, {"op": "resume"})
-    for server in cluster.servers.values():
-        server.disarm_crash_hooks()
-        if server.is_up():
-            server.daemon.set_dispatch_delay(0.0)
-    cluster.network.clear_adversity()
-    cluster.heal()
-    for server_id, server in sorted(cluster.servers.items()):
-        if not server.is_up():
-            server.recover()
+    heal_sweep(cluster, workloads)
     cluster.run(config.settle)
-    end = cluster.sim.now
-
-    disrupted = pad_intervals(
-        disruption_spans(schedule, inject_t0, heal_time), config.stabilize_margin
+    return evaluate(
+        cluster, config, seed, schedule, workloads, inject_t0, keep_cluster=keep_cluster
     )
-    clean_windows = subtract_intervals([(serve_start, end)], disrupted)
-
-    observation = RunObservation(
-        cluster=cluster,
-        config=config,
-        schedule=schedule,
-        handles=handles,
-        clean_windows=clean_windows,
-        serve_start=serve_start,
-        end=end,
-    )
-    violations = run_oracles(observation)
-    result = RunResult(
-        seed=seed,
-        schedule=schedule,
-        violations=violations,
-        digest=trace_digest(cluster.trace_log()),
-        clean_windows=clean_windows,
-        responses=sum(len(h.received) for h in handles),
-        updates=sum(h.update_counter for h in handles),
-        end_time=end,
-    )
-    if keep_cluster:
-        return result, observation
-    return result
 
 
-__all__ = ["RunResult", "disruption_spans", "run_schedule", "trace_digest"]
+__all__ = [
+    "RunResult",
+    "disruption_spans",
+    "evaluate",
+    "heal_sweep",
+    "phase_times",
+    "run_schedule",
+    "start_session",
+    "trace_digest",
+    "vod_units",
+]

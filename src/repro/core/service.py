@@ -18,7 +18,7 @@ This is the entry point examples, tests and experiments use::
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.application import ServiceApplication
 from repro.core.client import ServiceClient
@@ -33,6 +33,19 @@ from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.topology import Topology
 from repro.sim.trace import TraceLog
+
+if TYPE_CHECKING:
+    from repro.faults.injector import LinkFaults
+
+
+def primaries_of(servers: Mapping[str, FrameworkServer], session_id: str) -> list[str]:
+    """All live servers currently claiming the primary role for the
+    session (the unique-primary design goal says this should be one)."""
+    return [
+        server_id
+        for server_id, server in servers.items()
+        if server.is_up() and session_id in server.primary_sessions()
+    ]
 
 
 def place_units(
@@ -66,6 +79,8 @@ class ServiceCluster:
     ) -> None:
         self.sim = sim
         self.network = network
+        #: the link-fault surface ``repro.faults.injector.apply`` drives
+        self.faults: LinkFaults = network
         self.servers = servers
         self.placement = placement
         self.policy = policy
@@ -251,16 +266,10 @@ class ServiceCluster:
         return list(self.placement[unit_id])
 
     def primaries_of(self, session_id: str) -> list[str]:
-        """All live servers currently claiming the primary role for the
-        session (the unique-primary design goal says this should be one)."""
-        return [
-            server_id
-            for server_id, server in self.servers.items()
-            if server.is_up() and session_id in server.primary_sessions()
-        ]
+        return primaries_of(self.servers, session_id)
 
     def trace_log(self) -> TraceLog:
         return self.network.trace
 
 
-__all__ = ["ServiceCluster", "place_units"]
+__all__ = ["ServiceCluster", "place_units", "primaries_of"]

@@ -10,13 +10,15 @@ from repro.faults.generators import (
     poisson_crash_schedule,
     slowdown_schedule,
 )
-from repro.faults.injector import inject
+from repro.faults.injector import LinkFaults, apply, inject
 from repro.faults.schedule import FaultEvent, FaultSchedule, VALID_KINDS
 
 __all__ = [
     "FaultEvent",
     "FaultSchedule",
+    "LinkFaults",
     "VALID_KINDS",
+    "apply",
     "crash_burst_schedule",
     "crash_hook_schedule",
     "flapping_partition_schedule",

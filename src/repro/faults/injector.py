@@ -1,4 +1,13 @@
-"""Applies a fault schedule to a running cluster.
+"""Applies a fault schedule to a running cluster — simulated or live.
+
+:func:`apply` is the only ``FaultEvent -> action`` mapping in the tree.
+Process-side kinds (``crash``, ``recover``, ``slowdown``,
+``restore_speed``, ``crash_at``) act on ``cluster.servers``; link-side
+kinds go to ``cluster.faults``, a :class:`LinkFaults` — the simulated
+:class:`~repro.sim.network.Network` or the live
+:class:`~repro.net.faults.FaultPlane`.  ``cluster.faults is None`` means
+the wire faults are already baked into a recorded frame log (a live
+chaos replay): nothing is applied, the trace record is still written.
 
 Every applied event is recorded in the cluster's trace log under a
 ``fault.<kind>`` category, so a chaos repro's event log shows the injected
@@ -8,80 +17,115 @@ interleaved timeline that makes a shrunk schedule debuggable.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
+from typing import TYPE_CHECKING, Protocol
+
 from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.sim.topology import NodeId
+
+if TYPE_CHECKING:
+    from repro.core.server import FrameworkServer
+    from repro.sim.engine import Simulator
+    from repro.sim.trace import TraceLog
 
 
-def _trace(cluster, event: FaultEvent) -> None:
-    cluster.network.trace.record(
-        cluster.sim.now,
+class LinkFaults(Protocol):
+    """What a runtime offers for breaking links.  Partitions and link
+    cuts are independent layers (healing one leaves the other), nodes a
+    partition does not mention form one implicit extra component, and
+    ``clear_all`` lifts everything a schedule can inject."""
+
+    def partition(self, *components: Iterable[NodeId]) -> None: ...
+    def heal_partition(self) -> None: ...
+    def cut_link(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None: ...
+    def restore_link(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None: ...
+    def set_link_delay(
+        self, a: NodeId, b: NodeId, extra: float, symmetric: bool = True
+    ) -> None: ...
+    def clear_link_delay(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None: ...
+    def set_duplication(self, probability: float) -> None: ...
+    def set_reordering(self, probability: float, window: float = 0.05) -> None: ...
+    def clear_all(self) -> None: ...
+
+
+class FaultTarget(Protocol):
+    """The cluster surface :func:`apply` and :func:`inject` need (an
+    optional ``availability_manager`` attribute is told about crashes
+    and repairs)."""
+
+    @property
+    def sim(self) -> Simulator: ...
+    @property
+    def servers(self) -> Mapping[str, FrameworkServer]: ...
+    @property
+    def faults(self) -> LinkFaults | None: ...
+    def trace_log(self) -> TraceLog: ...
+
+
+def apply(cluster: FaultTarget, event: FaultEvent) -> None:
+    """Trace one fault event and apply it to the cluster."""
+    now = cluster.sim.now
+    cluster.trace_log().record(
+        now,
         event.target if event.target is not None else "net",
         f"fault.{event.kind}",
         **event.args,
     )
-
-
-def _apply(cluster, event: FaultEvent) -> None:
-    _trace(cluster, event)
+    kind, args = event.kind, event.args
+    server = cluster.servers.get(event.target)
     manager = getattr(cluster, "availability_manager", None)
-    if event.kind == "crash":
-        server = cluster.servers.get(event.target)
+    faults = cluster.faults
+    symmetric = args.get("symmetric", True)
+    if kind == "crash":
         if server is not None and server.is_up():
             server.crash()
             if manager is not None:
-                manager.record_crash(cluster.sim.now)
-    elif event.kind == "recover":
-        server = cluster.servers.get(event.target)
+                manager.record_crash(now)
+    elif kind == "recover":
         if server is not None and not server.is_up():
             server.recover()
             # symmetric with record_crash: the manager's observed failure
             # rate window should see repairs too, not only failures
-            if manager is not None and hasattr(manager, "record_recovery"):
-                manager.record_recovery(cluster.sim.now)
-    elif event.kind == "partition":
-        cluster.network.topology.partition(*event.args["components"])
-    elif event.kind == "heal":
-        cluster.network.topology.heal_partition()
-    elif event.kind == "cut_link":
-        cluster.network.topology.cut_link(
-            event.args["a"], event.args["b"], symmetric=event.args.get("symmetric", True)
-        )
-    elif event.kind == "restore_link":
-        cluster.network.topology.restore_link(
-            event.args["a"], event.args["b"], symmetric=event.args.get("symmetric", True)
-        )
-    elif event.kind == "slowdown":
-        server = cluster.servers.get(event.target)
+            if manager is not None:
+                manager.record_recovery(now)
+    elif kind == "slowdown":
         if server is not None:
-            server.daemon.set_dispatch_delay(float(event.args["delay"]))
-    elif event.kind == "restore_speed":
-        server = cluster.servers.get(event.target)
+            server.daemon.set_dispatch_delay(float(args["delay"]))
+    elif kind == "restore_speed":
         if server is not None:
             server.daemon.set_dispatch_delay(0.0)
-    elif event.kind == "delay_link":
-        cluster.network.set_link_delay(
-            event.args["a"],
-            event.args["b"],
-            float(event.args["extra"]),
-            symmetric=event.args.get("symmetric", True),
+    elif kind == "crash_at":
+        if server is not None:
+            server.arm_crash_hook(args["hook"])
+    elif faults is None:
+        pass  # replay: wire-level faults live in the frame log already
+    elif kind == "partition":
+        faults.partition(*args["components"])
+    elif kind == "heal":
+        faults.heal_partition()
+    elif kind == "cut_link":
+        faults.cut_link(args["a"], args["b"], symmetric=symmetric)
+    elif kind == "restore_link":
+        faults.restore_link(args["a"], args["b"], symmetric=symmetric)
+    elif kind == "delay_link":
+        faults.set_link_delay(
+            args["a"], args["b"], float(args["extra"]), symmetric=symmetric
         )
-    elif event.kind == "restore_delay":
-        cluster.network.clear_link_delay(
-            event.args["a"], event.args["b"], symmetric=event.args.get("symmetric", True)
+    elif kind == "restore_delay":
+        faults.clear_link_delay(args["a"], args["b"], symmetric=symmetric)
+    elif kind == "duplicate":
+        faults.set_duplication(float(args["probability"]))
+    elif kind == "reorder":
+        faults.set_reordering(
+            float(args["probability"]), window=float(args.get("window", 0.05))
         )
-    elif event.kind == "duplicate":
-        cluster.network.set_duplication(float(event.args["probability"]))
-    elif event.kind == "reorder":
-        cluster.network.set_reordering(
-            float(event.args["probability"]),
-            window=float(event.args.get("window", 0.05)),
-        )
-    elif event.kind == "crash_at":
-        server = cluster.servers.get(event.target)
-        if server is not None and hasattr(server, "arm_crash_hook"):
-            server.arm_crash_hook(event.args["hook"])
+    else:
+        raise ValueError(f"fault kind {kind!r} has no arm in apply()")
 
 
-def inject(cluster, schedule: FaultSchedule, offset: float | None = None) -> None:
+def inject(
+    cluster: FaultTarget, schedule: FaultSchedule, offset: float | None = None
+) -> None:
     """Schedule every fault event on the cluster's simulator.
 
     ``offset`` defaults to the current simulation time, so a schedule
@@ -90,8 +134,11 @@ def inject(cluster, schedule: FaultSchedule, offset: float | None = None) -> Non
     """
     base = cluster.sim.now if offset is None else offset
     for event in schedule.sorted_events():
-        at = base + event.time
-        cluster.sim.schedule_at(at, lambda e=event: _apply(cluster, e))
+        cluster.sim.schedule_at(
+            base + event.time,
+            lambda e=event: apply(cluster, e),
+            label=f"fault:{event.kind}",
+        )
 
 
-__all__ = ["inject"]
+__all__ = ["FaultTarget", "LinkFaults", "apply", "inject"]

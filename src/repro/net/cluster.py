@@ -27,10 +27,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
+from repro.core.application import ServiceApplication
 from repro.core.client import ServiceClient, SessionHandle
 from repro.core.config import AvailabilityPolicy
 from repro.core.server import FrameworkServer
+from repro.core.service import primaries_of
 from repro.core.wire import content_group
+from repro.faults.injector import LinkFaults
 from repro.gcs.settings import GcsSettings
 from repro.gcs.spec import SpecMonitor
 from repro.metrics.collectors import split_liveness
@@ -42,7 +45,7 @@ from repro.metrics.session_audit import (
     propagation_byte_calibration,
 )
 from repro.net.faults import FaultControlServer, FaultPlane, FaultyTransport
-from repro.net.runtime import LiveNetwork, LiveRuntime
+from repro.net.runtime import IngressRecorder, LiveNetwork, LiveRuntime
 from repro.net.transport import MeshTransport, create_transport
 from repro.services.content import build_movie
 from repro.services.vod import VodApplication
@@ -111,21 +114,27 @@ class WorkloadPlan:
 class LiveCluster:
     """A live deployment: real sockets below, unchanged protocol above.
 
-    Mirrors the :class:`~repro.core.service.ServiceCluster` query surface
-    (``servers``, ``sim``, ``trace_log()``, ``primaries_of()``) so the
-    session-audit metrics run on it verbatim.
+    The cluster surface the fault applier, the chaos oracles and the
+    session-audit metrics share with
+    :class:`~repro.core.service.ServiceCluster`: ``sim``, ``servers``,
+    ``clients``, ``monitor``, ``faults``, ``trace_log()``,
+    ``primaries_of()``.  ``runtime`` is ``None`` for a replay (the
+    simulator alone drives it) and ``faults`` is ``None`` when no
+    transport is fault-wrapped — or, in a replay, because the wire
+    faults are already baked into the recorded frame log.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        runtime: LiveRuntime,
+        runtime: LiveRuntime | None,
         trace: TraceLog,
-        monitor: SpecMonitor,
+        monitor: SpecMonitor | None,
         transports: dict[str, MeshTransport],
         networks: dict[str, LiveNetwork],
         servers: dict[str, FrameworkServer],
-        client: ServiceClient,
+        clients: dict[str, ServiceClient],
+        faults: LinkFaults | None = None,
     ) -> None:
         self.sim = sim
         self.runtime = runtime
@@ -134,21 +143,97 @@ class LiveCluster:
         self.transports = transports
         self.networks = networks
         self.servers = servers
-        self.client = client
+        self.clients = clients
+        self.faults = faults
+
+    @property
+    def client(self) -> ServiceClient:
+        """The first client (the scripted cluster has exactly one)."""
+        return next(iter(self.clients.values()))
 
     def trace_log(self) -> TraceLog:
         return self.trace
 
     def primaries_of(self, session_id: str) -> list[str]:
-        return [
-            server_id
-            for server_id, server in self.servers.items()
-            if server.is_up() and session_id in server.primary_sessions()
-        ]
+        return primaries_of(self.servers, session_id)
 
     async def close(self) -> None:
         for transport in self.transports.values():
             await transport.close()
+
+
+def assemble(
+    sim: Simulator,
+    transports: dict[str, MeshTransport],
+    server_ids: list[str],
+    client_ids: list[str],
+    applications: dict[str, ServiceApplication],
+    policy: AvailabilityPolicy,
+    settings: GcsSettings,
+    trace: TraceLog,
+    monitor: SpecMonitor | None,
+    runtime: LiveRuntime | None = None,
+    faults: LinkFaults | None = None,
+    recorder: IngressRecorder | None = None,
+    world: list[str] | None = None,
+) -> LiveCluster:
+    """Build the protocol stack over already-created transports: one
+    :class:`LiveNetwork` per node, then the servers (each hosting every
+    unit of ``applications``), then the clients, then ``start()`` —
+    servers first.
+
+    The only live assembler — the scripted cluster, ``repro serve``,
+    live chaos and its replay all come through here — because the
+    construction order fixes every RNG stream, timer and event-sequence
+    allocation: a replay is bit-identical to its recording only if both
+    were built in the same order, so the order lives in one place.
+    ``world`` (default ``server_ids``) names the servers of other
+    processes a ``repro serve`` node heartbeats.
+    """
+    wake = runtime.wake if runtime is not None else None
+    networks = {
+        node: LiveNetwork(
+            sim, transports[node], trace=trace, wake=wake, node_id=node, recorder=recorder
+        )
+        for node in [*server_ids, *client_ids]
+    }
+    catalog = {unit: content_group(unit) for unit in applications}
+    servers = {
+        server_id: FrameworkServer(
+            server_id=server_id,
+            network=networks[server_id],
+            world=world if world is not None else server_ids,
+            hosted_units=list(applications),
+            applications=applications,
+            catalog=catalog,
+            policy=policy,
+            settings=settings,
+            monitor=monitor,
+        )
+        for server_id in server_ids
+    }
+    clients = {
+        client_id: ServiceClient(
+            client_id, networks[client_id], contact_servers=server_ids, settings=settings
+        )
+        for client_id in client_ids
+    }
+    for server in servers.values():
+        server.start()
+    for client in clients.values():
+        client.start()
+    return LiveCluster(
+        sim, runtime, trace, monitor, transports, networks, servers, clients, faults
+    )
+
+
+def connect_mesh(transports: dict[str, MeshTransport]) -> None:
+    """Tell every started transport every other one's bound address."""
+    for node, transport in transports.items():
+        for peer, peer_transport in transports.items():
+            if peer != node:
+                host, port = peer_transport.address
+                transport.set_peer(peer, host, port)
 
 
 async def build_live_cluster(options: LiveClusterOptions) -> LiveCluster:
@@ -158,25 +243,13 @@ async def build_live_cluster(options: LiveClusterOptions) -> LiveCluster:
     if options.nodes < 1:
         raise ValueError("a cluster needs at least one node")
     sim = Simulator()
-    trace = TraceLog(enabled=True)
-    monitor = SpecMonitor()
-    runtime = LiveRuntime(sim, max_tick=options.max_tick)
-
     server_ids = [f"s{i}" for i in range(options.nodes)]
-    client_id = "c0"
-    transports: dict[str, MeshTransport] = {}
-    networks: dict[str, LiveNetwork] = {}
     transport_name = options.transport or ("udp" if options.loopback else "tcp")
-    for node in [*server_ids, client_id]:
-        transport = create_transport(transport_name, node)
-        await transport.start("127.0.0.1", 0)
-        transports[node] = transport
-        networks[node] = LiveNetwork(sim, transport, trace=trace, wake=runtime.wake)
-    for node, transport in transports.items():
-        for peer, peer_transport in transports.items():
-            if peer != node:
-                host, port = peer_transport.address
-                transport.set_peer(peer, host, port)
+    transports: dict[str, MeshTransport] = {}
+    for node in [*server_ids, "c0"]:
+        transports[node] = create_transport(transport_name, node)
+        await transports[node].start("127.0.0.1", 0)
+    connect_mesh(transports)
 
     # a movie long enough that the stream cannot finish mid-run
     run_seconds = (
@@ -186,42 +259,17 @@ async def build_live_cluster(options: LiveClusterOptions) -> LiveCluster:
     movie = build_movie(
         options.unit, duration_seconds=int(run_seconds * 2) + 60, frame_rate=24
     )
-    application = VodApplication({options.unit: movie})
-    catalog = {options.unit: content_group(options.unit)}
-    policy = AvailabilityPolicy(num_backups=options.num_backups)
-    settings = resolve_profile(options.profile)
-
-    servers: dict[str, FrameworkServer] = {}
-    for server_id in server_ids:
-        servers[server_id] = FrameworkServer(
-            server_id=server_id,
-            network=networks[server_id],
-            world=server_ids,
-            hosted_units=[options.unit],
-            applications={options.unit: application},
-            catalog=catalog,
-            policy=policy,
-            settings=settings,
-            monitor=monitor,
-        )
-    client = ServiceClient(
-        client_id,
-        networks[client_id],
-        contact_servers=server_ids,
-        settings=settings,
-    )
-    for server in servers.values():
-        server.start()
-    client.start()
-    return LiveCluster(
-        sim=sim,
-        runtime=runtime,
-        trace=trace,
-        monitor=monitor,
-        transports=transports,
-        networks=networks,
-        servers=servers,
-        client=client,
+    return assemble(
+        sim,
+        transports,
+        server_ids,
+        ["c0"],
+        {options.unit: VodApplication({options.unit: movie})},
+        AvailabilityPolicy(num_backups=options.num_backups),
+        resolve_profile(options.profile),
+        TraceLog(enabled=True),
+        SpecMonitor(),
+        runtime=LiveRuntime(sim, max_tick=options.max_tick),
     )
 
 
@@ -427,6 +475,8 @@ async def _run_cluster(options: LiveClusterOptions) -> dict[str, Any]:
     cluster = await build_live_cluster(options)
     try:
         plan = schedule_workload(cluster, options)
+        if cluster.runtime is None:  # only a replay is built without a pacer
+            raise RuntimeError("build_live_cluster returned no runtime")
         await cluster.runtime.run(plan.duration)
         report = build_report(cluster, plan)
         _dump_stats(options.stats_json, cluster.transports, cluster.networks)
@@ -469,9 +519,9 @@ class ServeOptions:
 
 async def _serve(options: ServeOptions) -> dict[str, Any]:
     sim = Simulator()
-    trace = TraceLog(enabled=False)
     runtime = LiveRuntime(sim, max_tick=options.max_tick)
     transport = create_transport(options.transport, options.node_id)
+    plane: FaultPlane | None = None
     control_server: FaultControlServer | None = None
     if options.control is not None:
         if not isinstance(transport, FaultyTransport):
@@ -481,41 +531,37 @@ async def _serve(options: ServeOptions) -> dict[str, Any]:
         control_server = FaultControlServer(plane)
         await control_server.start(*options.control)
     await transport.start(*options.listen)
-    network = LiveNetwork(sim, transport, trace=trace, wake=runtime.wake)
     for peer, (host, port) in options.peers.items():
         transport.set_peer(peer, host, port)
-    world = sorted([options.node_id, *options.peers])
     movie = build_movie(
         options.unit, duration_seconds=int(options.duration * 2) + 60, frame_rate=24
     )
-    server = FrameworkServer(
-        server_id=options.node_id,
-        network=network,
-        world=world,
-        hosted_units=[options.unit],
-        applications={options.unit: VodApplication({options.unit: movie})},
-        catalog={options.unit: content_group(options.unit)},
-        policy=AvailabilityPolicy(num_backups=1),
-        settings=resolve_profile(options.profile),
-        monitor=None,
+    cluster = assemble(
+        sim,
+        {options.node_id: transport},
+        [options.node_id],
+        [],
+        {options.unit: VodApplication({options.unit: movie})},
+        AvailabilityPolicy(num_backups=1),
+        resolve_profile(options.profile),
+        TraceLog(enabled=False),
+        None,
+        runtime=runtime,
+        faults=plane,
+        world=sorted([options.node_id, *options.peers]),
     )
-    server.start()
     try:
         await runtime.run(options.duration)
-        _dump_stats(
-            options.stats_json,
-            {options.node_id: transport},
-            {options.node_id: network},
-        )
+        _dump_stats(options.stats_json, cluster.transports, cluster.networks)
     finally:
-        await transport.close()
+        await cluster.close()
         if control_server is not None:
             await control_server.close()
-    members = sorted(str(member) for member in server.daemon.config.members)
+    daemon = cluster.servers[options.node_id].daemon
     report: dict[str, Any] = {
         "node": options.node_id,
-        "members": members,
-        "view": str(server.daemon.config.view_id),
+        "members": sorted(str(member) for member in daemon.config.members),
+        "view": str(daemon.config.view_id),
         "frames_sent": transport.stats.frames_sent,
         "frames_received": transport.stats.frames_received,
     }
@@ -535,6 +581,7 @@ __all__ = [
     "LiveClusterOptions",
     "ServeOptions",
     "WorkloadPlan",
+    "assemble",
     "build_live_cluster",
     "build_report",
     "resolve_profile",

@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -208,13 +209,14 @@ class FaultyTransport:
         self.reorder_window = window
 
     def clear_faults(self) -> None:
-        """Drop all fault state: heal every link, zero every knob."""
+        """Lift every injected fault: heal every link, zero every knob a
+        schedule or the control channel can turn.  ``base_delay`` and
+        ``jitter`` stay — they are the deployment's latency matrix (a
+        :class:`WanProfile`), topology rather than fault."""
         self.dup_p = 0.0
         self.reorder_p = 0.0
         for link in self._links.values():
             link.severed_by.clear()
-            link.base_delay = 0.0
-            link.jitter = 0.0
             link.extra_delay = 0.0
             link.drop_p = 0.0
 
@@ -299,7 +301,7 @@ class FaultPlane:
         return tuple(sorted(self._transports, key=str))
 
     # -- partition layer ------------------------------------------------
-    def partition(self, *components: list[NodeId]) -> None:
+    def partition(self, *components: Iterable[NodeId]) -> None:
         component_of: dict[NodeId, int] = {}
         for index, component in enumerate(components):
             for node in component:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -205,11 +206,33 @@ class Network:
             self._link_extra_delay.pop((b, a), None)
 
     def clear_adversity(self) -> None:
-        """Lift every chaos-induced weakening (used by the heal phase)."""
+        """Lift every chaos-induced weakening of the wire guarantees."""
         self.duplicate_probability = 0.0
         self.reorder_probability = 0.0
         self.reorder_window = 0.0
         self._link_extra_delay.clear()
+
+    # connectivity faults live in the topology; these pass-throughs complete
+    # the ``LinkFaults`` surface (repro.faults.injector) the live
+    # ``FaultPlane`` also implements, so one applier drives both runtimes
+    def partition(self, *components: Iterable[NodeId]) -> None:
+        self.topology.partition(*components)
+
+    def heal_partition(self) -> None:
+        self.topology.heal_partition()
+
+    def cut_link(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None:
+        self.topology.cut_link(a, b, symmetric=symmetric)
+
+    def restore_link(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None:
+        self.topology.restore_link(a, b, symmetric=symmetric)
+
+    def clear_all(self) -> None:
+        """Lift every injected fault — adversity, partition *and* cut
+        links (the chaos heal sweep)."""
+        self.clear_adversity()
+        self.topology.heal_partition()
+        self.topology.restore_all_links()
 
     # ------------------------------------------------------------------
     # registration

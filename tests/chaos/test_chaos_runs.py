@@ -126,3 +126,18 @@ class TestCleanSmoke:
         assert _run_seed(8, 1) == (8 * 1_000_003 + 8_191 + 1) % (2**31 - 1)
         seeds = [_run_seed(1, i) for i in range(4)]
         assert len(set(seeds)) == 4
+
+
+class TestHealSweep:
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_unclosed_cut_link_is_healed(self, seed, symmetric):
+        # the schedule ddmin leaves when it drops a closer: a cut with no
+        # restore_link.  disruption_spans closes it at heal_time, so the
+        # heal sweep must restore it — the settle phase is a clean window
+        config = ChaosConfig(n_servers=4, n_sessions=2, duration=10.0)
+        schedule = FaultSchedule().cut_link(1.0, "s0", "s1", symmetric=symmetric)
+        result, observation = run_schedule(config, seed, schedule, keep_cluster=True)
+        assert not result.violations
+        topology = observation.cluster.network.topology
+        assert topology.connected("s0", "s1") and topology.connected("s1", "s0")

@@ -8,8 +8,13 @@ from repro.faults.generators import (
     flapping_partition_schedule,
     poisson_crash_schedule,
 )
-from repro.faults.injector import inject
-from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.faults.injector import apply, inject
+from repro.faults.schedule import VALID_KINDS, FaultEvent, FaultSchedule
+from repro.net.faults import FaultPlane, FaultyTransport
+from repro.net.transport import UdpLoopbackTransport
+from repro.sim.engine import Simulator
+from repro.sim.network import Network
+from repro.sim.trace import TraceLog
 from tests.core.conftest import make_vod_cluster
 
 
@@ -342,3 +347,131 @@ class TestInjectorExtended:
         inject(cluster, FaultSchedule().recover(1.0, "s1"))
         cluster.run(2.0)
         assert manager.recovery_times == []
+
+
+# ----------------------------------------------------------------------
+# one applier, two link-fault surfaces
+# ----------------------------------------------------------------------
+_NODES = ("a", "b", "c", "d")
+
+
+class _Target:
+    """The cluster surface ``apply`` needs, with no servers behind it."""
+
+    def __init__(self, faults):
+        self.sim = Simulator()
+        self.servers = {}
+        self.faults = faults
+        self.trace = TraceLog(enabled=True)
+
+    def trace_log(self):
+        return self.trace
+
+    def records(self):
+        return [(e.node, e.category, e.detail) for e in self.trace.events]
+
+
+def _sim_surface():
+    network = Network(Simulator())
+    return network, network.topology.connected
+
+
+def _live_surface():
+    transports = {n: FaultyTransport(UdpLoopbackTransport(n)) for n in _NODES}
+    plane = FaultPlane()
+    for node, transport in transports.items():
+        plane.adopt(node, transport)
+
+    def connected(src, dst):
+        link = transports[src]._links.get(dst)
+        return link is None or not link.severed
+
+    return plane, connected
+
+
+def _split(left, right):
+    """Every directed pair across a two-sided split."""
+    return {(x, y) for x in left for y in right} | {(y, x) for x in left for y in right}
+
+
+#: the conformance script: after each event, the directed pairs that
+#: must be unreachable — on either surface
+_SCRIPT = [
+    # nodes a partition does not mention form ONE implicit component
+    (FaultEvent(0.0, "partition", args={"components": [["a"]]}), _split("a", "bcd")),
+    # an asymmetric cut severs one direction only
+    (FaultEvent(1.0, "cut_link", args={"a": "b", "b": "c", "symmetric": False}),
+     _split("a", "bcd") | {("b", "c")}),
+    # heal lifts the partition layer and leaves the cut in place
+    (FaultEvent(2.0, "heal"), {("b", "c")}),
+    (FaultEvent(3.0, "partition", args={"components": [["a", "b"], ["c", "d"]]}),
+     _split("ab", "cd") | {("b", "c")}),
+    # restore_link lifts the cut layer and leaves the partition in place
+    (FaultEvent(4.0, "restore_link", args={"a": "b", "b": "c", "symmetric": False}),
+     _split("ab", "cd")),
+    (FaultEvent(5.0, "cut_link", args={"a": "a", "b": "b"}),
+     _split("ab", "cd") | {("a", "b"), ("b", "a")}),
+    # the latency and adversity kinds never touch reachability
+    (FaultEvent(6.0, "delay_link", args={"a": "c", "b": "d", "extra": 0.1}), None),
+    (FaultEvent(7.0, "duplicate", args={"probability": 0.0}), None),
+    (FaultEvent(8.0, "reorder", args={"probability": 0.0, "window": 0.1}), None),
+    (FaultEvent(9.0, "restore_delay", args={"a": "c", "b": "d"}), None),
+]
+
+
+def _blocked(connected):
+    return {(s, d) for s in _NODES for d in _NODES if s != d and not connected(s, d)}
+
+
+class TestOneApplierTwoSurfaces:
+    @pytest.mark.parametrize("surface", [_sim_surface, _live_surface])
+    def test_link_faults_conform(self, surface):
+        faults, connected = surface()
+        target = _Target(faults)
+        expected = set()
+        for event, blocked in _SCRIPT:
+            apply(target, event)
+            expected = expected if blocked is None else blocked
+            assert _blocked(connected) == expected, event
+        # clear_all lifts both layers (the chaos heal sweep)
+        faults.clear_all()
+        assert _blocked(connected) == set()
+        assert target.records() == [
+            ("net", f"fault.{event.kind}", event.args) for event, _ in _SCRIPT
+        ]
+
+    def test_without_a_surface_only_the_records_appear(self):
+        # faults=None: a replay, the wire faults live in the frame log
+        target = _Target(None)
+        for event, _ in _SCRIPT:
+            apply(target, event)
+        assert target.records() == [
+            ("net", f"fault.{event.kind}", event.args) for event, _ in _SCRIPT
+        ]
+
+    def test_every_valid_kind_has_an_arm(self):
+        examples = (
+            FaultSchedule()
+            .crash(0.0, "s1")
+            .recover(0.0, "s1")
+            .slowdown(0.0, "s1", 0.1)
+            .restore_speed(0.0, "s1")
+            .crash_at(0.0, "s1", "pre-handoff")
+            .partition(0.0, ["s0"], ["s1", "s2"])
+            .heal(0.0)
+            .cut_link(0.0, "s0", "s1")
+            .restore_link(0.0, "s0", "s1")
+            .delay_link(0.0, "s0", "s1", 0.1)
+            .restore_delay(0.0, "s0", "s1")
+            .duplicate(0.0, 0.01)
+            .reorder(0.0, 0.01)
+        )
+        # a kind added to the vocabulary needs an example here ...
+        assert examples.kinds() == VALID_KINDS
+        cluster = make_vod_cluster()
+        for event in examples.events:
+            apply(cluster, event)  # ... and an arm there, or this raises
+        rogue = FaultEvent(0.0, "heal")
+        object.__setattr__(rogue, "kind", "meteor")
+        with pytest.raises(ValueError, match="no arm"):
+            apply(cluster, rogue)

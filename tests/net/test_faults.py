@@ -215,6 +215,31 @@ def test_wan_profile_installs_latency_matrix():
     assert set(WAN_PROFILES) == {"us-eu", "global"}
 
 
+def test_clear_all_lifts_faults_but_keeps_the_wan_matrix():
+    """A heal lifts what a schedule injected; the WAN profile's base
+    delay and jitter are the deployment's topology and survive it."""
+    transports = {n: FaultyTransport(UdpLoopbackTransport(n)) for n in ("s0", "s1", "s2")}
+    plane = FaultPlane()
+    for node, transport in transports.items():
+        plane.adopt(node, transport)
+    profile = wan_profile("us-eu")
+    profile.install(plane)
+    plane.cut_link("s0", "s1")
+    plane.partition(["s0"], ["s1", "s2"])
+    plane.set_link_delay("s0", "s2", 0.2)
+    plane.set_loss("s0", "s2", 0.5)
+    plane.set_duplication(0.1)
+    plane.set_reordering(0.1)
+    plane.clear_all()
+    for src, transport in transports.items():
+        assert transport.dup_p == 0.0 and transport.reorder_p == 0.0
+        for dst, link in transport._links.items():
+            assert not link.severed and link.extra_delay == 0.0 and link.drop_p == 0.0
+            region = {"s0": "us", "s1": "eu", "s2": "us"}
+            expected = profile.link_delay(region[src], region[dst])
+            assert (link.base_delay, link.jitter) == expected
+
+
 def test_control_channel_applies_and_rejects_commands():
     async def scenario():
         ta, tb = await _pair()

@@ -130,12 +130,12 @@ class DaemonCluster:
             return {}
         return {
             "suspicions_started": sum(
-                d.swim.suspicions_started for d in self.daemons.values()
+                d.fd.suspicions_started for d in self.daemons.values()
             ),
             "suspicions_refuted": sum(
-                d.swim.suspicions_refuted for d in self.daemons.values()
+                d.fd.suspicions_refuted for d in self.daemons.values()
             ),
-            "evictions": sum(d.swim.evictions for d in self.daemons.values()),
+            "evictions": sum(d.fd.evictions for d in self.daemons.values()),
         }
 
     def measure_detection(self, victim: str) -> list[float]:

@@ -43,9 +43,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.chaos import ChaosConfig, explore
-from repro.chaos.generator import generate_schedule, resolve_profile
-from repro.chaos.runner import run_schedule
-from repro.faults.schedule import FaultSchedule
 from repro.parallel import effective_workers
 from repro.sim.engine import Simulator
 
@@ -320,57 +317,3 @@ def test_parallel_sweep_wallclock(benchmark, bench_persist):
     )
     if cores >= 4:
         assert speedup >= 2.0
-
-
-# ----------------------------------------------------------------------
-# determinism anchors
-# ----------------------------------------------------------------------
-
-# Fixed-seed trace digests captured on the pre-refactor kernel.  The
-# whole fast path (slotted kernel, delta propagation, size accounting)
-# must leave these untouched: same seed, same schedule, *same run*.
-_ANCHOR_CONFIG = ChaosConfig(
-    n_servers=3, n_sessions=2, duration=8.0, profile="mixed"
-)
-# Both re-captured in PR 16, which changed the sequencer's batching policy
-# and not the kernel: a request that finds the total order quiet leaves at
-# once instead of waiting out batch_window, and a quiet sequencer repeats
-# its tail for three ticks (DESIGN.md §5.8, §6 hazard 9) — so every run
-# that orders anything, the fault-free one included, sends other frames at
-# other instants than it did (before: a45ddff0e309... empty,
-# 489839eb9c3c... mixed — the mixed one had moved once already, in PR 15,
-# when suspicion became deadline-driven, §5.9; git has the full values).
-_ANCHOR_EMPTY = "9c2636d6a046ca70d2869d4a5f9cdd98d386eb9643bec7f4e706996811b8d55b"
-_ANCHOR_MIXED = "67a712360adaec31afb6e7a7b23ce7a411f3eb2a4fed65bce54d637567314b7c"
-
-
-def test_trace_digest_anchors(benchmark, bench_persist):
-    import numpy as np
-
-    def anchors():
-        empty = run_schedule(
-            _ANCHOR_CONFIG, 42, FaultSchedule(events=[])
-        ).digest
-        gen_rng = np.random.default_rng([7, 0])
-        schedule = generate_schedule(
-            gen_rng, _ANCHOR_CONFIG, resolve_profile(_ANCHOR_CONFIG, 0)
-        )
-        mixed = run_schedule(_ANCHOR_CONFIG, 1234, schedule).digest
-        return {"empty_schedule": empty, "mixed_schedule": mixed}
-
-    result = benchmark.pedantic(anchors, rounds=1, iterations=1)
-    bench_persist(
-        "sim_kernel",
-        {
-            "digest_anchors": {
-                **result,
-                "matches_pre_refactor": result
-                == {
-                    "empty_schedule": _ANCHOR_EMPTY,
-                    "mixed_schedule": _ANCHOR_MIXED,
-                },
-            }
-        },
-    )
-    assert result["empty_schedule"] == _ANCHOR_EMPTY
-    assert result["mixed_schedule"] == _ANCHOR_MIXED

@@ -6,10 +6,13 @@ Two kinds of gate:
 * **Relational invariants** on the fresh run alone — the reasons the
   gossip detector exists.  Gossip liveness traffic per node must stay
   well below the mesh at the largest swept size, its growth across the
-  sweep must stay bounded (the mesh is linear), detection latency must
-  remain competitive at small sizes, and a clean network must produce
-  zero false evictions.  These hold at any sweep size, so CI can run a
-  capped sweep while the committed JSON carries the full 8..200 one.
+  sweep must stay bounded (the mesh is linear), detection latency at
+  the smallest size must stay within a fixed factor of the mesh's
+  *nominal* detection time (its suspect timeout — not its measured p99,
+  which moves with where the kill falls in the heartbeat phase), and a
+  clean network must produce zero false evictions.  These hold at any
+  sweep size, so CI can run a capped sweep while the committed JSON
+  carries the full 8..200 one.
 
 * **One absolute bound** — the mesh detects *at* its timeout: detection
   p99 at every swept size is at most ``suspect_timeout`` (recorded in the
@@ -43,7 +46,8 @@ MESH_FRACTION_CEILING = 0.50
 #: of the mesh's growth over the same sizes
 GROWTH_FRACTION_CEILING = 0.60
 
-#: gossip detection p99 at the smallest size within this factor of mesh
+#: gossip detection p99 at the smallest size within this factor of the
+#: suspect timeout (what the mesh takes, give or take a heartbeat phase)
 DETECTION_FACTOR_CEILING = 2.0
 
 #: mesh detection p99 may exceed the suspect timeout by at most this much
@@ -113,27 +117,27 @@ def check_invariants(current: dict) -> list[str]:
             f"{GROWTH_FRACTION_CEILING:.2f}x of mesh growth {mesh_growth:.1f}x"
         )
 
-    mesh_p99 = float(_row(current, "mesh", small, "current")["detection_p99_seconds"])
+    try:
+        timeout = float(current["sim_sweep"]["suspect_timeout_seconds"])
+    except KeyError:
+        raise SystemExit("current: missing sim_sweep.suspect_timeout_seconds") from None
     gossip_p99 = float(
         _row(current, "gossip", small, "current")["detection_p99_seconds"]
     )
-    factor = gossip_p99 / mesh_p99
+    factor = gossip_p99 / timeout
     status = "ok" if factor <= DETECTION_FACTOR_CEILING else "REGRESSED"
     print(
-        f"detection p99 at n={small}: mesh {mesh_p99:.3f}s, gossip "
-        f"{gossip_p99:.3f}s ({factor:.2f}x, ceiling "
+        f"gossip detection p99 at n={small}: {gossip_p99:.3f}s against the "
+        f"{timeout:.2f}s suspect timeout ({factor:.2f}x, ceiling "
         f"{DETECTION_FACTOR_CEILING:.2f}x) {status}"
     )
     if factor > DETECTION_FACTOR_CEILING:
         failures.append(
             f"gossip detection p99 {gossip_p99:.3f}s exceeds "
-            f"{DETECTION_FACTOR_CEILING:.1f}x mesh {mesh_p99:.3f}s at n={small}"
+            f"{DETECTION_FACTOR_CEILING:.1f}x the {timeout:.2f}s suspect "
+            f"timeout at n={small}"
         )
 
-    try:
-        timeout = float(current["sim_sweep"]["suspect_timeout_seconds"])
-    except KeyError:
-        raise SystemExit("current: missing sim_sweep.suspect_timeout_seconds") from None
     ceiling = timeout + MESH_DETECTION_SLACK_SECONDS
     for size in sizes:
         p99 = float(_row(current, "mesh", size, "current")["detection_p99_seconds"])

@@ -3,7 +3,7 @@
     python -m repro demo                # the quickstart scenario
     python -m repro experiments         # full experiment report
     python -m repro experiments --fast E3 E4
-    python -m repro bench --workers 4   # experiment sweep, seed-sharded
+    python -m repro experiments --workers 4   # the sweep, sharded by experiment
     python -m repro policy --target 1e-4 --failure-rate 0.01
     python -m repro chaos --seed 1 --iterations 5
     python -m repro chaos --workers 4 --iterations 8
@@ -66,25 +66,6 @@ def _cmd_experiments(args) -> int:
         seed=args.seed,
         fast=args.fast,
         workers=getattr(args, "workers", 1),
-    )
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    """The experiment sweep as a benchmark: sharded across worker
-    processes, with a wall-clock accounting line at the end."""
-    import time
-
-    from repro.experiments.runner import run_all
-    from repro.parallel import effective_workers
-
-    workers = effective_workers(args.workers)
-    started = time.perf_counter()  # repro-lint: allow(wall-clock)
-    results = run_all(args.ids or None, seed=args.seed, fast=args.fast, workers=workers)
-    elapsed = time.perf_counter() - started  # repro-lint: allow(wall-clock)
-    print(
-        f"bench: {len(results)} experiment(s), {workers} worker(s), "
-        f"{elapsed:.1f}s wall total"
     )
     return 0
 
@@ -251,21 +232,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         help="worker processes to shard experiments across (default 1)",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="experiment sweep as a benchmark: seed-sharded across "
-        "worker processes, deterministic merge, wall-clock summary",
-    )
-    bench.add_argument("ids", nargs="*", help="experiment ids (E1..E11)")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--fast", action="store_true")
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes (default 0 = one per available core)",
     )
 
     policy_cmd = sub.add_parser(
@@ -455,8 +421,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_demo(args)
     if args.command == "experiments":
         return _cmd_experiments(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "policy":
         return _cmd_policy(args)
     if args.command == "chaos":

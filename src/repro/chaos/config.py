@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Any
 
 from repro.core.config import AvailabilityPolicy
+from repro.gcs.messages import LIVENESS_MESSAGES
 from repro.gcs.settings import GcsSettings
 
 #: Named deliberate weakenings used to validate the chaos pipeline.
@@ -24,15 +26,68 @@ from repro.gcs.settings import GcsSettings
 #: (exactly what the ``pre-handoff`` crash hook provokes), the session
 #: goes silent — the responsiveness and convergence oracles both fire.
 #:
-#: ``partition-amnesia`` turns off ``GcsSettings.readmit_evicted``: each
-#: daemon permanently distrusts liveness evidence from members it once
-#: evicted, so after a partition heals the two sides keep discarding each
-#: other's heartbeats, the views never re-merge, and both primaries
-#: persist — the convergence oracle fires.  Unlike ``handoff-stall`` this
-#: plant needs real *partition* faults, which is exactly what makes it
-#: the validation plant for live-mode chaos (the fault-injecting
-#: transport is what made live partitions possible at all).
+#: ``partition-amnesia`` puts an :class:`AmnesiacDetector` in front of
+#: every daemon's failure detector: each daemon permanently distrusts
+#: liveness evidence from members it once evicted, so after a partition
+#: heals the two sides keep discarding each other's heartbeats (or swim
+#: probes), the views never re-merge, and both primaries persist — the
+#: convergence oracle fires.  Unlike ``handoff-stall`` this plant needs
+#: real *partition* faults, which is exactly what makes it the validation
+#: plant for live-mode chaos (the fault-injecting transport is what made
+#: live partitions possible at all).
 PLANTS = ("handoff-stall", "partition-amnesia")
+
+
+class AmnesiacDetector:
+    """The ``partition-amnesia`` plant: a daemon's failure detector, deaf
+    to every member a view change removed since the daemon booted.
+
+    Liveness messages from such a sender are swallowed and its other
+    traffic is no longer evidence that it lives; everything else is the
+    wrapped detector's.  Nothing tells the wrapper about installs: it
+    diffs ``daemon.config.members`` against what it saw the last time it
+    was asked, and the daemon asks on every received message.
+    """
+
+    def __init__(self, daemon: Any) -> None:
+        self._daemon = daemon
+        self._inner = daemon.fd
+        self._members: tuple[Any, ...] | None = None
+        self._evicted: set[Any] = set()
+        self._traced: set[Any] = set()
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._inner, name)
+
+    def _distrusts(self, sender: Any) -> bool:
+        members = self._daemon.config.members
+        if members != self._members:
+            if self._members is not None:
+                self._evicted |= set(self._members) - {self._daemon.node_id}
+            self._evicted -= set(members)
+            self._members = members
+        return sender in self._evicted
+
+    def on_message(self, payload: Any, sender: Any) -> bool:
+        if not self._distrusts(sender):
+            return self._inner.on_message(payload, sender)
+        if sender not in self._traced:
+            self._traced.add(sender)
+            self._daemon.trace("gcs.evicted_liveness_ignored", peer=sender)
+        return isinstance(payload, LIVENESS_MESSAGES)
+
+    def observe_traffic(self, peer: Any) -> None:
+        if not self._distrusts(peer):
+            self._inner.observe_traffic(peer)
+
+    def reset(self) -> None:
+        """Recovery: a new life has evicted nobody — and has seen no
+        membership yet, or its first look at the fresh singleton would
+        "evict" the whole previous view."""
+        self._members = None
+        self._evicted.clear()
+        self._traced.clear()
+        self._inner.reset()
 
 
 @dataclass(frozen=True)
@@ -154,16 +209,21 @@ class ChaosConfig:
 
     def apply_plant_settings(self, settings: GcsSettings) -> GcsSettings:
         """Project this config onto the GCS settings: select the
-        failure-detection protocol, then weaken the settings when the
-        plant lives at that layer (identity for every other plant — and
-        for no plant at all)."""
+        failure-detection protocol.  (No plant lives in the settings;
+        see :meth:`plant_bugs`.)"""
         if self.membership != settings.membership_mode:
             settings = dataclasses.replace(
                 settings, membership_mode=self.membership
             )
-        if self.plant == "partition-amnesia":
-            return dataclasses.replace(settings, readmit_evicted=False)
         return settings
+
+    def plant_bugs(self, cluster: Any) -> None:
+        """Sabotage an assembled cluster (simulated or live, recording or
+        replay) as the plant asks; ``handoff-stall`` is already in the
+        policy :meth:`build_policy` returned."""
+        if self.plant == "partition-amnesia":
+            for server in cluster.servers.values():
+                server.daemon.fd = AmnesiacDetector(server.daemon)
 
     # ------------------------------------------------------------------
     # persistence (repro artifacts embed the config)
@@ -180,4 +240,4 @@ class ChaosConfig:
         return cls(**data)
 
 
-__all__ = ["PLANTS", "ChaosConfig"]
+__all__ = ["PLANTS", "AmnesiacDetector", "ChaosConfig"]

@@ -80,8 +80,8 @@ _CHAOS_SETTINGS_FACTOR = 2.0
 
 def _live_settings(config: ChaosConfig) -> GcsSettings:
     """The GCS timing constants for one live chaos run: the live-LAN
-    preset, scaled up when a WAN profile stretches the links, weakened
-    when the config carries a settings-layer plant."""
+    preset, scaled up when a WAN profile stretches the links, with the
+    config's failure-detection protocol."""
     factor = _CHAOS_SETTINGS_FACTOR
     if config.wan_profile is not None:
         factor = wan_profile(config.wan_profile).settings_factor
@@ -94,7 +94,7 @@ def _assemble(
 ) -> LiveCluster:
     """The chaos cluster over already-created transports; ``live`` is the
     recording run's ``runtime``/``faults``/``recorder``, empty in replay."""
-    return assemble(
+    cluster = assemble(
         sim,
         transports,
         config.server_ids,
@@ -106,6 +106,10 @@ def _assemble(
         SpecMonitor(),
         **live,
     )
+    # here, not in the recording run: a replay must rebuild the same
+    # sabotaged cluster or the frame log plays into different daemons
+    config.plant_bugs(cluster)
+    return cluster
 
 
 def _schedule_phases(

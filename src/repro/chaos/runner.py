@@ -281,6 +281,7 @@ def run_schedule(
         settings=config.apply_plant_settings(GcsSettings()),
         seed=seed,
     )
+    config.plant_bugs(cluster)
     cluster.settle()
     workloads = []
     for index, client_id in enumerate(config.client_ids):

@@ -43,8 +43,10 @@ def run_all(
     """Run the selected experiments; returns ``{id: [Table, ...]}``.
 
     ``workers > 1`` runs experiments in parallel processes; tables are
-    printed in experiment order regardless of completion order.
+    printed in experiment order regardless of completion order, followed
+    by the sweep's total wall time (what the sharding bought).
     """
+    started = time.perf_counter()  # repro-lint: allow(wall-clock)
     names = names or list(EXPERIMENT_MODULES)
     tasks = [(name, seed, fast) for name in names]
     results: dict[str, list] = {}
@@ -57,6 +59,12 @@ def run_all(
         for table in tables:
             table.show()
         print(f"[{name}] done in {elapsed:.1f}s wall time")
+    if workers > 1:
+        total = time.perf_counter() - started  # repro-lint: allow(wall-clock)
+        print(
+            f"{len(results)} experiment(s), {workers} worker(s), "
+            f"{total:.1f}s wall total"
+        )
     return results
 
 

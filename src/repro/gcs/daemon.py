@@ -3,7 +3,8 @@
 A :class:`GcsDaemon` combines
 
 * a failure detector — the all-pairs heartbeat mesh or the SWIM gossip
-  detector, selected by ``settings.membership_mode``,
+  detector (:data:`DETECTORS`, keyed by ``settings.membership_mode``),
+  spoken to only through :class:`~repro.gcs.detector.Detector`,
 * the membership engine (view formation with flush),
 * the sequencer-based total order of its current configuration, and
 * the named-group layer (replicated group map, derived group views,
@@ -18,9 +19,9 @@ delivered messages, group views and configuration changes
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
-from repro.gcs.detector import Detector
+from repro.gcs.detector import Detector, DetectorHost
 from repro.gcs.failure_detector import FailureDetector
 from repro.gcs.groups import GroupMap, MEMBERSHIP_GROUP
 from repro.gcs.membership import MembershipEngine
@@ -28,7 +29,6 @@ from repro.gcs.messages import (
     AttemptId,
     ClientAck,
     ClientMcast,
-    Heartbeat,
     Install,
     NackSeqs,
     OrderRequest,
@@ -56,6 +56,12 @@ from repro.sim.topology import NodeId
 # repair, DESIGN.md §6 hazard 9); with independent loss p per link the
 # tail stays unrepaired with probability p ** (_TAIL_REPEATS + 1)
 _TAIL_REPEATS = 3
+
+#: ``settings.membership_mode`` -> the failure detector a daemon runs
+DETECTORS: dict[str, Callable[[DetectorHost], Detector]] = {
+    "heartbeat": FailureDetector,
+    "gossip": SwimDetector,
+}
 
 
 class GcsDaemon(Process):
@@ -93,37 +99,13 @@ class GcsDaemon(Process):
         self.app = app
         self.settings = settings or GcsSettings()
         self.monitor = monitor
-        if self.settings.membership_mode not in ("heartbeat", "gossip"):
+        mode = self.settings.membership_mode
+        if mode not in DETECTORS:
             raise ValueError(
-                f"unknown membership_mode {self.settings.membership_mode!r}"
-                " (expected 'heartbeat' or 'gossip')"
+                f"unknown membership_mode {mode!r}"
+                f" (expected one of {sorted(DETECTORS)})"
             )
-        # The failure detector: the classic all-pairs heartbeat mesh, or
-        # the SWIM gossip detector (same surface, constant per-node probe
-        # work — see gcs/swim.py).  ``self.fd`` is what every consumer
-        # above the detector interface uses; ``self.swim`` is non-None
-        # only in gossip mode, for the wiring that is protocol-specific
-        # (probe timer, swim message dispatch).
-        self.swim: SwimDetector | None = None
-        if self.settings.membership_mode == "gossip":
-            self.swim = SwimDetector(
-                node_id,
-                self.world,
-                self.settings,
-                lambda: self.sim.now,
-                self._on_fd_change,
-                self.send_protocol,
-                self._swim_local_state,
-                self._swim_schedule,
-            )
-            self.fd: Detector = self.swim
-        else:
-            self.fd = FailureDetector(
-                node_id,
-                self.settings.suspect_timeout,
-                lambda: self.sim.now,
-                self._on_fd_change,
-            )
+        self.fd: Detector = DETECTORS[mode](self)
         self.membership = MembershipEngine(self)
         self.config = Configuration.make(ViewId(0, node_id), [node_id])
         self.holdback = HoldbackBuffer()
@@ -140,7 +122,6 @@ class GcsDaemon(Process):
         self._membership_event_guard: dict[tuple, int] = {}
         self._config_installed_at = 0.0
         self._hb_timer = None
-        self._probe_timer = None
         # the tick is the coarse wheel; a protocol deadline that falls
         # between two ticks gets this one-shot (see _arm_deadline)
         self._next_tick = 0.0
@@ -154,15 +135,6 @@ class GcsDaemon(Process):
         # tail repair: ticks since the sequencer last disseminated anything
         # (past _TAIL_REPEATS: nothing sent yet, or the repeats are used up)
         self._quiet_ticks = _TAIL_REPEATS + 1
-        # heartbeat piggybacking: when we last sent each peer a *real*
-        # heartbeat (traffic suppresses them, but view-id/incarnation
-        # reporting must not starve — see heartbeat_refresh_factor)
-        self._last_hb_sent: dict[NodeId, float] = {}
-        # members removed by an installed view since this incarnation
-        # booted; only consulted when settings.readmit_evicted is off
-        # (the "partition-amnesia" chaos plant)
-        self._evicted: set[NodeId] = set()
-        self._amnesia_traced: set[NodeId] = set()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -191,9 +163,6 @@ class GcsDaemon(Process):
         self._pending_since.clear()
         self._next_seq = 0
         self._discard_batch()
-        self._last_hb_sent.clear()
-        self._evicted.clear()
-        self._amnesia_traced.clear()
         self._my_groups_intent.clear()
         self._last_group_view.clear()
         self._client_acks_pending.clear()
@@ -205,27 +174,21 @@ class GcsDaemon(Process):
     def _boot(self) -> None:
         self._config_installed_at = self.sim.now
         self._emit_config_view()
+        first_delay = 0.0 if self.sim.now == 0 else None
         # process-lifetime timer: crash() cancels every timer of this node
         self._hb_timer = self.set_periodic_timer(  # repro-lint: allow(P202)
             self.settings.heartbeat_interval,
             self._tick,
             label=f"hb:{self.node_id}",
-            first_delay=0.0 if self.sim.now == 0 else None,
+            first_delay=first_delay,
         )
-        if self.swim is not None:
-            # gossip mode: the probe round runs on its own cadence (the
-            # protocol tick above keeps driving membership/order upkeep)
-            self._probe_timer = self.set_periodic_timer(  # repro-lint: allow(P202)
-                self.settings.probe_interval,
-                self.swim.on_probe_tick,
-                label=f"swim:{self.node_id}",
-                first_delay=0.0 if self.sim.now == 0 else None,
-            )
+        # after the tick is armed: timer sequence numbers are allocated in
+        # call order, and the trace digests pin them
+        self.fd.start(first_delay)
 
     def _tick(self) -> None:
         self._next_tick = self.sim.now + self.settings.heartbeat_interval
-        if self.swim is None:
-            self._broadcast_heartbeat()
+        self.fd.on_tick()
         self.fd.check()
         self.membership.on_tick()
         if self.config_divergence_detected():
@@ -259,52 +222,25 @@ class GcsDaemon(Process):
             self._deadline_timer.cancel()
             self._deadline_timer = None
 
-    def _broadcast_heartbeat(self, force: bool = False) -> None:
-        """Heartbeat every world peer, skipping peers that recent outgoing
-        protocol traffic already proved us alive to (piggybacking).  A full
-        heartbeat still goes out every ``heartbeat_refresh_factor`` intervals
-        per peer, because only heartbeats carry our view id and incarnation
-        (the divergence and restart detectors feed on them)."""
-        heartbeat = Heartbeat(
-            self.node_id,
-            self.incarnation,
-            self.membership.view_counter,
-            config_view_id=self.config.view_id,
-        )
-        now = self.sim.now
-        interval = self.settings.heartbeat_interval
-        refresh_after = interval * self.settings.heartbeat_refresh_factor
-        for peer in self.world:
-            if peer == self.node_id:
-                continue
-            if (
-                not force
-                and self.settings.piggyback_liveness
-                and now - self._last_hb_sent.get(peer, float("-inf")) < refresh_after
-                and now - self.network.last_sent_at(self.node_id, peer) < interval
-            ):
-                continue
-            self._last_hb_sent[peer] = now
-            self.send(peer, heartbeat, kind="gcs.heartbeat")
+    # ------------------------------------------------------------------
+    # what the failure detector may use of us (gcs.detector.DetectorHost)
+    # ------------------------------------------------------------------
+    def now(self) -> float:
+        return self.sim.now
 
-    def _on_fd_change(self) -> None:
+    def liveness_header(self) -> tuple[int, int, ViewId]:
+        return (self.incarnation, self.membership.view_counter, self.config.view_id)
+
+    def send_protocol(
+        self, dest: NodeId, payload: Any, kind: str, size: int = 1
+    ) -> None:
+        self.send(dest, payload, kind=kind, size=size)
+
+    def quiet_since(self, peer: NodeId) -> float:
+        return self.network.last_sent_at(self.node_id, peer)
+
+    def on_detector_change(self) -> None:
         self.membership.reconfigure()
-
-    def _swim_local_state(self) -> tuple[int, int, ViewId | None]:
-        """What the SWIM detector stamps on every message it authors
-        (the gossip-mode equivalent of the heartbeat's header fields)."""
-        return (
-            self.incarnation,
-            self.membership.view_counter,
-            self.config.view_id,
-        )
-
-    def _swim_schedule(self, delay: float, callback: Any) -> None:
-        """One-shot timers for the probe state machine.  The handles are
-        deliberately dropped: probe deadlines are keyed by sequence number
-        inside the detector (a late firing for an acked probe is a no-op),
-        and ``crash()`` cancels them with every other timer of this node."""
-        self.set_timer(delay, callback, label=f"swim:{self.node_id}")
 
     # ------------------------------------------------------------------
     # public endpoint API
@@ -407,14 +343,15 @@ class GcsDaemon(Process):
             config_view_id=self.config.view_id, seq=self._next_seq, request=request
         )
         self._next_seq += 1
-        if self.settings.batching_enabled and len(self.config.members) > 1:
+        if len(self.config.members) > 1:
             # Leading edge + spacing: batch_window is the least distance
             # between two batches, not a wait on every first message.  A
             # message that finds the window since the last flush already
             # over leaves in this event; one that arrives inside it waits,
             # with whatever else arrives, for the window's end — so nothing
             # is held longer than batch_window and no more than
-            # 1/batch_window batches leave per second.
+            # 1/batch_window batches leave per second.  (A window of 0.0 is
+            # always over: every message leaves alone, in its own event.)
             self._batch.append(sequenced)
             if (
                 self.sim.now >= self._next_flush_at
@@ -427,11 +364,6 @@ class GcsDaemon(Process):
                     self._flush_batch,
                     label=f"batch:{self.node_id}",
                 )
-        else:
-            self._quiet_ticks = 0
-            self._send_to_members(
-                sequenced, "gcs.sequenced", request.size_estimate
-            )
         # The sequencer takes its own copy synchronously: a message it has
         # sequenced must be visible to any sync reply it builds from this
         # instant on, or a racing view formation could install a view
@@ -457,16 +389,15 @@ class GcsDaemon(Process):
         self._batch = []
         self._next_flush_at = self.sim.now + self.settings.batch_window
         self._quiet_ticks = 0
-        self._send_to_members(batch, "gcs.sequenced_batch", batch.size_estimate)
+        self._send_to_members(batch)
 
-    def _send_to_members(
-        self, payload: Sequenced | SequencedBatch, kind: str, size: int
-    ) -> None:
+    def _send_to_members(self, batch: SequencedBatch) -> None:
         """The sequencer's dissemination step (its own copy is inserted
         synchronously, never sent)."""
+        size = batch.size_estimate
         for member in self.config.members:
             if member != self.node_id:
-                self.send(member, payload, kind=kind, size=size)
+                self.send(member, batch, kind="gcs.sequenced_batch", size=size)
 
     def _discard_batch(self) -> None:
         """Drop buffered-but-unsent sequenced messages (configuration died;
@@ -501,15 +432,9 @@ class GcsDaemon(Process):
         tail = self.holdback.get(self._next_seq - 1)
         if tail is None:
             return
-        size = tail.request.size_estimate
-        if self.settings.batching_enabled:
-            self._send_to_members(
-                SequencedBatch(config_view_id=tail.config_view_id, messages=(tail,)),
-                "gcs.sequenced_batch",
-                size,
-            )
-        else:
-            self._send_to_members(tail, "gcs.sequenced", size)
+        self._send_to_members(
+            SequencedBatch(config_view_id=tail.config_view_id, messages=(tail,))
+        )
 
     def _on_sequenced(self, sequenced: Sequenced) -> None:
         if sequenced.config_view_id != self.config.view_id:
@@ -580,21 +505,10 @@ class GcsDaemon(Process):
             return
         if not resend:
             return
-        if self.settings.batching_enabled:
-            batch = SequencedBatch(
-                config_view_id=self.config.view_id, messages=tuple(resend)
-            )
-            self.send(
-                sender, batch, kind="gcs.sequenced_batch", size=batch.size_estimate
-            )
-        else:
-            for message in resend:
-                self.send(
-                    sender,
-                    message,
-                    kind="gcs.sequenced",
-                    size=message.request.size_estimate,
-                )
+        batch = SequencedBatch(
+            config_view_id=self.config.view_id, messages=tuple(resend)
+        )
+        self.send(sender, batch, kind="gcs.sequenced_batch", size=batch.size_estimate)
 
     def _on_resync_required(self, resync: ResyncRequired) -> None:
         """The sequencer told us our holdback gap is beyond repair: abandon
@@ -622,13 +536,9 @@ class GcsDaemon(Process):
         self._emit_config_view()
         for group in sorted(set(self.group_map.groups()) | set(self._last_group_view)):
             self._emit_group_view(group, change_seq=0)
-        # Announce the new view immediately (piggyback suppression would
-        # otherwise delay the heartbeat that lets peers spot the divergence
-        # and pull us back in).
-        if self.swim is not None:
-            self.swim.announce()
-        else:
-            self._broadcast_heartbeat(force=True)
+        # Announce the new view immediately, so peers spot the divergence
+        # and pull us back in.
+        self.fd.announce()
         self.membership.reconfigure()
 
     # ------------------------------------------------------------------
@@ -701,11 +611,6 @@ class GcsDaemon(Process):
     # ------------------------------------------------------------------
     # membership engine plumbing
     # ------------------------------------------------------------------
-    def send_protocol(
-        self, dest: NodeId, payload: Any, kind: str, size: int = 1
-    ) -> None:
-        self.send(dest, payload, kind=kind, size=size)
-
     def config_divergence_detected(self) -> bool:
         """True when a reachable peer persistently reports a different
         installed configuration — this daemon may be a 'zombie': dropped
@@ -770,11 +675,8 @@ class GcsDaemon(Process):
             if message.seq >= self.holdback.delivered_upto:
                 self._deliver(message)
         # 2. Switch to the new configuration.
-        previous_members = set(self.config.members)
         self.config = Configuration.make(install.view_id, install.members)
         self._config_installed_at = self.sim.now
-        self._evicted |= previous_members - set(install.members) - {self.node_id}
-        self._evicted -= set(install.members)
         # Incarnations come from the members' own sync replies — the only
         # authoritative source (the failure detector may not have heard a
         # restarted member's first new-incarnation heartbeat yet).
@@ -881,39 +783,15 @@ class GcsDaemon(Process):
     # ------------------------------------------------------------------
     def on_message(self, message: Message) -> None:
         payload = message.payload
-        readmitting = self.settings.readmit_evicted
-        if not readmitting and message.sender in self._evicted:
-            # The "partition-amnesia" plant: liveness evidence from a
-            # member this daemon once evicted is discarded, so a healed
-            # partition never re-merges.  Correct configurations always
-            # run with readmit_evicted=True, which skips this branch.
-            if message.sender not in self._amnesia_traced:
-                self._amnesia_traced.add(message.sender)
-                self.trace("gcs.evicted_liveness_ignored", peer=message.sender)
-            if isinstance(payload, Heartbeat):
-                return
-            if self.swim is not None and self.swim.owns(payload):
-                # gossip-mode liveness evidence from an evicted peer is
-                # discarded the same way the mesh drops its heartbeats
-                return
-        elif isinstance(payload, Heartbeat):
-            self.fd.on_heartbeat(payload)
+        if self.fd.on_message(payload, message.sender):
             return
-        elif self.swim is not None and self.swim.on_message(
-            payload, message.sender
-        ):
-            return
-        if self.settings.piggyback_liveness and (
-            readmitting or message.sender not in self._evicted
-        ):
+        if self.settings.piggyback_liveness:
             # Any protocol message is liveness evidence for its sender
             # (delivery metadata carries the sender), which is what lets
             # the sender suppress explicit heartbeats on busy links.
             self.fd.observe_traffic(message.sender)
         if isinstance(payload, SequencedBatch):
             self._on_sequenced_batch(payload)
-        elif isinstance(payload, Sequenced):
-            self._on_sequenced(payload)
         elif isinstance(payload, OrderRequest):
             self._on_order_request(payload)
         elif isinstance(payload, ResyncRequired):

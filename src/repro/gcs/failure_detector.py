@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any
 
+from repro.gcs.detector import DetectorHost
 from repro.gcs.messages import Heartbeat
 from repro.gcs.view import ViewId
 from repro.sim.topology import NodeId
@@ -39,26 +40,25 @@ class _PeerState:
 class FailureDetector:
     """Tracks which daemons are currently believed alive.
 
-    The detector is passive: the owning daemon feeds it heartbeats via
-    :meth:`on_heartbeat` and pumps time via :meth:`check` — from its
-    periodic tick and, when :meth:`next_deadline` falls between two
-    ticks, from a one-shot timer at that instant.  ``on_change`` fires
+    The detector has no timer of its own: the host daemon's tick sends
+    the heartbeats (:meth:`on_tick`) and pumps time via :meth:`check` —
+    as does, when :meth:`next_deadline` falls between two ticks, a
+    one-shot timer at that instant.  ``host.on_detector_change`` fires
     whenever the alive set — or the incarnation of an alive peer —
     changes.
     """
 
-    def __init__(
-        self,
-        me: NodeId,
-        suspect_timeout: float,
-        now: Callable[[], float],
-        on_change: Callable[[], None],
-    ) -> None:
-        self.me = me
-        self.suspect_timeout = suspect_timeout
-        self._now = now
-        self._on_change = on_change
+    def __init__(self, host: DetectorHost) -> None:
+        self._host = host
+        self.me = host.node_id
+        self.suspect_timeout = host.settings.suspect_timeout
+        self._now = host.now
+        self._on_change = host.on_detector_change
         self._peers: dict[NodeId, _PeerState] = {}
+        # heartbeat piggybacking: when we last sent each peer a *real*
+        # heartbeat (traffic suppresses them, but view-id/incarnation
+        # reporting must not starve — see heartbeat_refresh_factor)
+        self._last_hb_sent: dict[NodeId, float] = {}
         # Alive peers, least recently heard first: every refresh moves its
         # peer to the end, so the head is the next peer that can expire —
         # next_deadline() is exact and check() idles on it, both in O(1).
@@ -71,6 +71,51 @@ class FailureDetector:
         # check() calls returned on it vs. walked the table to expire peers.
         self.idle_checks = 0
         self.full_scans = 0
+
+    def start(self, first_delay: float | None) -> None:
+        """Nothing to arm: heartbeats ride the host's tick."""
+
+    def on_tick(self) -> None:
+        self._broadcast_heartbeat(force=False)
+
+    def announce(self) -> None:
+        """Heartbeat every peer now (piggyback suppression would delay the
+        heartbeat that lets peers spot a divergence and pull us back in)."""
+        self._broadcast_heartbeat(force=True)
+
+    def _broadcast_heartbeat(self, force: bool) -> None:
+        """Heartbeat every world peer, skipping peers that recent outgoing
+        protocol traffic already proved us alive to (piggybacking).  A full
+        heartbeat still goes out every ``heartbeat_refresh_factor`` intervals
+        per peer, because only heartbeats carry our view id and incarnation
+        (the divergence and restart detectors feed on them)."""
+        host = self._host
+        incarnation, view_counter, config_view_id = host.liveness_header()
+        heartbeat = Heartbeat(
+            self.me, incarnation, view_counter, config_view_id=config_view_id
+        )
+        now = self._now()
+        settings = host.settings
+        interval = settings.heartbeat_interval
+        refresh_after = interval * settings.heartbeat_refresh_factor
+        for peer in host.world:
+            if peer == self.me:
+                continue
+            if (
+                not force
+                and settings.piggyback_liveness
+                and now - self._last_hb_sent.get(peer, float("-inf")) < refresh_after
+                and now - host.quiet_since(peer) < interval
+            ):
+                continue
+            self._last_hb_sent[peer] = now
+            host.send_protocol(peer, heartbeat, "gcs.heartbeat")
+
+    def on_message(self, payload: Any, sender: NodeId) -> bool:
+        if isinstance(payload, Heartbeat):
+            self.on_heartbeat(payload)
+            return True
+        return False
 
     def on_heartbeat(self, heartbeat: Heartbeat) -> None:
         """Feed one received heartbeat; may fire ``on_change``.
@@ -170,6 +215,7 @@ class FailureDetector:
         """Forget everything (used on process recovery)."""
         self._peers.clear()
         self._alive.clear()
+        self._last_hb_sent.clear()
 
     def alive_peers(self) -> frozenset[NodeId]:
         """Peers currently believed alive (never includes ``me``)."""

@@ -131,6 +131,11 @@ class SwimDigest:
     reply_requested: bool = False
 
 
+#: the wire vocabulary of the failure detectors: what a daemon's detector
+#: consumes, and so what a node must stop hearing to stop believing in a peer
+LIVENESS_MESSAGES = (Heartbeat, SwimPing, SwimAck, SwimPingReq, SwimDigest)
+
+
 # ---------------------------------------------------------------------------
 # total order
 # ---------------------------------------------------------------------------
@@ -147,9 +152,10 @@ class OrderRequest:
 
 
 @dataclass(frozen=True, slots=True)
-class Sequenced:
+class Sequenced:  # repro-lint: allow(P201) — travels inside batches, installs and sync replies, not dispatched
     """A multicast stamped with its position in the configuration's total
-    order, disseminated by the sequencer to all configuration members."""
+    order; the sequencer disseminates it to all configuration members
+    inside a :class:`SequencedBatch`."""
 
     config_view_id: ViewId
     seq: int
@@ -310,6 +316,7 @@ class ClientAck:
 
 
 __all__ = [
+    "LIVENESS_MESSAGES",
     "NackSeqs",
     "PtpData",
     "AttemptId",

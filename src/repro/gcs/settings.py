@@ -60,8 +60,8 @@ class GcsSettings:
             end, so nothing is held longer than ``batch_window`` and at
             most ``1/batch_window`` batches leave per second — under load
             the per-member unicast is amortized over many multicasts,
-            when idle ordering costs no wait.  ``0.0`` disables batching
-            and restores the one-``Sequenced``-per-request wire behaviour.
+            when idle ordering costs no wait.  ``0.0`` is no spacing: every
+            message leaves at once, as a batch of one.
         batch_max: flush the buffer before the window's end once it holds
             this many messages (bounds message size under bursts; the only
             case in which two batches are closer than ``batch_window``).
@@ -76,14 +76,6 @@ class GcsSettings:
         holdback_keep: delivered messages the holdback buffer retains for
             NACK retransmission; a peer lagging further than this can no
             longer be repaired in place and is resynced via a view change.
-        readmit_evicted: accept liveness evidence (heartbeats, piggybacked
-            traffic) from members this daemon has evicted from a past
-            configuration.  **Must stay True for correctness** — turning
-            it off reproduces the "partition amnesia" bug class: after a
-            partition heals, each side keeps discarding the other side's
-            heartbeats, the components never re-merge, and both primaries
-            persist forever.  Exists only as a chaos-engine plant
-            (``ChaosConfig.plant = "partition-amnesia"``).
         membership_mode: failure-detection protocol — ``"heartbeat"`` is
             the all-pairs mesh above, ``"gossip"`` the SWIM detector in
             ``gcs/swim.py`` (constant per-node probe work, epidemic
@@ -120,7 +112,6 @@ class GcsSettings:
     piggyback_liveness: bool = True
     heartbeat_refresh_factor: int = 4
     holdback_keep: int = 4096
-    readmit_evicted: bool = True
     membership_mode: str = "heartbeat"
     probe_interval: float = 0.1
     probe_timeout: float = 0.04
@@ -128,10 +119,6 @@ class GcsSettings:
     swim_fanout: int = 3
     anti_entropy_interval: float = 1.0
     gossip_max_updates: int = 12
-
-    @property
-    def batching_enabled(self) -> bool:
-        return self.batch_window > 0.0
 
     @classmethod
     def live_lan(cls) -> "GcsSettings":

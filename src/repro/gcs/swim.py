@@ -44,6 +44,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.gcs.detector import DetectorHost
 from repro.gcs.messages import (
     Heartbeat,
     SwimAck,
@@ -52,7 +53,6 @@ from repro.gcs.messages import (
     SwimPingReq,
     SwimUpdate,
 )
-from repro.gcs.settings import GcsSettings
 from repro.gcs.view import ViewId
 from repro.sim.topology import NodeId
 
@@ -73,10 +73,6 @@ _AE_REJOIN_EVERY = 4
 
 #: Floor on per-update gossip retransmissions regardless of cluster size.
 _MIN_GOSSIP_BUDGET = 3
-
-SendFn = Callable[[NodeId, Any, str, int], None]
-LocalStateFn = Callable[[], "tuple[int, int, ViewId | None]"]
-ScheduleFn = Callable[[float, Callable[[], None]], None]
 
 
 def _swim_seed(node_id: NodeId) -> int:
@@ -124,36 +120,27 @@ class SwimDetector:
     """Drop-in alternative to ``FailureDetector`` speaking the SWIM wire
     vocabulary.
 
-    The owning daemon drives it with :meth:`on_probe_tick` (a periodic
-    timer at ``settings.probe_interval``), :meth:`check` (suspicion
-    expiry: every protocol tick and at :meth:`next_deadline`) and
-    :meth:`on_message` (dispatch of received swim payloads); ``send`` /
-    ``schedule`` / ``local_state`` are thin callbacks back into the daemon
-    so the detector never touches the network or simulator directly.
+    It runs its probe rounds on a periodic timer of its own, armed in
+    :meth:`start` at ``settings.probe_interval``; the host daemon pumps
+    :meth:`check` (suspicion expiry: every protocol tick and at
+    :meth:`next_deadline`) and offers it every received payload
+    (:meth:`on_message`).  Clock, timers, sends and the liveness header
+    all come from the :class:`~repro.gcs.detector.DetectorHost`, so the
+    detector never touches the network or simulator directly.
     """
 
-    def __init__(
-        self,
-        me: NodeId,
-        world: list[NodeId],
-        settings: GcsSettings,
-        now: Callable[[], float],
-        on_change: Callable[[], None],
-        send: SendFn,
-        local_state: LocalStateFn,
-        schedule: ScheduleFn,
-    ) -> None:
-        self.me = me
-        self.settings = settings
+    def __init__(self, host: DetectorHost) -> None:
+        self._host = host
+        self.me = host.node_id
+        self.settings = host.settings
         self._world: list[NodeId] = sorted(
-            (node for node in world if node != me), key=str
+            (node for node in host.world if node != self.me), key=str
         )
-        self._now = now
-        self._on_change = on_change
-        self._send = send
-        self._local_state = local_state
-        self._schedule = schedule
-        self._rng = random.Random(_swim_seed(me))
+        self._now = host.now
+        self._on_change = host.on_detector_change
+        self._send = host.send_protocol
+        self._local_state = host.liveness_header
+        self._rng = random.Random(_swim_seed(self.me))
         self._members: dict[NodeId, _MemberState] = {}
         self._gossip: dict[NodeId, _GossipEntry] = {}
         self._probes: dict[int, _Probe] = {}
@@ -162,7 +149,7 @@ class SwimDetector:
         self._rejoin_ring: list[NodeId] = []
         self._round = 0
         self._ae_turn = 0
-        self._next_anti_entropy = self._now() + settings.anti_entropy_interval
+        self._next_anti_entropy = self._now() + self.settings.anti_entropy_interval
         self._next_expiry = math.inf
         self._my_epoch = 0
         self.max_view_counter_seen = 0
@@ -285,35 +272,22 @@ class SwimDetector:
                 divergent.append(peer)
         return divergent
 
-    def on_heartbeat(self, heartbeat: Heartbeat) -> None:
-        """Mesh heartbeats are understood as plain direct evidence, so a
-        mixed-mode cluster degrades gracefully instead of crashing."""
-        self._hear_direct(
-            heartbeat.sender,
-            heartbeat.incarnation,
-            heartbeat.view_counter,
-            heartbeat.config_view_id,
-        )
-
     # ------------------------------------------------------------------
     # dispatch (the P201 site for the swim wire vocabulary)
     # ------------------------------------------------------------------
-    MESSAGE_TYPES: "tuple[type[Any], ...]" = (
-        SwimPing,
-        SwimAck,
-        SwimPingReq,
-        SwimDigest,
-    )
-
-    def owns(self, payload: Any) -> bool:
-        """True for payloads this detector dispatches (used by the daemon
-        to gate the partition-amnesia eviction branch without creating a
-        second dispatch site)."""
-        return type(payload) in self.MESSAGE_TYPES
-
     def on_message(self, payload: Any, sender: NodeId) -> bool:
-        """Dispatch one received swim payload; returns False for
-        anything that is not part of the swim vocabulary."""
+        """Dispatch one received liveness payload; returns False for
+        anything else.  Mesh heartbeats are understood as plain direct
+        evidence, so a mixed-mode cluster degrades gracefully instead of
+        crashing."""
+        if isinstance(payload, Heartbeat):
+            self._hear_direct(
+                payload.sender,
+                payload.incarnation,
+                payload.view_counter,
+                payload.config_view_id,
+            )
+            return True
         if isinstance(payload, SwimPing):
             self._on_ping(payload)
         elif isinstance(payload, SwimAck):
@@ -333,6 +307,27 @@ class SwimDetector:
     # ------------------------------------------------------------------
     # probe rounds
     # ------------------------------------------------------------------
+    def start(self, first_delay: float | None) -> None:
+        """Arm the probe round: its own cadence, beside the host's protocol
+        tick (which keeps driving :meth:`check`).  The handle is dropped —
+        a crash stops it with every other timer of the host."""
+        self._host.set_periodic_timer(
+            self.settings.probe_interval,
+            self.on_probe_tick,
+            label=f"swim:{self.me}",
+            first_delay=first_delay,
+        )
+
+    def on_tick(self) -> None:
+        """Nothing rides the host's tick: probes have their own timer."""
+
+    def _schedule(self, delay: float, callback: Callable[[], None]) -> None:
+        """One-shot timers for the probe state machine.  The handles are
+        deliberately dropped: probe deadlines are keyed by sequence number
+        (a late firing for an acked probe is a no-op), and a crash cancels
+        them with every other timer of the host."""
+        self._host.set_timer(delay, callback, label=f"swim:{self.me}")
+
     def on_probe_tick(self) -> None:
         """One SWIM round: probe the next ring peer, occasionally probe a
         dead/unknown world member (rejoin path), run anti-entropy."""

@@ -62,6 +62,54 @@ class ClientApp:
         self.failed.append((group, payload))
 
 
+class FakeHost:
+    """A :class:`repro.gcs.detector.DetectorHost` made of fakes, for
+    driving a detector without a daemon: manual clock, recorded sends and
+    one-shot timers, fixed liveness header."""
+
+    def __init__(self, node_id="me", world=(), settings=None):
+        self.node_id = node_id
+        self.world = list(world)
+        self.settings = settings or GcsSettings()
+        self.clock = 0.0
+        self.incarnation = 0
+        self.sent = []  # (dest, payload, kind)
+        self.timers = []  # (fire_at, callback)
+        self.periodic = []  # (period, callback, first_delay)
+        self.changes = 0
+
+    def now(self):
+        return self.clock
+
+    def liveness_header(self):
+        return (self.incarnation, 0, None)
+
+    def send_protocol(self, dest, payload, kind, size=1):
+        self.sent.append((dest, payload, kind))
+
+    def quiet_since(self, peer):
+        return float("-inf")
+
+    def set_timer(self, delay, callback, label=""):
+        self.timers.append((self.clock + delay, callback))
+
+    def set_periodic_timer(self, period, callback, label="", first_delay=None):
+        self.periodic.append((period, callback, first_delay))
+
+    def on_detector_change(self):
+        self.changes += 1
+
+    def advance(self, dt):
+        """Move the clock and fire due one-shot timers in order."""
+        self.clock += dt
+        due = sorted(
+            (t for t in self.timers if t[0] <= self.clock), key=lambda t: t[0]
+        )
+        self.timers = [t for t in self.timers if t[0] > self.clock]
+        for _at, callback in due:
+            callback()
+
+
 class GcsWorld:
     """A small test cluster: simulator, network, N daemons with apps."""
 

@@ -53,7 +53,7 @@ class TestBatchingWire:
         # first message waited too and nothing repaired a lost tail.)
         assert batches == 2 * 3 + _TAIL_REPEATS * 3
 
-    def test_zero_window_restores_unbatched_wire_format(self):
+    def test_zero_window_sends_a_batch_of_one_per_message(self):
         world = GcsWorld(3, settings=GcsSettings(batch_window=0.0))
         world.settle()
         _join_all(world)
@@ -63,10 +63,11 @@ class TestBatchingWire:
         world.run(2.0)
         for node in world.daemon_ids:
             assert world.apps[node].payloads("g") == list(range(10))
-        # ... tail repeats included: unbatched, the tail is re-announced as
-        # a plain Sequenced (10 messages + the repeats, to 2 peers each)
-        assert world.network.sent_count("s0", "gcs.sequenced_batch") == 0
-        assert world.network.sent_count("s0", "gcs.sequenced") == (
+        # no spacing, no coalescing: each of the 10 messages leaves in its
+        # own event as a batch of one, then the tail repeats (to 2 peers
+        # each) — as many frames as when a zero window selected a wire form
+        # of its own, one bare Sequenced per message
+        assert world.network.sent_count("s0", "gcs.sequenced_batch") == (
             10 * 2 + _TAIL_REPEATS * 2
         )
 

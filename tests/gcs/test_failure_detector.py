@@ -3,23 +3,13 @@ and the stale-incarnation guard."""
 
 from repro.gcs.failure_detector import FailureDetector
 from repro.gcs.messages import Heartbeat
-
-
-class Clock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
+from repro.gcs.settings import GcsSettings
+from tests.gcs.conftest import FakeHost
 
 
 def make_detector(timeout=0.35):
-    clock = Clock()
-    changes = []
-    detector = FailureDetector(
-        "me", timeout, clock, lambda: changes.append(clock.now)
-    )
-    return detector, clock, changes
+    host = FakeHost(settings=GcsSettings(suspect_timeout=timeout))
+    return FailureDetector(host), host
 
 
 def beat(peer, incarnation=0, view_counter=0):
@@ -32,22 +22,22 @@ def beat(peer, incarnation=0, view_counter=0):
 
 
 def test_idle_checks_are_o1_until_the_bound_passes():
-    detector, clock, _ = make_detector(timeout=1.0)
+    detector, host = make_detector(timeout=1.0)
     for i in range(50):
         detector.on_heartbeat(beat(f"p{i}"))
     # well before any peer can expire: every check returns on the bound
     for _ in range(10):
-        clock.now += 0.05
+        host.clock += 0.05
         detector.check()
     assert detector.idle_checks == 10
     assert detector.full_scans == 0
     # past the bound: exactly one full scan, which expires everyone
-    clock.now = 2.5
+    host.clock = 2.5
     detector.check()
     assert detector.full_scans == 1
     assert detector.alive_peers() == frozenset()
     # with nobody alive the bound is +inf again: back to O(1) idling
-    clock.now = 100.0
+    host.clock = 100.0
     detector.check()
     assert detector.idle_checks == 11
     assert detector.full_scans == 1
@@ -58,43 +48,43 @@ def test_bound_never_misses_an_expiry():
     bound is allowed to be stale-low, costing a redundant scan — but an
     expired peer must be caught the first time the clock passes its
     deadline)."""
-    detector, clock, _ = make_detector(timeout=1.0)
+    detector, host = make_detector(timeout=1.0)
     detector.on_heartbeat(beat("a"))
     detector.on_heartbeat(beat("b"))
-    clock.now = 0.9
+    host.clock = 0.9
     detector.on_heartbeat(beat("b"))  # refresh b; a expires at 1.0
-    clock.now = 1.01
+    host.clock = 1.01
     detector.check()
     assert detector.alive_peers() == frozenset({"b"})
     # b's refreshed deadline is 1.9; the scan recomputed the bound to it
-    clock.now = 1.5
+    host.clock = 1.5
     detector.check()
     assert "b" in detector.alive_peers()
-    clock.now = 1.91
+    host.clock = 1.91
     detector.check()
     assert detector.alive_peers() == frozenset()
 
 
 def test_reviving_peer_rearms_the_bound():
-    detector, clock, _ = make_detector(timeout=1.0)
+    detector, host = make_detector(timeout=1.0)
     detector.on_heartbeat(beat("a"))
-    clock.now = 2.0
+    host.clock = 2.0
     detector.check()
     assert detector.alive_peers() == frozenset()
     # silence forever would keep the bound at +inf; a revival must re-arm
     detector.on_heartbeat(beat("a"))
-    clock.now = 3.5
+    host.clock = 3.5
     detector.check()
     assert detector.alive_peers() == frozenset()
 
 
 def test_observe_traffic_on_new_peer_arms_bound():
-    detector, clock, _ = make_detector(timeout=1.0)
+    detector, host = make_detector(timeout=1.0)
     detector.on_heartbeat(beat("a"))
-    clock.now = 2.0
+    host.clock = 2.0
     detector.check()  # a expired; bound now +inf
     detector.observe_traffic("a")  # revived through piggybacked traffic
-    clock.now = 3.5
+    host.clock = 3.5
     detector.check()
     assert detector.alive_peers() == frozenset()
 
@@ -105,15 +95,15 @@ def test_observe_traffic_on_new_peer_arms_bound():
 
 
 def test_lower_incarnation_heartbeat_is_ignored():
-    detector, clock, changes = make_detector(timeout=1.0)
+    detector, host = make_detector(timeout=1.0)
     detector.on_heartbeat(beat("a", incarnation=3))
-    clock.now = 0.99
-    stale = len(changes)
+    host.clock = 0.99
+    stale = host.changes
     detector.on_heartbeat(beat("a", incarnation=2))
     # neither the incarnation nor the liveness clock moved
     assert detector.incarnation_of("a") == 3
-    assert len(changes) == stale
-    clock.now = 1.01
+    assert host.changes == stale
+    host.clock = 1.01
     detector.check()
     assert detector.alive_peers() == frozenset(), (
         "a stale pre-restart heartbeat must not extend aliveness"
@@ -121,9 +111,9 @@ def test_lower_incarnation_heartbeat_is_ignored():
 
 
 def test_lower_incarnation_does_not_resurrect_expired_peer():
-    detector, clock, _ = make_detector(timeout=1.0)
+    detector, host = make_detector(timeout=1.0)
     detector.on_heartbeat(beat("a", incarnation=5))
-    clock.now = 2.0
+    host.clock = 2.0
     detector.check()
     assert detector.alive_peers() == frozenset()
     detector.on_heartbeat(beat("a", incarnation=4))
@@ -132,9 +122,9 @@ def test_lower_incarnation_does_not_resurrect_expired_peer():
 
 
 def test_higher_incarnation_still_fires_change():
-    detector, _clock, changes = make_detector()
+    detector, host = make_detector()
     detector.on_heartbeat(beat("a", incarnation=0))
-    before = len(changes)
+    before = host.changes
     detector.on_heartbeat(beat("a", incarnation=1))
     assert detector.incarnation_of("a") == 1
-    assert len(changes) == before + 1
+    assert host.changes == before + 1

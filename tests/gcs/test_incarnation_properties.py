@@ -10,6 +10,7 @@ from repro.gcs.failure_detector import FailureDetector
 from repro.gcs.messages import Heartbeat, SwimPing, SwimUpdate
 from repro.gcs.settings import GcsSettings
 from repro.gcs.swim import SWIM_DEAD, SWIM_SUSPECT, SwimDetector
+from tests.gcs.conftest import FakeHost
 
 
 # ---------------------------------------------------------------------------
@@ -22,11 +23,11 @@ def test_mesh_recorded_incarnation_is_running_max(incarnations):
     """For ANY interleaving of heartbeat incarnations (restarts racing
     stale in-flight traffic), the detector tracks exactly the running
     maximum — lower values never roll it back or count as liveness."""
-    clock = [0.0]
-    detector = FailureDetector("me", 1.0, lambda: clock[0], lambda: None)
+    host = FakeHost(settings=GcsSettings(suspect_timeout=1.0))
+    detector = FailureDetector(host)
     running_max = None
     for incarnation in incarnations:
-        clock[0] += 0.01
+        host.clock += 0.01
         detector.on_heartbeat(Heartbeat("peer", incarnation, 0))
         running_max = (
             incarnation
@@ -46,12 +47,12 @@ def test_mesh_stale_heartbeat_never_extends_aliveness(new_inc, age):
     old_inc = new_inc - 1 - age if new_inc - 1 - age >= 0 else 0
     if old_inc >= new_inc:
         return
-    clock = [0.0]
-    detector = FailureDetector("me", 1.0, lambda: clock[0], lambda: None)
+    host = FakeHost(settings=GcsSettings(suspect_timeout=1.0))
+    detector = FailureDetector(host)
     detector.on_heartbeat(Heartbeat("peer", new_inc, 0))
-    clock[0] = 0.99
+    host.clock = 0.99
     detector.on_heartbeat(Heartbeat("peer", old_inc, 0))
-    clock[0] = 1.01
+    host.clock = 1.01
     detector.check()
     assert detector.alive_peers() == frozenset()
 
@@ -62,18 +63,10 @@ def test_mesh_stale_heartbeat_never_extends_aliveness(new_inc, age):
 
 
 def make_swim():
-    sent = []
-    detector = SwimDetector(
-        "n0",
-        ["n0", "n1", "n2"],
-        GcsSettings(membership_mode="gossip"),
-        lambda: 0.0,
-        lambda: None,
-        lambda dest, payload, kind, size: sent.append((dest, payload, kind)),
-        lambda: (0, 0, None),
-        lambda delay, cb: None,
+    host = FakeHost(
+        "n0", ["n0", "n1", "n2"], GcsSettings(membership_mode="gossip")
     )
-    return detector, sent
+    return SwimDetector(host), host.sent
 
 
 @given(

@@ -69,10 +69,10 @@ class TestNackHandling:
         sequencer = world.daemons["s0"]
         assert sequencer.config.sequencer == "s0"
         # simulate s2 reporting a gap it actually has no gap for: the
-        # sequencer resends whatever it holds for those seqs — as one
-        # batch when batching is on, as individual messages when off
+        # sequencer resends whatever it holds for those seqs, as one batch
+        # (whatever the spacing: a NACK answer is not a dissemination)
         held = sorted(sequencer.holdback.all_received())
-        kind = "gcs.sequenced_batch" if batching else "gcs.sequenced"
+        kind = "gcs.sequenced_batch"
         before = world.network.sent_count("s0", kind)
         sequencer._on_nack_seqs(
             NackSeqs(
@@ -83,31 +83,40 @@ class TestNackHandling:
         )
         world.run(0.5)
         after = world.network.sent_count("s0", kind)
-        expected = 1 if batching else min(2, len(held))
-        assert after == before + expected
+        assert after == before + 1
 
-    def test_non_sequencer_ignores_nack(self):
+    @staticmethod
+    def world_with_seq_0_ordered():
+        """Both daemons hold seq 0, so a NACK for it *could* be answered
+        (and the sequencer's tail repeats are over, so the counts rest)."""
         world = GcsWorld(2)
         world.settle()
+        world.daemons["s0"].join("g")
+        world.run(1.0)
+        return world
+
+    def test_non_sequencer_ignores_nack(self):
+        world = self.world_with_seq_0_ordered()
         follower = world.daemons["s1"]
-        before = world.network.sent_count("s1", "gcs.sequenced")
+        assert follower.holdback.get(0) is not None
+        before = world.network.sent_count("s1", "gcs.sequenced_batch")
         follower._on_nack_seqs(
             NackSeqs(config_view_id=follower.config.view_id, seqs=(0,)),
             sender="s0",
         )
         world.run(0.5)
-        assert world.network.sent_count("s1", "gcs.sequenced") == before
+        assert world.network.sent_count("s1", "gcs.sequenced_batch") == before
 
     def test_stale_view_nack_ignored(self):
-        world = GcsWorld(2)
-        world.settle()
+        world = self.world_with_seq_0_ordered()
         sequencer = world.daemons["s0"]
-        before = world.network.sent_count("s0", "gcs.sequenced")
+        assert sequencer.holdback.get(0) is not None
+        before = world.network.sent_count("s0", "gcs.sequenced_batch")
         sequencer._on_nack_seqs(
             NackSeqs(config_view_id=ViewId(999, "zz"), seqs=(0,)), sender="s1"
         )
         world.run(0.5)
-        assert world.network.sent_count("s0", "gcs.sequenced") == before
+        assert world.network.sent_count("s0", "gcs.sequenced_batch") == before
 
 
 def drop_disseminations(world, to, sequencer="s0"):
@@ -176,7 +185,7 @@ class TestTailLossRepair:
 
     def test_repeats_are_bounded_and_cost_nothing_under_traffic(self, batching):
         world = self.world(batching)
-        kind = "gcs.sequenced_batch" if batching else "gcs.sequenced"
+        kind = "gcs.sequenced_batch"
         world.network.reset_stats()
         for index in range(40):  # a dissemination in every tick interval
             world.daemons["s1"].mcast("g", index)

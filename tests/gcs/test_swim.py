@@ -4,10 +4,12 @@ dispatch/refutation machinery."""
 
 import pytest
 
-from tests.gcs.conftest import GcsWorld
+from tests.gcs.conftest import FakeHost, GcsWorld
 
+from repro.chaos.config import AmnesiacDetector
 from repro.gcs.messages import (
     Heartbeat,
+    PtpData,
     SwimAck,
     SwimDigest,
     SwimPing,
@@ -39,7 +41,7 @@ def test_gossip_detects_crash_and_evicts():
     world.daemons["s4"].crash()
     world.settle()
     world.assert_single_view(expected_members=["s0", "s1", "s2", "s3"])
-    detector = world.daemons["s0"].swim
+    detector = world.daemons["s0"].fd
     assert detector.evictions >= 1
     world.check_spec()
 
@@ -69,11 +71,13 @@ def test_gossip_partition_forms_two_views_then_remerges():
 
 
 def test_gossip_amnesia_plant_prevents_remerge():
-    """With readmit_evicted off (the partition-amnesia chaos plant) the
-    healed components must keep distrusting each other in gossip mode
-    exactly as in mesh mode — swim liveness evidence from evicted members
-    is dropped at the daemon's dispatch gate."""
-    world = GcsWorld(5, settings=gossip_settings(readmit_evicted=False))
+    """Under the partition-amnesia chaos plant the healed components must
+    keep distrusting each other in gossip mode exactly as in mesh mode —
+    swim liveness evidence from evicted members is swallowed by the
+    wrapper in front of each daemon's detector."""
+    world = GcsWorld(5, settings=gossip_settings())
+    for daemon in world.daemons.values():
+        daemon.fd = AmnesiacDetector(daemon)
     world.settle()
     world.network.topology.partition({"s0", "s1"}, {"s2", "s3", "s4"})
     world.settle()
@@ -89,7 +93,7 @@ def test_gossip_no_false_suspicions_on_clean_network():
     world.run(5.0)
     world.assert_single_view(expected_members=world.daemon_ids)
     for daemon in world.daemons.values():
-        assert daemon.swim.evictions == 0
+        assert daemon.fd.evictions == 0
     world.check_spec()
 
 
@@ -116,41 +120,14 @@ def test_unknown_membership_mode_rejected():
 # ---------------------------------------------------------------------------
 
 
-class SwimHarness:
-    """A SwimDetector wired to fakes: manual clock, recorded sends and
-    timers, fixed local state."""
+class SwimHarness(FakeHost):
+    """A SwimDetector on a :class:`FakeHost`."""
 
     def __init__(self, me="n0", world=("n0", "n1", "n2", "n3"), **overrides):
-        self.now = 0.0
-        self.sent = []  # (dest, payload, kind)
-        self.changes = 0
-        self.timers = []  # (fire_at, callback)
-        self.incarnation = 0
-        self.detector = SwimDetector(
-            me,
-            list(world),
-            GcsSettings(membership_mode="gossip", **overrides),
-            lambda: self.now,
-            self._on_change,
-            lambda dest, payload, kind, size: self.sent.append(
-                (dest, payload, kind)
-            ),
-            lambda: (self.incarnation, 0, None),
-            lambda delay, cb: self.timers.append((self.now + delay, cb)),
+        super().__init__(
+            me, world, GcsSettings(membership_mode="gossip", **overrides)
         )
-
-    def _on_change(self):
-        self.changes += 1
-
-    def advance(self, dt):
-        """Move the clock and fire due one-shot timers in order."""
-        self.now += dt
-        due = sorted(
-            (t for t in self.timers if t[0] <= self.now), key=lambda t: t[0]
-        )
-        self.timers = [t for t in self.timers if t[0] > self.now]
-        for _at, callback in due:
-            callback()
+        self.detector = SwimDetector(self)
 
 
 def ping_from(sender, updates=(), incarnation=0, seq=0):
@@ -165,12 +142,16 @@ def test_direct_ping_is_acked():
     assert isinstance(payload, SwimAck) and payload.probe_seq == 7
 
 
-def test_non_swim_payload_not_owned():
+def test_only_liveness_payloads_are_consumed():
     h = SwimHarness()
-    heartbeat = Heartbeat("n1", 0, 0)
-    assert not h.detector.owns(heartbeat)
-    assert not h.detector.on_message(heartbeat, "n1")
-    assert h.detector.owns(ping_from("n1"))
+    assert not h.detector.on_message(PtpData("hello"), "n1")
+    assert h.detector.alive_peers() == frozenset()
+    # a mesh heartbeat is direct evidence (mixed-mode clusters degrade
+    # gracefully), and the swim vocabulary is the detector's own
+    assert h.detector.on_message(Heartbeat("n1", 3, 0), "n1")
+    assert h.detector.alive_peers() == {"n1"}
+    assert h.detector.incarnation_of("n1") == 3
+    assert h.detector.on_message(ping_from("n2"), "n2")
 
 
 def test_unacked_probe_escalates_to_indirect_then_suspicion():
@@ -195,7 +176,7 @@ def test_unacked_probe_escalates_to_indirect_then_suspicion():
     assert h.detector.suspicions_started == 1
     assert target in h.detector.alive_peers()  # suspicion is not eviction
     # unrefuted suspicion expires into eviction
-    h.now += 10.0
+    h.clock += 10.0
     h.detector.check()
     assert target not in h.detector.alive_peers()
     assert h.detector.evictions == 1
@@ -212,7 +193,7 @@ def test_ack_in_time_prevents_suspicion():
         SwimAck(target, 0, 0, None, ping.probe_seq, None, ()), target
     )
     h.advance(1.0)
-    h.now += 10.0
+    h.clock += 10.0
     h.detector.check()
     assert h.detector.suspicions_started == 0
     assert target in h.detector.alive_peers()

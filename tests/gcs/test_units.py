@@ -16,6 +16,7 @@ from repro.gcs.ordering import (
 )
 from repro.gcs.settings import DURATION_FIELDS, GcsSettings
 from repro.gcs.view import Configuration, GroupView, ViewId
+from tests.gcs.conftest import FakeHost
 
 
 def req(origin, counter, group="g", payload=None, incarnation=0):
@@ -360,20 +361,15 @@ class TestGroupMap:
 
 class TestFailureDetector:
     def make_fd(self):
-        self.now = 0.0
-        self.changes = 0
-
-        def bump():
-            self.changes += 1
-
-        return FailureDetector("me", 1.0, lambda: self.now, bump)
+        self.host = FakeHost(settings=GcsSettings(suspect_timeout=1.0))
+        return FailureDetector(self.host)
 
     def test_alive_after_heartbeat(self):
         fd = self.make_fd()
         fd.on_heartbeat(Heartbeat("p1", 0, 0))
         assert fd.alive_peers() == {"p1"}
         assert fd.alive_set() == {"me", "p1"}
-        assert self.changes == 1
+        assert self.host.changes == 1
 
     def test_own_heartbeat_ignored(self):
         fd = self.make_fd()
@@ -383,19 +379,19 @@ class TestFailureDetector:
     def test_expiry_after_timeout(self):
         fd = self.make_fd()
         fd.on_heartbeat(Heartbeat("p1", 0, 0))
-        self.now = 0.9
+        self.host.clock = 0.9
         fd.check()
         assert fd.alive_peers() == {"p1"}
-        self.now = 1.1
+        self.host.clock = 1.1
         fd.check()
         assert fd.alive_peers() == frozenset()
-        assert self.changes == 2
+        assert self.host.changes == 2
 
     def test_incarnation_change_fires_change(self):
         fd = self.make_fd()
         fd.on_heartbeat(Heartbeat("p1", 0, 0))
         fd.on_heartbeat(Heartbeat("p1", 1, 0))
-        assert self.changes == 2
+        assert self.host.changes == 2
         assert fd.incarnation_of("p1") == 1
 
     def test_steady_heartbeats_do_not_fire_changes(self):
@@ -403,14 +399,14 @@ class TestFailureDetector:
         fd.on_heartbeat(Heartbeat("p1", 0, 0))
         for _ in range(5):
             fd.on_heartbeat(Heartbeat("p1", 0, 0))
-        assert self.changes == 1
+        assert self.host.changes == 1
 
     def test_forget(self):
         fd = self.make_fd()
         fd.on_heartbeat(Heartbeat("p1", 0, 0))
         fd.forget("p1")
         assert fd.alive_peers() == frozenset()
-        assert self.changes == 2
+        assert self.host.changes == 2
 
     def test_tracks_max_view_counter(self):
         fd = self.make_fd()

@@ -137,17 +137,53 @@ def _stable(value) -> str:
     return text if "0x" not in text else f"<{type(value).__name__}>"
 
 
+#: most characters handed to the hash at once
+_DIGEST_CHUNK = 1 << 16
+#: most distinct details one digest remembers
+_DETAIL_MEMO = 4096
+
+
+def _detail_renderer():
+    """``_stable`` for trace details, remembering what it returned for
+    details made of ``str`` keys and ``str`` values — 99 % of a run's
+    records (``net.deliver``: sender and kind), in a few dozen distinct
+    combinations.  The memo is keyed by the items and holds ``_stable``'s
+    own output; the types are checked exactly, so no two keys that compare
+    equal (``1``, ``True``, a ``str`` subclass with its own ``repr``) can
+    stand for details that ``_stable`` would print differently."""
+    seen: dict[tuple, str] = {}
+
+    def render(detail: dict) -> str:
+        for name, value in detail.items():
+            if type(name) is not str or type(value) is not str:
+                return _stable(detail)
+        key = tuple(detail.items())
+        text = seen.get(key)
+        if text is None:
+            text = _stable(detail)
+            if len(seen) < _DETAIL_MEMO:
+                seen[key] = text
+        return text
+
+    return render
+
+
 def trace_digest(trace) -> str:
     """SHA-256 over the full event trace: two runs are *the same run*
     iff their digests match (times, nodes, categories and details)."""
     digest = hashlib.sha256()
-    for event in trace.events:
-        line = (
-            f"{event.time!r}|{event.node}|{event.category}|"
-            + _stable(event.detail)
-        )
-        digest.update(line.encode())
-        digest.update(b"\n")
+    render = _detail_renderer()
+    lines: list[str] = []
+    size = 0
+    for event in trace:
+        line = f"{event.time!r}|{event.node}|{event.category}|{render(event.detail)}\n"
+        if size + len(line) > _DIGEST_CHUNK and lines:
+            digest.update("".join(lines).encode())
+            lines.clear()
+            size = 0
+        lines.append(line)
+        size += len(line)
+    digest.update("".join(lines).encode())
     return digest.hexdigest()
 
 

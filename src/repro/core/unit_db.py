@@ -86,7 +86,17 @@ class UnitDatabase:
             return False
         if snapshot.freshness_key() <= record.snapshot.freshness_key():
             return False
-        self._sessions[session_id] = replace(record, snapshot=snapshot)
+        # spelled out: this runs once per propagation per replica, and
+        # ``dataclasses.replace`` costs several times the constructor
+        self._sessions[session_id] = SessionRecord(
+            session_id=record.session_id,
+            client_id=record.client_id,
+            unit_id=record.unit_id,
+            params=record.params,
+            primary=record.primary,
+            backups=record.backups,
+            snapshot=snapshot,
+        )
         return True
 
     # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ These ride inside GCS multicasts (ordered) or point-to-point sends
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from repro.core.context import ContextDelta, ContextSnapshot
@@ -114,14 +115,16 @@ class Propagate:
 
     ``size_estimate`` is the real wire cost of whichever form is carried,
     so the load accounting prices the propagation-frequency knob by what
-    actually crosses the wire."""
+    actually crosses the wire.  It is worked out once per object: the
+    simulator hands the sender's object to every receiver, and each one
+    accounts for it."""
 
     session_id: str
     unit_id: str
     snapshot: ContextSnapshot | None = None
     delta: ContextDelta | None = None
 
-    @property
+    @cached_property
     def size_estimate(self) -> int:
         body = self.snapshot if self.snapshot is not None else self.delta
         return body.size_estimate

@@ -65,11 +65,13 @@ class FaultTarget(Protocol):
 def apply(cluster: FaultTarget, event: FaultEvent) -> None:
     """Trace one fault event and apply it to the cluster."""
     now = cluster.sim.now
-    cluster.trace_log().record(
+    # the args go in as a dict: an artifact's may hold any key, ``time``
+    # or ``node`` included
+    cluster.trace_log().record_detail(
         now,
         event.target if event.target is not None else "net",
         f"fault.{event.kind}",
-        **event.args,
+        dict(event.args),
     )
     kind, args = event.kind, event.args
     server = cluster.servers.get(event.target)

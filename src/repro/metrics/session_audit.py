@@ -231,7 +231,7 @@ def primary_intervals(cluster, session_id: str) -> dict[str, list[tuple[float, f
     trace = cluster.trace_log()
     open_at: dict[str, float] = {}
     intervals: dict[str, list[tuple[float, float]]] = {}
-    for event in trace.events:
+    for event in trace.in_categories("fw.promote", "fw.demote", "process.crash"):
         node = event.node
         if event.category == "fw.promote" and event.detail.get("session") == session_id:
             open_at[node] = event.time

@@ -186,13 +186,7 @@ class LiveNetwork(Network):
             send_time=self.sim.now,
             msg_id=next(self._msg_ids),
         )
-        # mirror the parent's sender-side accounting so higher layers
-        # (heartbeat piggybacking, E2 load metrics) see one coherent view
-        self.total_sent += 1
-        self._last_send[(sender, receiver)] = self.sim.now
-        sent_stats = self._stats_sent[sender][kind]
-        sent_stats.sent += 1
-        sent_stats.bytes_sent += size
+        self._account_send((sender, receiver), kind, size, message.send_time)
         frame = encode_envelope_frame(
             sender, receiver, kind, size, self._payload_bytes(payload)
         )

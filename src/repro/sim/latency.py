@@ -3,6 +3,16 @@
 A latency model maps a ``(sender, receiver)`` pair to a one-way delay for a
 particular message.  Models draw jitter from a named RNG stream so that the
 sequence of draws — and hence the entire simulation — is reproducible.
+
+The random models draw ``_BLOCK`` delays at a time and hand them out in
+order.  A numpy ``Generator`` fills an array from the same bit stream as
+that many scalar calls, so the delays are bit-identical to scalar draws
+(``tests/sim/test_rng_latency_trace.py`` pins the equivalence) at a
+fraction of the per-call cost.  The price is the **one-consumer rule**: a
+block-drawing model must be the only consumer of its generator, because
+anything else drawing from it would see the stream a block ahead.
+:class:`~repro.sim.rng.RngRegistry` gives every consumer its own named
+stream, which is how ``src/`` builds them.
 """
 
 from __future__ import annotations
@@ -10,6 +20,9 @@ from __future__ import annotations
 from typing import Hashable, Protocol
 
 import numpy as np
+
+#: delays drawn per generator call by the random models
+_BLOCK = 512
 
 
 class LatencyModel(Protocol):
@@ -33,7 +46,11 @@ class FixedLatency:
 
 
 class UniformLatency:
-    """Uniformly distributed delay in ``[low, high]``."""
+    """Uniformly distributed delay in ``[low, high]``.
+
+    Draws in blocks: ``rng`` must have no other consumer (module
+    docstring, the one-consumer rule).
+    """
 
     def __init__(self, low: float, high: float, rng: np.random.Generator) -> None:
         if not 0 <= low <= high:
@@ -41,9 +58,16 @@ class UniformLatency:
         self.low = low
         self.high = high
         self._rng = rng
+        self._block: list[float] = []
 
     def sample(self, sender: Hashable, receiver: Hashable) -> float:
-        return float(self._rng.uniform(self.low, self.high))
+        block = self._block
+        if not block:
+            # reversed, so handing out in draw order is a pop from the end
+            block = self._rng.uniform(self.low, self.high, _BLOCK).tolist()
+            block.reverse()
+            self._block = block
+        return block.pop()
 
 
 class LogNormalLatency:
@@ -52,6 +76,9 @@ class LogNormalLatency:
     ``median`` is the median delay; ``sigma`` controls the tail.  A floor of
     ``minimum`` keeps pathological near-zero draws from reordering the
     conceptual wire (FIFO is enforced by the network regardless).
+
+    Draws in blocks: ``rng`` must have no other consumer (module
+    docstring, the one-consumer rule).
     """
 
     def __init__(
@@ -67,10 +94,16 @@ class LogNormalLatency:
         self.sigma = sigma
         self.minimum = minimum
         self._rng = rng
+        self._block: list[float] = []
 
     def sample(self, sender: Hashable, receiver: Hashable) -> float:
-        draw = float(self._rng.lognormal(mean=np.log(self.median), sigma=self.sigma))
-        return max(self.minimum, draw)
+        block = self._block
+        if not block:
+            draws = self._rng.lognormal(np.log(self.median), self.sigma, _BLOCK)
+            block = np.maximum(draws, self.minimum).tolist()
+            block.reverse()
+            self._block = block
+        return block.pop()
 
 
 class PairwiseLatency:

@@ -33,6 +33,7 @@ import itertools
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
@@ -105,6 +106,9 @@ class Network:
         "_msg_ids",
         "_last_delivery",
         "_last_send",
+        "_verdicts",
+        "_verdicts_generation",
+        "_deliver_labels",
         "_stats_sent",
         "_stats_received",
         "total_sent",
@@ -146,6 +150,11 @@ class Network:
         self._msg_ids = itertools.count()
         self._last_delivery: dict[tuple[NodeId, NodeId], float] = {}
         self._last_send: dict[tuple[NodeId, NodeId], float] = {}
+        # ``topology.connected`` per ordered pair, valid for one topology
+        # generation (see ``_connected``)
+        self._verdicts: dict[tuple[NodeId, NodeId], bool] = {}
+        self._verdicts_generation = self.topology.generation
+        self._deliver_labels: dict[str, str] = {}
         self._stats_sent: dict[NodeId, dict[str, LinkStats]] = defaultdict(
             lambda: defaultdict(LinkStats)
         )
@@ -274,22 +283,15 @@ class Network:
         Delivery is still conditional on connectivity and receiver liveness
         at arrival time.
         """
+        now = self.sim.now
         message = Message(
-            sender=sender,
-            receiver=receiver,
-            payload=payload,
-            kind=kind,
-            size=size,
-            send_time=self.sim.now,
-            msg_id=next(self._msg_ids),
+            sender, receiver, payload, kind, size, now, next(self._msg_ids)
         )
-        self.total_sent += 1
-        self._last_send[(sender, receiver)] = self.sim.now
-        sent_stats = self._stats_sent[sender][kind]
-        sent_stats.sent += 1
-        sent_stats.bytes_sent += size
+        # the one key of this link: last send, verdict, extra delay, FIFO
+        key = (sender, receiver)
+        self._account_send(key, kind, size, now)
 
-        if not self.topology.connected(sender, receiver):
+        if not self._connected(key):
             self._drop(message, reason="disconnected-at-send")
             return message
         if (
@@ -301,14 +303,14 @@ class Network:
             return message
 
         latency = self.latency_model.sample(sender, receiver)
-        latency += self._link_extra_delay.get((sender, receiver), 0.0)
-        arrival = self.sim.now + latency
+        if self._link_extra_delay:
+            latency += self._link_extra_delay.get(key, 0.0)
+        arrival = now + latency
         reordered = (
             self.reorder_probability > 0.0
             and sender != receiver
             and self._chaos_rng.random() < self.reorder_probability
         )
-        key = (sender, receiver)
         if reordered:
             # FIFO-exempt: an extra bounded delay without advancing the
             # pair's monotone clamp, so later sends can overtake this one.
@@ -320,9 +322,10 @@ class Network:
             if arrival <= previous:
                 arrival = previous + 1e-9
             self._last_delivery[key] = arrival
-        self.sim.schedule_at(
-            arrival, lambda: self._deliver(message), label=f"deliver:{kind}"
-        )
+        label = self._deliver_labels.get(kind)
+        if label is None:
+            label = self._deliver_labels[kind] = f"deliver:{kind}"
+        self.sim.schedule_at(arrival, partial(self._deliver, message), label)
         if (
             self.duplicate_probability > 0.0
             and sender != receiver
@@ -332,9 +335,37 @@ class Network:
             echo = arrival + float(self._chaos_rng.uniform(0.0, 0.002))
             self.total_duplicated += 1
             self.sim.schedule_at(
-                echo, lambda: self._deliver(message), label=f"deliver-dup:{kind}"
+                echo, partial(self._deliver, message), f"deliver-dup:{kind}"
             )
         return message
+
+    def _account_send(
+        self, key: tuple[NodeId, NodeId], kind: str, size: int, now: float
+    ) -> None:
+        """Sender-side bookkeeping of one send on link ``key`` — shared
+        with :class:`~repro.net.runtime.LiveNetwork`, whose remote sends
+        bypass :meth:`send`, so higher layers (heartbeat piggybacking, E2
+        load metrics) see one coherent view on both runtimes."""
+        self.total_sent += 1
+        self._last_send[key] = now
+        sent_stats = self._stats_sent[key[0]][kind]
+        sent_stats.sent += 1
+        sent_stats.bytes_sent += size
+
+    def _connected(self, key: tuple[NodeId, NodeId]) -> bool:
+        """``topology.connected(*key)``, asked once per ordered pair per
+        topology generation: every connectivity mutator bumps
+        ``Topology.generation``, and a moved generation drops every
+        cached verdict, so a verdict can never outlive the state it was
+        computed from."""
+        topology = self.topology
+        if topology.generation != self._verdicts_generation:
+            self._verdicts.clear()
+            self._verdicts_generation = topology.generation
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = topology.connected(*key)
+        return verdict
 
     def multicast(
         self,
@@ -356,8 +387,8 @@ class Network:
     # delivery
     # ------------------------------------------------------------------
     def _deliver(self, message: Message) -> None:
-        receiver = message.receiver
-        if not self.topology.connected(message.sender, receiver):
+        sender, receiver = message.sender, message.receiver
+        if not self._connected((sender, receiver)):
             self._drop(message, reason="disconnected-in-flight")
             return
         is_up = self._is_up.get(receiver)
@@ -365,16 +396,13 @@ class Network:
         if handler is None or is_up is None or not is_up():
             self._drop(message, reason="receiver-down")
             return
+        kind = message.kind
         self.total_delivered += 1
-        stats = self._stats_received[receiver][message.kind]
+        stats = self._stats_received[receiver][kind]
         stats.received += 1
         stats.bytes_received += message.size
-        self.trace.record(
-            self.sim.now,
-            receiver,
-            "net.deliver",
-            sender=message.sender,
-            kind=message.kind,
+        self.trace.record_detail(
+            self.sim.now, receiver, "net.deliver", {"sender": sender, "kind": kind}
         )
         handler(message)
 
@@ -382,13 +410,11 @@ class Network:
         self.total_dropped += 1
         self.dropped_by_reason[reason] = self.dropped_by_reason.get(reason, 0) + 1
         self._stats_sent[message.sender][message.kind].record_drop(reason)
-        self.trace.record(
+        self.trace.record_detail(
             self.sim.now,
             message.sender,
             "net.drop",
-            receiver=message.receiver,
-            kind=message.kind,
-            reason=reason,
+            {"receiver": message.receiver, "kind": message.kind, "reason": reason},
         )
 
     # ------------------------------------------------------------------

@@ -246,7 +246,7 @@ class Process:
 
     def trace(self, category: str, **detail: Any) -> None:
         """Record a trace event attributed to this process."""
-        self.network.trace.record(self.sim.now, self.node_id, category, **detail)
+        self.network.trace.record_detail(self.sim.now, self.node_id, category, detail)
 
     # ------------------------------------------------------------------
     # subclass hooks

@@ -1,6 +1,9 @@
 """Unit tests for the chaos engine's pieces: config, generation,
 disruption windows, shrinking, and artifacts (no full cluster runs)."""
 
+import hashlib
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,10 @@ from repro.chaos.artifact import FORMAT, load_artifact, write_artifact
 from repro.chaos.config import ChaosConfig
 from repro.chaos.generator import PROFILES, generate_schedule, resolve_profile
 from repro.chaos.oracles import ORACLES, Violation
-from repro.chaos.runner import disruption_spans
+from repro.chaos.runner import _detail_renderer, _stable, disruption_spans, trace_digest
 from repro.chaos.shrink import shrink_events
 from repro.faults.schedule import FaultSchedule
+from repro.sim.trace import TraceLog
 
 
 class TestConfig:
@@ -206,3 +210,68 @@ class TestOracleTable:
         by_name = {o.name: o for o in ORACLES}
         assert by_name["gcs-spec"].applies_to is None
         assert by_name["convergence"].applies_to is None
+
+
+@dataclass(frozen=True)
+class _View:
+    members: tuple
+    counter: int
+
+
+class _Loud(str):
+    def __repr__(self):
+        return "LOUD"
+
+
+#: what the stack puts in a trace detail, and what could trip a memo keyed
+#: by the items: ``True == 1 == 1.0`` and ``_Loud("s0") == "s0"`` hash and
+#: compare equal yet print differently, as keys and as values
+_DETAILS = [
+    {},
+    {"sender": "s0", "kind": "gcs.heartbeat"},
+    {"kind": "gcs.heartbeat", "sender": "s0"},
+    {"sender": _Loud("s0"), "kind": "gcs.heartbeat"},
+    {"sender": "s0", "kind": "gcs.heartbeat"},
+    {"reason": "it's \"quoted\"\n", "kind": "ünï", "receiver": "c0"},
+    {"a": 1},
+    {"a": True},
+    {"a": 1.0},
+    {1: "x"},
+    {True: "x"},
+    {"1": "x"},
+    {"z": 1, "a": True, "m": 1.0, "k": None, "f": -0.0, "e": 1e-9, "big": 10**30},
+    {"nan": float("nan"), "inf": float("inf")},
+    {"numpy": np.float64(0.25), "count": np.int64(3)},
+    {"members": ("s0", "s1"), "view": _View(("s0",), 4), "by": {"s1": [1, 2]}},
+    {"components": [["s0", "s1"], ["s2"]], "who": frozenset({"b", "a"})},
+    {1: "int key", "1": "str key"},
+    {("a", "b"): 0.5},
+    {"opaque": object()},
+]
+
+
+class TestTraceDigest:
+    def test_remembered_details_are_stable_byte_for_byte(self):
+        render = _detail_renderer()  # one memo across all of them, twice over
+        for detail in _DETAILS + _DETAILS:
+            assert render(detail) == _stable(detail), detail
+
+    def test_a_full_memo_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr("repro.chaos.runner._DETAIL_MEMO", 2)
+        render = _detail_renderer()
+        for i in list(range(5)) * 2:
+            assert render({"k": str(i)}) == _stable({"k": str(i)})
+
+    def test_chunked_hash_equals_the_line_by_line_hash(self):
+        log = TraceLog()
+        for i in range(3000):  # ~200 kB of lines: several chunks
+            log.record(i * 0.001, f"s{i % 5}", "net.deliver", sender="s0", kind="k" * (i % 40))
+        log.record(3.0, "s1", "big", blob="x" * 100_000)  # one line over a chunk
+        log.record(3.0, "s2", "fw.promote", **_DETAILS[15])
+        reference = hashlib.sha256()
+        for event in log.events:
+            line = f"{event.time!r}|{event.node}|{event.category}|" + _stable(event.detail)
+            reference.update(line.encode())
+            reference.update(b"\n")
+        assert trace_digest(log) == reference.hexdigest()
+        assert trace_digest(TraceLog()) == hashlib.sha256().hexdigest()

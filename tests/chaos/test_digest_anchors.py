@@ -10,6 +10,12 @@ Recorded at PR 21 (``ef3619a``), before PR 22 moved the detector wiring
 behind ``repro.gcs.detector`` and the partition-amnesia plant into
 ``repro.chaos``; the heartbeat ``empty``/``mixed`` pair is the one
 ``benchmarks/bench_sim_kernel.py`` carried since PR 16.
+
+The exact counts beside each digest (events executed, messages sent and
+dropped, trace records) and the WAN anchor — the only run on
+``LogNormalLatency`` — were recorded at PR 22 (``b508c6f``), before PR 23
+hoisted the per-message work out of the simulated message path: "the
+same simulation" is these numbers, not only the hash.
 """
 
 import dataclasses
@@ -19,8 +25,9 @@ import pytest
 
 from repro.chaos import ChaosConfig
 from repro.chaos.generator import generate_schedule, resolve_profile
-from repro.chaos.runner import run_schedule
+from repro.chaos.runner import run_schedule, trace_digest
 from repro.faults.schedule import FaultSchedule
+from tests.core.test_wan_deployment import make_wan_cluster
 
 _MIXED = ChaosConfig(n_servers=3, n_sessions=2, duration=8.0, profile="mixed")
 _PLANTED = ChaosConfig(
@@ -40,6 +47,20 @@ _ANCHORS = {
     ("plant", "gossip"): "7d40db160a79e8af2219d1685ef4cf5904ff99946d1e6a266e1239cc383553d2",
 }
 
+#: (sim.executed_events, network.total_sent, network.total_dropped,
+#: len(trace_log())) of each anchored run
+_COUNTS = {
+    ("empty", "heartbeat"): (3455, 2139, 0, 2150),
+    ("empty", "gossip"): (5604, 2828, 0, 2842),
+    ("mixed", "heartbeat"): (3196, 1946, 54, 2016),
+    ("mixed", "gossip"): (5056, 2514, 43, 2586),
+    ("plant", "heartbeat"): (5504, 3616, 168, 3674),
+    ("plant", "gossip"): (7641, 3868, 140, 3960),
+}
+
+_WAN_DIGEST = "baa0c20990024d1dfea5366b6f530e0c55c56f04feb0400ffe4ac65fdad77fe4"
+_WAN_COUNTS = (1018, 628, 60, 638)
+
 
 #: run -> (config, run seed, generator seed; None: the empty schedule)
 _RUNS = {
@@ -57,13 +78,36 @@ def _run(run: str, membership: str):
         schedule = generate_schedule(
             np.random.default_rng([gen_seed, 0]), config, resolve_profile(config, 0)
         )
-    return run_schedule(config, seed, schedule)
+    return run_schedule(config, seed, schedule, keep_cluster=True)
+
+
+def _counts(cluster):
+    network = cluster.network
+    return (
+        cluster.sim.executed_events,
+        network.total_sent,
+        network.total_dropped,
+        len(cluster.trace_log()),
+    )
 
 
 @pytest.mark.parametrize("run,membership", sorted(_ANCHORS))
 def test_trace_digest_anchor(run, membership):
-    result = _run(run, membership)
+    result, observation = _run(run, membership)
     assert result.digest == _ANCHORS[(run, membership)]
+    assert _counts(observation.cluster) == _COUNTS[(run, membership)]
     # the planted bug is found (convergence: the healed sides never
     # re-merge), the unplanted runs are clean
     assert len(result.violations) == (6 if run == "plant" else 0)
+
+
+def test_wan_failover_anchor():
+    """A primary crash over the heavy-tailed WAN model: 628 log-normal
+    draws, so the latency stream is pinned across a block boundary."""
+    cluster = make_wan_cluster(n_servers=3, num_backups=1, seed=13)
+    handle = cluster.add_client("c0").start_session("m0")
+    cluster.run(8.0)
+    cluster.crash_server(cluster.primaries_of(handle.session_id)[0])
+    cluster.run(15.0)
+    assert trace_digest(cluster.trace_log()) == _WAN_DIGEST
+    assert _counts(cluster) == _WAN_COUNTS

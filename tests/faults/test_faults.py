@@ -449,6 +449,21 @@ class TestOneApplierTwoSurfaces:
             ("net", f"fault.{event.kind}", event.args) for event, _ in _SCRIPT
         ]
 
+    def test_args_named_like_the_trace_parameters_do_not_crash_the_run(self):
+        # passes from_json's validation; as ``record(**args)`` it raised
+        # "TypeError: got multiple values for argument 'time'" mid-run
+        schedule = FaultSchedule.from_json(
+            [{"time": 1.0, "kind": "heal", "args": {"time": 3, "node": "x", "category": "y"}}]
+        )
+        target = _Target(Network(Simulator()))
+        inject(target, schedule)
+        target.sim.run()
+        assert target.records() == [
+            ("net", "fault.heal", {"time": 3, "node": "x", "category": "y"})
+        ]
+        # the record owns its detail: the schedule's args are not aliased
+        assert target.trace.events[0].detail is not schedule.events[0].args
+
     def test_every_valid_kind_has_an_arm(self):
         examples = (
             FaultSchedule()

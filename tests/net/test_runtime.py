@@ -526,6 +526,28 @@ def test_live_network_local_and_remote_paths():
     _run(scenario())
 
 
+def test_unknown_remote_sender_rule_with_a_warm_verdict():
+    """A remote sender is not in this node's topology and counts as
+    connected; the cached verdict still follows the topology."""
+    sim = Simulator()
+    network = LiveNetwork(sim, types.SimpleNamespace(on_frame=None))
+    got = []
+    network.attach("a", got.append, lambda: True)
+
+    def frame_from(sender):
+        network._ingest(encode_frame(WireEnvelope(sender, "a", "k", 1, sender)))
+
+    frame_from("z")
+    frame_from("z")  # z -> a is now a cached verdict
+    network.topology.set_node_down("z")
+    frame_from("z")
+    assert network.drop_reasons() == {"disconnected-in-flight": 1}
+    frame_from("y")  # never seen, nothing cached: the default rule
+    network.topology.set_node_down("z", down=False)
+    frame_from("z")
+    assert [m.payload for m in got] == ["z", "z", "y", "z"]
+
+
 def test_live_network_rejects_garbage_frames():
     async def scenario():
         sim = Simulator()

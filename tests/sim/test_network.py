@@ -1,5 +1,6 @@
 """Unit tests for the simulated network (delivery, loss, FIFO, accounting)."""
 
+import numpy as np
 import pytest
 
 from repro.sim.engine import Simulator
@@ -321,3 +322,125 @@ def test_random_loss_counted_with_reason():
     assert lost > 0
     assert lost == net.total_dropped
     assert len(b.received) == 100 - lost
+
+
+# ----------------------------------------------------------------------
+# the link fast path: cached verdicts, block-drawn latency
+# ----------------------------------------------------------------------
+#: (verb that cuts a -> b, verb that lifts it), each a ``LinkFaults`` call
+_CUT_AND_LIFT = {
+    "partition/heal_partition": (
+        lambda net: net.partition(["a"], ["b"]),
+        lambda net: net.heal_partition(),
+    ),
+    "partition/clear_all": (
+        lambda net: net.partition(["a"], ["b"]),
+        lambda net: net.clear_all(),
+    ),
+    "cut_link/restore_link": (
+        lambda net: net.cut_link("a", "b"),
+        lambda net: net.restore_link("a", "b"),
+    ),
+    "one-way cut_link/clear_all": (
+        lambda net: net.cut_link("a", "b", symmetric=False),
+        lambda net: net.clear_all(),
+    ),
+}
+
+
+@pytest.mark.parametrize("verbs", sorted(_CUT_AND_LIFT))
+def test_a_fault_overrides_a_warm_verdict(net, verbs):
+    cut, lift = _CUT_AND_LIFT[verbs]
+    Sink(net, "a")
+    b = Sink(net, "b")
+    net.send("a", "b", "warm")
+    net.sim.run()
+    assert [m.payload for m in b.received] == ["warm"]  # a -> b cached: connected
+
+    net.send("a", "b", "in flight")
+    cut(net)
+    net.send("a", "b", "at send")
+    assert net.drop_reasons() == {"disconnected-at-send": 1}
+    net.sim.run()
+    assert net.drop_reasons() == {
+        "disconnected-at-send": 1,
+        "disconnected-in-flight": 1,
+    }
+
+    # and the reverse: a -> b is now cached as cut
+    lift(net)
+    net.send("a", "b", "healed")
+    net.sim.run()
+    assert [m.payload for m in b.received] == ["warm", "healed"]
+    assert net.total_dropped == 2
+
+
+@pytest.mark.parametrize("verb", ["set_link_delay", "set_duplication", "set_reordering"])
+def test_the_other_fault_verbs_keep_a_warm_link_connected(verb):
+    net = _chaos_net()
+    Sink(net, "a")
+    b = Sink(net, "b")
+    net.send("a", "b", "warm")
+    net.sim.run()
+    if verb == "set_link_delay":
+        net.set_link_delay("a", "b", 0.5)
+    else:
+        getattr(net, verb)(0.0)
+    net.send("a", "b", "after")
+    net.sim.run()
+    assert [m.payload for m in b.received] == ["warm", "after"]
+    # the delay, consulted only while some link has one, applied at once
+    assert net.sim.now == pytest.approx(0.52 if verb == "set_link_delay" else 0.02)
+
+
+class _CountingTopology(Topology):
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def connected(self, sender, receiver):
+        self.asked.append((sender, receiver))
+        return super().connected(sender, receiver)
+
+
+def test_connected_is_asked_once_per_ordered_pair_per_generation():
+    topology = _CountingTopology()
+    net = Network(Simulator(), topology, FixedLatency(0.01))
+    nodes = ["a", "b", "c"]
+    for node in nodes:
+        Sink(net, node)
+
+    def three_rounds():
+        for _ in range(3):
+            for sender in nodes:
+                net.multicast(sender, nodes, "x")
+            net.sim.run()
+
+    three_rounds()  # 27 sends and 27 deliveries over 9 ordered pairs
+    assert sorted(topology.asked) == sorted((s, r) for s in nodes for r in nodes)
+    topology.cut_link("a", "b")
+    three_rounds()
+    assert len(topology.asked) == 18 and len(set(topology.asked)) == 9
+    assert net.total_dropped == 6  # a -> b and b -> a, three rounds
+
+
+class _CountingGenerator:
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def uniform(self, low, high, size=None):
+        self.calls += 1
+        return self._rng.uniform(low, high, size)
+
+
+def test_1024_sends_cost_two_generator_calls():
+    rng = _CountingGenerator(3)
+    net = Network(Simulator(), Topology(), UniformLatency(0.001, 0.002, rng))
+    Sink(net, "a")
+    b = Sink(net, "b")
+    for i in range(1024):
+        net.send("a", "b", i)
+    net.sim.run()
+    assert len(b.received) == 1024
+    assert rng.calls == 2

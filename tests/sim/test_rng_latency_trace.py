@@ -1,5 +1,6 @@
 """Unit tests for RNG streams, latency models, and the trace log."""
 
+import numpy as np
 import pytest
 
 from repro.sim.latency import (
@@ -108,6 +109,27 @@ class TestLatencyModels:
         wan_avg = sum(wan.sample("a", "b") for _ in range(100)) / 100
         assert lan_avg < 0.001 < wan_avg
 
+    # 2 000 samples cross three block boundaries; the twin generator's
+    # scalar draws are written out here, so a numpy whose array fill
+    # stops matching its scalar calls fails loudly
+    def test_uniform_block_draws_are_the_scalar_stream(self):
+        model = UniformLatency(0.0001, 0.0005, np.random.default_rng(2024))
+        twin = np.random.default_rng(2024)
+        expected = [float(twin.uniform(0.0001, 0.0005)) for _ in range(2000)]
+        assert [model.sample("a", "b") for _ in range(2000)] == expected
+
+    def test_lognormal_block_draws_are_the_scalar_stream(self):
+        model = LogNormalLatency(
+            median=0.030, sigma=0.35, rng=np.random.default_rng(2024), minimum=0.02
+        )
+        twin = np.random.default_rng(2024)
+        expected = [
+            max(0.02, float(twin.lognormal(mean=np.log(0.030), sigma=0.35)))
+            for _ in range(2000)
+        ]
+        assert 0.02 in expected and max(expected) > 0.06  # floor and tail both hit
+        assert [model.sample("a", "b") for _ in range(2000)] == expected
+
 
 class TestTraceLog:
     def test_record_and_select(self):
@@ -152,3 +174,39 @@ class TestTraceLog:
         log.record(1.0, "a", "x")
         log.clear()
         assert len(log) == 0
+
+    def test_record_detail_takes_any_key(self):
+        log = TraceLog()
+        log.record_detail(1.0, "a", "fault.heal", {"time": 3, "node": "x", "category": "y"})
+        (event,) = log.events
+        assert (event.time, event.node, event.category) == (1.0, "a", "fault.heal")
+        assert event.detail == {"time": 3, "node": "x", "category": "y"}
+
+    def test_iterates_in_place_and_in_order(self):
+        log = TraceLog()
+        for i in range(4):
+            log.record(float(i), "a", "tick", i=i)
+        assert [e.detail["i"] for e in log] == [0, 1, 2, 3]
+        assert list(log) == log.events
+
+    def test_in_categories_keeps_log_order(self):
+        log = TraceLog()
+        for i, category in enumerate(["up", "noise", "down", "up", "noise", "down"]):
+            log.record(1.0, "a", category, i=i)  # same instant: only order tells
+        assert [e.detail["i"] for e in log.in_categories("down", "up")] == [0, 2, 3, 5]
+        assert [e.detail["i"] for e in log.in_categories("up")] == [0, 3]
+        assert log.in_categories("never") == []
+
+    def test_index_follows_capacity_and_clear(self):
+        log = TraceLog(capacity=4)
+        for i in range(10):
+            log.record(float(i), "a", "even" if i % 2 == 0 else "odd", i=i)
+        assert [e.detail["i"] for e in log.events] == [6, 7, 8, 9]
+        assert [e.detail["i"] for e in log.select(category="even")] == [6, 8]
+        assert [e.detail["i"] for e in log.in_categories("odd", "even")] == [6, 7, 8, 9]
+        assert log.count("odd") == 2
+        assert log.select(category="odd", since=8.0)[0].detail == {"i": 9}
+        log.clear()
+        assert log.count("odd") == 0 and log.select(category="even") == []
+        log.record(0.0, "a", "odd", i=11)
+        assert [e.detail["i"] for e in log.select(category="odd")] == [11]

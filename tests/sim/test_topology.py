@@ -157,3 +157,36 @@ def test_snapshot_is_json_friendly():
     snap = topo.snapshot()
     assert set(snap) == {"nodes", "down", "components", "cut_links"}
     assert snap["down"] == ["2"]
+
+
+# every connectivity mutator, as (name, call); ``Network`` caches
+# ``connected`` verdicts per generation, so a mutator that forgot to bump
+# it would leave the network acting on the old connectivity
+_MUTATORS = {
+    "partition": lambda topo: topo.partition({0}, {1, 2, 3}),
+    "heal_partition": lambda topo: topo.heal_partition(),
+    "cut_link": lambda topo: topo.cut_link(1, 2),
+    "restore_link": lambda topo: topo.restore_link(1, 2),
+    "restore_all_links": lambda topo: topo.restore_all_links(),
+    "set_node_down": lambda topo: topo.set_node_down(3),
+    "remove_node": lambda topo: topo.remove_node(3),
+}
+#: the rest of the public surface: queries, and ``add_node`` (``connected``
+#: never reads the node set, so a new node changes no verdict)
+_NOT_MUTATORS = {
+    "add_node", "nodes", "generation", "is_node_down", "connected",
+    "component_members", "is_transitive", "snapshot",
+}
+
+
+def test_every_mutator_moves_the_generation():
+    for name, mutate in _MUTATORS.items():
+        topo = make()
+        before = topo.generation
+        mutate(topo)
+        assert topo.generation > before, name
+
+
+def test_the_mutator_list_is_complete():
+    public = {name for name in vars(Topology) if not name.startswith("_")}
+    assert public == set(_MUTATORS) | _NOT_MUTATORS

@@ -3,8 +3,9 @@
 Sweeps raw daemon clusters from 8 to 200+ nodes in both
 ``membership_mode`` settings and records, per mode and size:
 
-* liveness traffic per node per second (frames and real abstract bytes) —
-  the mesh grows linearly with the world size, gossip stays ~flat;
+* liveness frames per node per second — the mesh grows linearly with the
+  world size, gossip stays ~flat (the simulator counts frames; real bytes
+  come from the live loopback run below);
 * detection latency p50/p99 — crash one daemon, measure how long each
   survivor's detector takes to drop it from the estimate;
 * false suspicions during the clean measurement window (must be zero).
@@ -99,26 +100,19 @@ class DaemonCluster:
         )
 
     def liveness_rates(self, window: float) -> dict[str, float]:
-        """Per-node per-second liveness/data traffic over the last
+        """Per-node per-second liveness/data frames over the last
         ``window`` seconds (stats must have been reset at window start)."""
         nodes = len(self.ids)
-        liveness_bytes = data_bytes = liveness_frames = data_frames = 0
+        liveness_frames = data_frames = 0
         for node in self.ids:
             per_kind = self.network.sent_kind_stats(node)
             frames = {kind: sent for kind, (sent, _b) in per_kind.items()}
-            abstract = {kind: b for kind, (_s, b) in per_kind.items()}
             lf, df = split_liveness(frames)
-            lb, db = split_liveness(abstract)
             liveness_frames += lf
             data_frames += df
-            liveness_bytes += lb
-            data_bytes += db
         return {
             "liveness_frames_per_node_per_sec": round(
                 liveness_frames / nodes / window, 2
-            ),
-            "liveness_bytes_per_node_per_sec": round(
-                liveness_bytes / nodes / window, 2
             ),
             "data_frames_per_node_per_sec": round(data_frames / nodes / window, 2),
         }
@@ -209,22 +203,22 @@ def test_membership_scaling_sweep(benchmark, bench_persist):
             assert row["false_evictions_in_window"] == 0, (mode_key, n, row)
             print(
                 f"\n{mode_key:7s} n={n:4d}: "
-                f"{row['liveness_bytes_per_node_per_sec']:9.1f} liveness B/node/s, "
+                f"{row['liveness_frames_per_node_per_sec']:9.1f} liveness frames/node/s, "
                 f"detect p50={row['detection_p50_seconds']:.3f}s "
                 f"p99={row['detection_p99_seconds']:.3f}s, "
                 f"boot {row['boot_convergence_seconds']:.1f}s"
             )
     small, large = str(min(sizes)), str(max(sizes))
     mesh_growth = (
-        results["mesh"][large]["liveness_bytes_per_node_per_sec"]
-        / results["mesh"][small]["liveness_bytes_per_node_per_sec"]
+        results["mesh"][large]["liveness_frames_per_node_per_sec"]
+        / results["mesh"][small]["liveness_frames_per_node_per_sec"]
     )
     gossip_growth = (
-        results["gossip"][large]["liveness_bytes_per_node_per_sec"]
-        / results["gossip"][small]["liveness_bytes_per_node_per_sec"]
+        results["gossip"][large]["liveness_frames_per_node_per_sec"]
+        / results["gossip"][small]["liveness_frames_per_node_per_sec"]
     )
     print(
-        f"\nliveness bytes/node growth {small}->{large}: "
+        f"\nliveness frames/node growth {small}->{large}: "
         f"mesh {mesh_growth:.1f}x, gossip {gossip_growth:.1f}x"
     )
     assert gossip_growth < mesh_growth, "gossip must scale better than the mesh"
@@ -277,7 +271,7 @@ def test_membership_wan_latency(benchmark, bench_persist):
         f"\ngossip n={n} under WAN latency: "
         f"{result['suspicions_started_in_window']} transient suspicions, "
         f"0 false evictions, "
-        f"{result['liveness_bytes_per_node_per_sec']:.1f} liveness B/node/s"
+        f"{result['liveness_frames_per_node_per_sec']:.1f} liveness frames/node/s"
     )
     bench_persist("membership", {"wan": result})
 

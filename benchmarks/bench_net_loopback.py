@@ -1,19 +1,14 @@
-"""N1 — live-runtime loopback benchmarks: the socket path under the stack.
+"""N1 — live-runtime loopback microbenchmarks: the socket path under the stack.
 
-Four quantities for the live runtime added by the `repro.net` subsystem:
-codec throughput on a protocol-shaped hot frame (fast path vs the
-generic self-describing path), raw codec+socket frame throughput (UDP
-loopback, no protocol above), client-observed request latency on a live
-3-node VoD cluster (time from sending a context update to the first
-response reflecting it), and failover takeover time when the primary is
-killed mid-stream.
+Two quantities for the `repro.net` subsystem: codec throughput on a
+protocol-shaped hot frame (fast path vs the generic self-describing
+path), and raw codec+socket frame throughput (UDP loopback, no protocol
+above).  The live stack end to end — latency, takeover, CPU per request
+— is measured by ``python -m bench run``.
 
-Unlike the simulation benchmarks these consume real wall seconds — the
-live runtime paces the simulator one second per second — so the runs are
-kept short.  Results persist to ``BENCH_net_loopback.json``; the
-``anchor_pre_fastpath`` section there is the same workload measured on
-the same machine immediately before the fast-path codec + coalescing
-work, kept as the honest before/after baseline.
+Results persist to ``BENCH_net_loopback.json``; its ``anchor_pre_*``
+sections are the same workloads measured on the same machine before the
+changes they name, kept as before/after baselines.
 """
 
 import asyncio
@@ -22,20 +17,8 @@ import time
 
 from repro.gcs.messages import OrderRequest, RequestId, Sequenced
 from repro.gcs.view import ViewId
-from repro.net.cluster import (
-    LiveClusterOptions,
-    build_live_cluster,
-    build_report,
-    schedule_workload,
-)
 from repro.net.codec import WireEnvelope, decode_frame, encode_frame
 from repro.net.transport import UdpLoopbackTransport
-
-
-def _percentile(values: list, fraction: float) -> float:
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +28,7 @@ def _hot_envelope() -> WireEnvelope:
     """The frame the live cluster sends most: an ordered request inside
     the envelope shell — every field on the struct-packed fast path."""
     rid = RequestId("c0", 1, 42)
-    order = OrderRequest(rid, "unit:demo", {"op": "rate", "value": 24.0}, 33)
+    order = OrderRequest(rid, "unit:demo", {"op": "rate", "value": 24.0})
     return WireEnvelope(
         sender="s0",
         receiver="s1",
@@ -152,77 +135,3 @@ def test_raw_frame_throughput(benchmark, bench_persist):
         f"({result['frames_per_second']:.0f} frames/s)"
     )
 
-
-# ---------------------------------------------------------------------------
-# live cluster: request latency + failover takeover
-# ---------------------------------------------------------------------------
-async def _cluster_run(options: LiveClusterOptions) -> dict:
-    cluster = await build_live_cluster(options)
-    try:
-        plan = schedule_workload(cluster, options)
-        await cluster.runtime.run(plan.duration)
-        report = build_report(cluster, plan)
-        handle = plan.handle
-        latencies = []
-        if handle is not None:
-            # latency of update k: send time -> first response whose
-            # context reflects it (live mode: sim time IS wall time)
-            responses = sorted(handle.received, key=lambda r: r.time)
-            for sent_time, counter, _update in handle.updates_sent:
-                for response in responses:
-                    if response.time >= sent_time and response.based_on_update >= counter:
-                        latencies.append(response.time - sent_time)
-                        break
-        report["request_latencies"] = latencies
-        return report
-    finally:
-        await cluster.close()
-
-
-def test_live_cluster_latency_and_failover(benchmark, bench_persist):
-    requests = 100 if os.environ.get("REPRO_BENCH_FULL") != "1" else 400
-    options = LiveClusterOptions(
-        nodes=3,
-        loopback=True,
-        requests=requests,
-        kill_primary=True,
-        update_interval=0.02,
-        settle=1.5,
-    )
-
-    def once():
-        return asyncio.run(_cluster_run(options))
-
-    report = benchmark.pedantic(once, rounds=1, iterations=1)
-    assert report["clean"], report["reasons"]
-    latencies = report["request_latencies"]
-    assert latencies, "no update was ever reflected in a response"
-    transports = report["transport"].values()
-    total_frames = sum(t["frames_sent"] for t in transports)
-    total_writes = sum(t["writes"] for t in transports)
-    result = {
-        "nodes": 3,
-        "requests": requests,
-        "update_interval": options.update_interval,
-        "request_latency_p50_ms": round(_percentile(latencies, 0.50) * 1e3, 2),
-        "request_latency_p99_ms": round(_percentile(latencies, 0.99) * 1e3, 2),
-        "takeover_seconds": report["takeover_seconds"],
-        # logical frames per second: coalescing packs many frames into one
-        # socket write, so this stays comparable with the pre-coalescing
-        # anchor while frames_per_write shows the packing factor
-        "messages_per_second": round(total_frames / report["sim_seconds"], 1),
-        "frames_per_write": round(total_frames / max(total_writes, 1), 2),
-        "lost_acked_updates": report["session"]["lost_acked_updates"],
-        "byte_calibration_actual_over_estimate": round(
-            report["bytes"]["actual_over_estimate"], 3
-        ),
-    }
-    bench_persist("net_loopback", {"live_cluster": result})
-    print(
-        f"\nlive 3-node VoD over UDP loopback: request latency "
-        f"p50={result['request_latency_p50_ms']}ms "
-        f"p99={result['request_latency_p99_ms']}ms, "
-        f"failover takeover {result['takeover_seconds']}s, "
-        f"{result['messages_per_second']:.0f} msgs/s on the wire, "
-        f"{result['lost_acked_updates']} acked updates lost"
-    )

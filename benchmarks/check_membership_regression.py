@@ -4,7 +4,7 @@ scaling and latency regressions.
 Two kinds of gate:
 
 * **Relational invariants** on the fresh run alone — the reasons the
-  gossip detector exists.  Gossip liveness traffic per node must stay
+  gossip detector exists.  Gossip liveness frames per node must stay
   well below the mesh at the largest swept size, its growth across the
   sweep must stay bounded (the mesh is linear), detection latency at
   the smallest size must stay within a fixed factor of the mesh's
@@ -20,9 +20,13 @@ Two kinds of gate:
   detector that polls its deadlines again reads a heartbeat interval
   more (0.41 s for a 0.35 s timeout, before PR 15) and fails this row.
 
-* **Baseline comparison** — detection p99 and gossip bytes/node at the
+* **Baseline comparison** — detection p99 and gossip frames/node at the
   sizes both files share, with generous tolerances (sim-time metrics are
   deterministic, but sweep sizes and windows may legitimately shift).
+
+The simulated sweep counts frames, not bytes: the simulator prices no
+liveness message, and real liveness bytes come from the live loopback
+run, which is recorded but not gated.
 
 CI copies the committed file aside first, exactly like the net gate::
 
@@ -38,11 +42,11 @@ import json
 import sys
 from pathlib import Path
 
-#: gossip liveness bytes/node must stay below this fraction of the mesh
+#: gossip liveness frames/node must stay below this fraction of the mesh
 #: at the largest swept size (the whole point of the subsystem)
 MESH_FRACTION_CEILING = 0.50
 
-#: gossip bytes/node growth across the sweep must stay below this factor
+#: gossip frames/node growth across the sweep must stay below this factor
 #: of the mesh's growth over the same sizes
 GROWTH_FRACTION_CEILING = 0.60
 
@@ -54,7 +58,7 @@ DETECTION_FACTOR_CEILING = 2.0
 #: (the bench polls the detectors every 10 ms; one link latency is 2 ms)
 MESH_DETECTION_SLACK_SECONDS = 0.02
 
-#: baseline comparison: fresh latency may grow, fresh bytes may grow, by
+#: baseline comparison: fresh latency may grow, fresh frames may grow, by
 #: at most this factor at shared sizes
 BASELINE_TOLERANCE = 1.5
 
@@ -82,32 +86,32 @@ def check_invariants(current: dict) -> list[str]:
     sizes = _sizes(current, "current")
     small, large = sizes[0], sizes[-1]
 
-    def bytes_rate(mode: str, size: str) -> float:
+    def frames_rate(mode: str, size: str) -> float:
         return float(
-            _row(current, mode, size, "current")["liveness_bytes_per_node_per_sec"]
+            _row(current, mode, size, "current")["liveness_frames_per_node_per_sec"]
         )
 
-    mesh_large = bytes_rate("mesh", large)
-    gossip_large = bytes_rate("gossip", large)
+    mesh_large = frames_rate("mesh", large)
+    gossip_large = frames_rate("gossip", large)
     fraction = gossip_large / mesh_large
     status = "ok" if fraction <= MESH_FRACTION_CEILING else "REGRESSED"
     print(
-        f"gossip/mesh liveness bytes at n={large}: "
+        f"gossip/mesh liveness frames at n={large}: "
         f"{gossip_large:.1f} / {mesh_large:.1f} = {fraction:.2f} "
         f"(ceiling {MESH_FRACTION_CEILING:.2f}) {status}"
     )
     if fraction > MESH_FRACTION_CEILING:
         failures.append(
-            f"gossip liveness bytes at n={large} not below "
+            f"gossip liveness frames at n={large} not below "
             f"{MESH_FRACTION_CEILING:.2f}x mesh ({fraction:.2f}x)"
         )
 
-    mesh_growth = bytes_rate("mesh", large) / bytes_rate("mesh", small)
-    gossip_growth = bytes_rate("gossip", large) / bytes_rate("gossip", small)
+    mesh_growth = frames_rate("mesh", large) / frames_rate("mesh", small)
+    gossip_growth = frames_rate("gossip", large) / frames_rate("gossip", small)
     growth_fraction = gossip_growth / mesh_growth
     status = "ok" if growth_fraction <= GROWTH_FRACTION_CEILING else "REGRESSED"
     print(
-        f"liveness bytes growth {small}->{large}: mesh {mesh_growth:.1f}x, "
+        f"liveness frames growth {small}->{large}: mesh {mesh_growth:.1f}x, "
         f"gossip {gossip_growth:.1f}x (ratio {growth_fraction:.2f}, "
         f"ceiling {GROWTH_FRACTION_CEILING:.2f}) {status}"
     )
@@ -178,7 +182,7 @@ def check_baseline(baseline: dict, current: dict) -> list[str]:
     for size in shared:
         for label, key in (
             ("detection p99", "detection_p99_seconds"),
-            ("liveness bytes/node", "liveness_bytes_per_node_per_sec"),
+            ("liveness frames/node", "liveness_frames_per_node_per_sec"),
         ):
             before = float(_row(baseline, "gossip", size, "baseline")[key])
             after = float(_row(current, "gossip", size, "current")[key])

@@ -11,14 +11,7 @@ file aside first, runs the benchmark, then invokes this script::
 Three metrics are guarded — raw codec+socket ``frames_per_second`` and
 the compiled codec's ``encodes_per_second`` / ``decodes_per_second`` on
 the hot envelope — each with a 20% tolerance to absorb runner-to-runner
-noise.  The live cluster's
-``messages_per_second`` is deliberately not: on that workload it is the
-heartbeat timer (3 nodes x 2 peers x 125 heartbeats/s = 750, see
-``bench/README.md`` finding 3), so it cannot tell a slower transport
-from a faster one; the stack benchmark (``python -m bench run``) measures
-the live path instead.  Latency is not gated here either: wall-clock
-latency on shared CI runners is too noisy for a hard gate and is tracked
-through the committed JSON diff.
+noise.  The live stack end to end is measured by ``python -m bench run``.
 """
 
 from __future__ import annotations

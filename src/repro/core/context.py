@@ -31,52 +31,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 # ---------------------------------------------------------------------------
-# byte-size accounting
-# ---------------------------------------------------------------------------
-
-#: Abstract byte cost of the fixed per-propagation overhead: the frame
-#: header, the ``Propagate`` shell with its session/unit ids, and the
-#: snapshot/delta counter+timestamp fields.  Calibrated against the live
-#: codec (``repro.net.codec``) so simulated ``propagation_bytes_*``
-#: counters track what a live run actually puts on the wire; the live
-#: audit asserts the ratio stays within 1.25x.
-_HEADER_COST = 78
-
-
-def estimate_size(value: Any) -> int:
-    """Deterministic abstract byte count of an application value.
-
-    Used by the load accounting (experiment E2) to price propagation
-    traffic.  The per-type costs mirror the live codec's generic
-    encoding (``repro.net.codec``): numbers are a tag plus eight bytes,
-    strings and bytes a tag plus a length word plus their content,
-    containers a tag plus a count word plus their elements, dataclasses
-    a tag plus a type id plus a field count plus their fields.  Unknown
-    objects degrade to the length of their repr.
-    """
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 9
-    if isinstance(value, str):
-        return 5 + len(value)
-    if isinstance(value, bytes):
-        return 5 + len(value)
-    if isinstance(value, dict):
-        return 5 + sum(
-            estimate_size(k) + estimate_size(v) for k, v in value.items()
-        )
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return 5 + sum(estimate_size(item) for item in value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return 4 + sum(
-            estimate_size(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        )
-    return len(repr(value))
-
-
-# ---------------------------------------------------------------------------
 # state diffing (copy-on-write propagation)
 # ---------------------------------------------------------------------------
 
@@ -147,11 +101,6 @@ class ContextSnapshot:
         epoch-richer but update-poorer snapshot must never win)."""
         return (self.update_counter, self.response_counter, self.epoch)
 
-    @property
-    def size_estimate(self) -> int:
-        """Abstract wire cost of shipping this snapshot in full."""
-        return _HEADER_COST + estimate_size(self.app_state)
-
 
 @dataclass(frozen=True, slots=True)
 class ContextDelta:
@@ -172,15 +121,6 @@ class ContextDelta:
     response_counter: int
     stamped_at: float
     changes: tuple
-
-    @property
-    def size_estimate(self) -> int:
-        """Abstract wire cost: header plus only the changed fields (each
-        pair rides in its own small tuple on the wire, hence the +5)."""
-        return _HEADER_COST + sum(
-            5 + estimate_size(name) + estimate_size(value)
-            for name, value in self.changes
-        )
 
     def apply_to(self, base: ContextSnapshot) -> ContextSnapshot:
         """Reconstruct the full snapshot this delta encodes.
@@ -321,6 +261,5 @@ __all__ = [
     "ContextSnapshot",
     "PrimaryContext",
     "apply_state_delta",
-    "estimate_size",
     "state_delta",
 ]

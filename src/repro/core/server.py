@@ -680,11 +680,10 @@ class FrameworkServer:
             runtime.deltas_since_full = 0
             runtime.propagated_view_key = view_key
             self.counters["propagations_full"] += 1
-        size = message.size_estimate
-        self.daemon.mcast(content_group(runtime.unit_id), message, size=size)
+        # priced first: a state the codec cannot encode fails before it is sent
+        self.counters["propagation_bytes_sent"] += message.wire_size
+        self.daemon.mcast(content_group(runtime.unit_id), message)
         self.counters["propagations_sent"] += 1
-        self.counters["propagation_bytes_est_sent"] += size
-        self.counters["propagation_bytes_sent"] += self._wire_size(message, size)
 
     def _on_propagate(self, message: Propagate) -> None:
         db = self.unit_dbs.get(message.unit_id)
@@ -705,20 +704,7 @@ class FrameworkServer:
         if message.session_id in self.backups:
             self.backups[message.session_id].rebase(snapshot)
         self.counters["propagations_processed"] += 1
-        estimate = message.size_estimate
-        self.counters["propagation_bytes_est_processed"] += estimate
-        self.counters["propagation_bytes_processed"] += self._wire_size(
-            message, estimate
-        )
-
-    def _wire_size(self, message: Propagate, estimate: int) -> int:
-        """Actual encoded byte size when the network can measure it (live
-        runtime), the abstract estimate otherwise (simulation — where both
-        counter families therefore stay equal)."""
-        measure = getattr(self.daemon.network, "measure_frame", None)
-        if measure is None:
-            return estimate
-        return int(measure(message))
+        self.counters["propagation_bytes_processed"] += message.wire_size
 
     # ------------------------------------------------------------------
     # session teardown
@@ -880,7 +866,6 @@ class FrameworkServer:
                 sender=self.server_id,
                 db_snapshot=self._exchange_snapshot(unit),
             ),
-            size=2 + len(self.unit_dbs[unit]),
         )
         self.counters["exchanges_started"] += 1
         self._chaos_hook("mid-exchange")

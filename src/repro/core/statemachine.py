@@ -80,7 +80,7 @@ class ReplicatedStateMachine:
     def submit(self, op: Any) -> None:
         """Multicast a command; it applies everywhere in total order
         (including here, when delivered)."""
-        self.daemon.mcast(self.group, Command(op=op), size=2)
+        self.daemon.mcast(self.group, Command(op=op))
 
     # ------------------------------------------------------------------
     # plumbing: the host forwards group events here
@@ -123,7 +123,6 @@ class ReplicatedStateMachine:
                         applied=self.applied_count,
                         state=copy.deepcopy(self.state),
                     ),
-                    size=4,
                 )
 
     def _on_transfer(self, transfer: _RsmTransfer) -> None:

@@ -113,11 +113,12 @@ class Propagate:
     snapshot (the primary sends one on view changes and at least every
     ``AvailabilityPolicy.full_propagation_every`` propagations).
 
-    ``size_estimate`` is the real wire cost of whichever form is carried,
-    so the load accounting prices the propagation-frequency knob by what
-    actually crosses the wire.  It is worked out once per object: the
-    simulator hands the sender's object to every receiver, and each one
-    accounts for it."""
+    ``wire_size`` is what the codec makes of this message — the bytes
+    the load accounting charges the propagation-frequency knob, on both
+    runtimes.  A state the codec cannot encode raises
+    :class:`~repro.net.codec.UnknownTypeError` here.  It is encoded once
+    per object: the simulator hands the sender's object to every
+    receiver, and each one accounts for it."""
 
     session_id: str
     unit_id: str
@@ -125,9 +126,11 @@ class Propagate:
     delta: ContextDelta | None = None
 
     @cached_property
-    def size_estimate(self) -> int:
-        body = self.snapshot if self.snapshot is not None else self.delta
-        return body.size_estimate
+    def wire_size(self) -> int:
+        # imported here: the codec imports this module to register it
+        from repro.net.codec import frame_size
+
+        return frame_size(self)
 
 
 @dataclass(frozen=True)

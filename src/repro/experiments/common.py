@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core import AvailabilityPolicy, ServiceCluster
 from repro.core.application import RequestResponseApplication
+from repro.net.codec import register
 from repro.services.content import build_movie
 from repro.services.vod import VodApplication
 
@@ -25,6 +26,10 @@ class LedgerState:
 
     unit_id: str
     counters: frozenset[int] = frozenset()
+
+
+# propagated inside snapshots, so it is priced (and would travel) as a wire type
+register(LedgerState)
 
 
 class LedgerApplication(RequestResponseApplication):

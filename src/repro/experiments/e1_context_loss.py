@@ -88,9 +88,8 @@ def _one_rep(seed: int, num_backups: int, period: float, duration: float):
         survived = surviving_counters(cluster, handle.session_id)
         sent += len(sent_counters)
         lost += len(sent_counters - survived)
-    # the cost half of the tradeoff: wire bytes of propagation traffic
-    # each server processed per second (delta accounting — incremental
-    # propagations ship only changed state fields)
+    # the cost half of the tradeoff: codec bytes of the propagations each
+    # server processed per second
     prop_bytes = sum(
         server.counters["propagation_bytes_processed"]
         for server in cluster.servers.values()
@@ -149,7 +148,8 @@ def run(seed: int = 0, fast: bool = False) -> list[Table]:
     table.add_note(
         "claim: loss falls as backups rise (down a column-group) and as the "
         "period shrinks (left within a group); prop_bytes_s is what that "
-        "frequency costs on the wire (delta-accounted)"
+        "frequency costs: codec bytes of the propagations each server "
+        "processed per second, tracking the propagation count"
     )
     return [table]
 

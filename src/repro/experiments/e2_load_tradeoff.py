@@ -65,9 +65,7 @@ def _one_cell(seed: int, num_backups: int, period: float, duration: float):
         backup_updates = server.counters["updates_backup"] / duration
         primary_updates = server.counters["updates_primary"] / duration
         responses = server.counters["responses_sent"] / duration
-        # real wire cost of the propagation stream (delta accounting):
-        # bytes each member actually processed per second, not message
-        # count x assumed-constant size
+        # codec bytes of the propagations this member processed per second
         prop_bytes = server.counters["propagation_bytes_processed"] / duration
         per_server.append(
             (propagations, backup_updates, primary_updates, responses, prop_bytes)
@@ -127,10 +125,10 @@ def run(seed: int = 0, fast: bool = False) -> list[Table]:
     table.add_note(
         "claim: propagation processing rises as the period shrinks; backup "
         "update load rises with the number of backups; responses are "
-        "unaffected (only the primary responds).  prop_bytes_s is the "
-        "delta-accounted wire cost: incremental propagations ship only "
-        "changed state fields, so bytes grow far slower than message count "
-        "as the period shrinks"
+        "unaffected (only the primary responds).  prop_bytes_s is the codec "
+        "bytes of the propagations each server processed per second: a VoD "
+        "delta costs about what a full snapshot does, so bytes are linear "
+        "in the propagation count"
     )
     return [table]
 

@@ -73,13 +73,11 @@ class GcsClient(Process):
     def rotate_contact(self) -> None:
         self._contact_index += 1
 
-    def mcast(self, group: str, payload: Any, size: int = 1) -> RequestId:
+    def mcast(self, group: str, payload: Any) -> RequestId:
         """Send ``payload`` to every current member of ``group`` via the
         total order.  Retries through other contacts until acknowledged."""
         request_id = RequestId(self.node_id, self.incarnation, next(self._counter))
-        mcast = ClientMcast(
-            request_id=request_id, group=group, payload=payload, size_estimate=size
-        )
+        mcast = ClientMcast(request_id=request_id, group=group, payload=payload)
         entry = _Outstanding(mcast)
         self._outstanding[request_id] = entry
         self._transmit(request_id)
@@ -89,12 +87,7 @@ class GcsClient(Process):
         entry = self._outstanding.get(request_id)
         if entry is None or not self.is_up():
             return
-        self.send(
-            self.current_contact,
-            entry.mcast,
-            kind="gcs.client_mcast",
-            size=entry.mcast.size_estimate,
-        )
+        self.send(self.current_contact, entry.mcast, kind="gcs.client_mcast")
         entry.timer = self.set_timer(
             self.settings.client_ack_timeout,
             lambda: self._on_ack_timeout(request_id),

@@ -261,10 +261,10 @@ class GcsDaemon(Process):
         self._my_groups_intent.discard(group)
         self._submit(MEMBERSHIP_GROUP, ("leave", group, self.node_id))
 
-    def mcast(self, group: str, payload: Any, size: int = 1) -> RequestId:
+    def mcast(self, group: str, payload: Any) -> RequestId:
         """Reliable, totally ordered multicast to ``group`` (open-group:
         the sender need not be a member)."""
-        return self._submit(group, payload, size=size)
+        return self._submit(group, payload)
 
     def send_ptp(self, dest: NodeId, payload: Any, size: int = 1) -> None:
         """Plain point-to-point send, outside the total order."""
@@ -294,11 +294,7 @@ class GcsDaemon(Process):
     # submission / total order
     # ------------------------------------------------------------------
     def _submit(
-        self,
-        group: str,
-        payload: Any,
-        size: int = 1,
-        request: OrderRequest | None = None,
+        self, group: str, payload: Any, request: OrderRequest | None = None
     ) -> RequestId:
         if request is None:
             request = OrderRequest(
@@ -307,7 +303,6 @@ class GcsDaemon(Process):
                 ),
                 group=group,
                 payload=payload,
-                size_estimate=size,
             )
         self.pending.add(request)
         self._pending_since[request.request_id] = self.sim.now
@@ -317,12 +312,7 @@ class GcsDaemon(Process):
     def _send_order_request(self, request: OrderRequest) -> None:
         if self.membership.forming:
             return  # resubmitted on install
-        self.send(
-            self.config.sequencer,
-            request,
-            kind="gcs.order_req",
-            size=request.size_estimate,
-        )
+        self.send(self.config.sequencer, request, kind="gcs.order_req")
 
     def _resubmit_stale(self) -> None:
         """Requests can be lost when their order request or its sequencing
@@ -394,10 +384,9 @@ class GcsDaemon(Process):
     def _send_to_members(self, batch: SequencedBatch) -> None:
         """The sequencer's dissemination step (its own copy is inserted
         synchronously, never sent)."""
-        size = batch.size_estimate
         for member in self.config.members:
             if member != self.node_id:
-                self.send(member, batch, kind="gcs.sequenced_batch", size=size)
+                self.send(member, batch, kind="gcs.sequenced_batch")
 
     def _discard_batch(self) -> None:
         """Drop buffered-but-unsent sequenced messages (configuration died;
@@ -508,7 +497,7 @@ class GcsDaemon(Process):
         batch = SequencedBatch(
             config_view_id=self.config.view_id, messages=tuple(resend)
         )
-        self.send(sender, batch, kind="gcs.sequenced_batch", size=batch.size_estimate)
+        self.send(sender, batch, kind="gcs.sequenced_batch")
 
     def _on_resync_required(self, resync: ResyncRequired) -> None:
         """The sequencer told us our holdback gap is beyond repair: abandon
@@ -771,10 +760,7 @@ class GcsDaemon(Process):
             # an acknowledged update.
             self.send(sender, ClientAck(mcast.request_id), kind="gcs.client_ack")
         request = OrderRequest(
-            request_id=mcast.request_id,
-            group=mcast.group,
-            payload=mcast.payload,
-            size_estimate=mcast.size_estimate,
+            request_id=mcast.request_id, group=mcast.group, payload=mcast.payload
         )
         self._submit(mcast.group, mcast.payload, request=request)
 

@@ -1,8 +1,6 @@
 """Wire payloads exchanged by the GCS protocol.
 
-All payloads are small frozen dataclasses.  ``size_estimate`` gives the
-abstract byte count used by the network accounting (experiment E2 charges
-servers for the traffic they process).
+All payloads are small frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -148,7 +146,6 @@ class OrderRequest:
     request_id: RequestId
     group: str
     payload: Any
-    size_estimate: int = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,10 +172,6 @@ class SequencedBatch:
 
     config_view_id: ViewId
     messages: tuple[Sequenced, ...]
-
-    @property
-    def size_estimate(self) -> int:
-        return sum(m.request.size_estimate for m in self.messages)
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,7 +298,6 @@ class ClientMcast:
     request_id: RequestId
     group: str
     payload: Any
-    size_estimate: int = 1
 
 
 @dataclass(frozen=True, slots=True)

@@ -141,41 +141,6 @@ def lost_acked_updates(cluster, handle: SessionHandle) -> int:
     )
 
 
-def propagation_byte_calibration(cluster) -> dict:
-    """Estimate-vs-actual byte accounting across the cluster's servers.
-
-    In simulation both counter families advance by ``size_estimate`` and
-    the ratio is 1.0; in live mode the ``propagation_bytes_*`` counters
-    carry actual encoded frame sizes, so the ratio calibrates the
-    abstract cost model against the real codec.
-    """
-    actual_sent = sum(
-        server.counters["propagation_bytes_sent"]
-        for server in cluster.servers.values()
-    )
-    est_sent = sum(
-        server.counters["propagation_bytes_est_sent"]
-        for server in cluster.servers.values()
-    )
-    actual_processed = sum(
-        server.counters["propagation_bytes_processed"]
-        for server in cluster.servers.values()
-    )
-    est_processed = sum(
-        server.counters["propagation_bytes_est_processed"]
-        for server in cluster.servers.values()
-    )
-    actual = actual_sent + actual_processed
-    estimated = est_sent + est_processed
-    return {
-        "actual_bytes_sent": actual_sent,
-        "estimated_bytes_sent": est_sent,
-        "actual_bytes_processed": actual_processed,
-        "estimated_bytes_processed": est_processed,
-        "actual_over_estimate": (actual / estimated) if estimated else None,
-    }
-
-
 def service_gaps(
     handle: SessionHandle, threshold: float, until: float | None = None
 ) -> list[tuple[float, float]]:
@@ -302,7 +267,6 @@ __all__ = [
     "audit_session",
     "lost_acked_updates",
     "lost_updates",
-    "propagation_byte_calibration",
     "max_concurrent_senders",
     "multi_primary_time",
     "no_primary_time",

@@ -12,8 +12,7 @@ socket timings): connect, start a VoD session, stream a batch of context
 updates, optionally kill the current primary mid-run and restart it
 later, then quiesce and audit.  The audit report is the same
 :mod:`repro.metrics.session_audit` machinery the experiments use, plus
-the live-only extras: actual-vs-estimated byte calibration and transport
-counters.
+the live-only extras: transport counters and codec-rejected frames.
 
 ``python -m repro serve`` runs one server node over the TCP mesh for
 multi-OS-process deployments; peers are named on the command line.
@@ -42,7 +41,6 @@ from repro.metrics.session_audit import (
     lost_acked_updates,
     lost_updates,
     multi_primary_time,
-    propagation_byte_calibration,
 )
 from repro.net.faults import FaultControlServer, FaultPlane, FaultyTransport
 from repro.net.runtime import IngressRecorder, LiveNetwork, LiveRuntime
@@ -380,7 +378,6 @@ def build_report(cluster: LiveCluster, plan: WorkloadPlan) -> dict[str, Any]:
     report["multi_primary_time"] = round(
         multi_primary_time(cluster, handle.session_id), 4
     )
-    report["bytes"] = propagation_byte_calibration(cluster)
     report["transport"] = {
         node: {
             "frames_sent": transport.stats.frames_sent,
@@ -426,12 +423,6 @@ def build_report(cluster: LiveCluster, plan: WorkloadPlan) -> dict[str, Any]:
         reasons.append("overlapping primaries observed")
     if report["frames_rejected"] > 0:
         reasons.append(f"{report['frames_rejected']} frames rejected by the codec")
-    calibration = report["bytes"]
-    ratio = calibration.get("actual_over_estimate", 0.0)
-    if calibration.get("estimated_bytes_sent", 0) > 0 and not 0.8 <= ratio <= 1.25:
-        # the abstract size estimators must track the real codec closely
-        # enough that simulation byte budgets transfer to live runs
-        reasons.append(f"byte calibration off: actual/estimate = {ratio}")
     report["clean"] = not reasons
     report["reasons"] = reasons
     return report

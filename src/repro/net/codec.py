@@ -59,10 +59,11 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable, get_type_hints
 
 #: Version 2 added the packed tags (14..22); version 3 the SWIM gossip
-#: vocabulary and its packed tags (23..27).  A peer on an older version
-#: would reject those frames as unknown tags, so the version byte makes
-#: the incompatibility explicit instead.
-WIRE_VERSION = 3
+#: vocabulary and its packed tags (23..27); version 4 took the abstract
+#: size word out of ``OrderRequest`` and ``ClientMcast`` (both layouts).
+#: A peer on another version would misread those frames, so the version
+#: byte makes the incompatibility explicit instead.
+WIRE_VERSION = 4
 
 #: Upper bound on one frame's body (a propagation snapshot of a pathological
 #: session state should still fit; anything larger is a protocol bug).
@@ -768,7 +769,8 @@ def encode_envelope_frame(
 
 
 def frame_size(value: Any) -> int:
-    """Actual wire cost of ``value`` in bytes (the live byte accounting)."""
+    """Actual wire cost of ``value`` in bytes (the byte accounting of both
+    runtimes: ``Propagate.wire_size``)."""
     return len(encode_frame(value))
 
 
@@ -893,7 +895,7 @@ from repro.services.search import SearchSessionState  # noqa: E402
 from repro.services.vod import VodSessionState  # noqa: E402
 
 _LIVENESS = "sender:str8 incarnation:u32 view_counter:u32 config_view_id:value"
-_MCAST = "group:str8 size_estimate:u32 request_id:value payload:value"
+_MCAST = "group:str8 request_id:value payload:value"
 
 register(WireEnvelope, 14, "sender:str8 receiver:str8 kind:str8 size:u32 payload:value")
 # GCS vocabulary (gcs/messages.py + the view id they stamp)

@@ -48,7 +48,6 @@ from repro.net.codec import (
     WireEnvelope,
     decode_frame,
     encode_envelope_frame,
-    encode_frame,
     encode_payload,
 )
 from repro.net.transport import MeshTransport
@@ -147,8 +146,8 @@ class LiveNetwork(Network):
         self.node_id = node_id
         self.recorder = recorder
         self.frames_rejected = 0
-        #: actual encoded bytes per message kind, both directions — the
-        #: calibration source for the abstract ``size`` estimates
+        #: actual encoded bytes per message kind, both directions (the
+        #: liveness/data traffic split of ``--stats-json``)
         self.actual_bytes_sent: dict[str, int] = {}
         self.actual_bytes_received: dict[str, int] = {}
         # identity-keyed cache of recent payload encodings: a broadcast
@@ -205,13 +204,6 @@ class LiveNetwork(Network):
         if len(self._encode_cache) > 8:
             self._encode_cache.pop(0)
         return raw
-
-    def measure_frame(self, payload: Any) -> int:
-        """Actual encoded byte size of ``payload`` on this wire.
-
-        The framework's byte accounting calls this (when present) instead
-        of trusting ``size_estimate``."""
-        return len(encode_frame(payload))
 
     # ------------------------------------------------------------------
     # inbound

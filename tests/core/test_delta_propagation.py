@@ -1,5 +1,6 @@
 """Delta (copy-on-write) context propagation: diffing, wire cost,
-reconstruction, and the end-to-end primary→backup path.
+reconstruction, and the end-to-end primary→backup path.  Propagation
+bytes are what the codec makes of each ``Propagate``, on both runtimes.
 
 The contract under test: a receiver that applies a delta to its record at
 the delta's base epoch ends up with *exactly* the snapshot a full
@@ -7,20 +8,24 @@ propagation would have carried — and a receiver anywhere else refuses the
 delta (counted as a gap) rather than building a frankenstate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
+from repro.core import AvailabilityPolicy, ServiceCluster
+from repro.core.application import RequestResponseApplication
 from repro.core.context import (
     BackupContext,
     ContextDelta,
     ContextSnapshot,
     PrimaryContext,
     apply_state_delta,
-    estimate_size,
     state_delta,
 )
 from repro.core.wire import Propagate
+from repro.experiments.common import send_updates_periodically
+from repro.net import codec
+from repro.net.codec import UnknownTypeError, encode_frame, register
 
 from .conftest import make_vod_cluster, start_streaming_session
 
@@ -30,6 +35,56 @@ class PlayState:
     position: int = 0
     rate: float = 1.0
     buffer: tuple = ()
+
+
+# propagated by the cluster tests below, so it must be a wire type
+register(PlayState)
+
+#: a large field that never changes: what a delta leaves behind
+_BUFFER = tuple(f"frame-{i}" for i in range(200))
+
+
+@dataclass(frozen=True)
+class _Unregistered:
+    position: int = 0
+
+
+class _SeekApplication(RequestResponseApplication):
+    """Every update is a new position; the rest of the state stays."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def initial_state(self, unit_id, params):
+        return self.state
+
+    def apply_update(self, state, update):
+        return replace(state, position=update)
+
+    def respond_to_update(self, state, update):
+        return state, []
+
+
+def _seek_cluster(state, **policy_kwargs):
+    """Three replicas, one session seeking every 0.1 s for 8 s."""
+    cluster = ServiceCluster.build(
+        n_servers=3,
+        units={"u": _SeekApplication(state)},
+        replication=3,
+        policy=AvailabilityPolicy(
+            num_backups=1, propagation_period=0.3, **policy_kwargs
+        ),
+        seed=7,
+    )
+    cluster.settle()
+    client = cluster.add_client("c0")
+    handle = client.start_session("u")
+    cluster.run(1.0)
+    send_updates_periodically(
+        cluster, client, handle, period=0.1, duration=8.0, make_update=lambda k: k
+    )
+    cluster.run(8.0)
+    return cluster
 
 
 class TestStateDelta:
@@ -94,15 +149,20 @@ class TestContextDelta:
         full = ctx.snapshot(now=1.0)
         ctx.app_state = PlayState(position=1, buffer=big_buffer)
         delta = ctx.delta(now=2.0)
-        assert delta.size_estimate < full.size_estimate / 10
         full_msg = Propagate(session_id="s", unit_id="u", snapshot=full)
         delta_msg = Propagate(session_id="s", unit_id="u", delta=delta)
-        assert delta_msg.size_estimate == delta.size_estimate
-        assert full_msg.size_estimate == full.size_estimate
+        assert delta_msg.wire_size < full_msg.wire_size / 10
 
-    def test_estimate_size_is_deterministic(self):
-        value = {"a": [1, 2.5, "xy"], "b": PlayState(buffer=("f",))}
-        assert estimate_size(value) == estimate_size(value)
+    def test_wire_size_is_the_encoded_frame_priced_once(self, monkeypatch):
+        message = Propagate(
+            session_id="s",
+            unit_id="u",
+            snapshot=ContextSnapshot(app_state=PlayState(buffer=("f",))),
+        )
+        assert message.wire_size == len(encode_frame(message))
+        # every receiver of the simulator's shared object asks again
+        monkeypatch.setattr(codec, "frame_size", lambda value: pytest.fail("re-encoded"))
+        assert message.wire_size == len(encode_frame(message))
 
 
 class TestBackupLogReplay:
@@ -143,11 +203,10 @@ class TestClusterDeltaPath:
         assert len(handle.received) > 0
 
     def test_delta_bytes_cheaper_than_full_only(self):
+        # deltas pay where a large field stays put; on VoD's four small
+        # fields a one-field delta outweighs the snapshot (DESIGN §9)
         def bytes_processed(**policy_kwargs):
-            cluster = make_vod_cluster(
-                propagation_period=0.3, **policy_kwargs
-            )
-            start_streaming_session(cluster, run=8.0)
+            cluster = _seek_cluster(PlayState(buffer=_BUFFER), **policy_kwargs)
             return sum(
                 s.counters["propagation_bytes_processed"]
                 for s in cluster.servers.values()
@@ -155,7 +214,7 @@ class TestClusterDeltaPath:
 
         with_deltas = bytes_processed(delta_propagation=True)
         full_only = bytes_processed(delta_propagation=False)
-        assert 0 < with_deltas < full_only
+        assert 0 < with_deltas < full_only / 5
 
     def test_failover_freshness_with_deltas_on(self):
         cluster = make_vod_cluster(propagation_period=0.3)
@@ -197,3 +256,25 @@ class TestClusterDeltaPath:
         assert observer.counters["propagation_delta_gaps"] == gaps_before + 1
         # the record was left untouched rather than patched off-base
         assert observer.unit_dbs["m0"].get(session).snapshot.epoch == before_epoch
+
+
+class TestCodecPricing:
+    def test_bytes_sent_are_the_encoded_frames(self):
+        cluster = make_vod_cluster(propagation_period=0.3)
+        encoded = dict.fromkeys(cluster.servers, 0)
+        for server_id, server in cluster.servers.items():
+
+            def mcast(group, payload, inner=server.daemon.mcast, sid=server_id):
+                if isinstance(payload, Propagate):
+                    encoded[sid] += len(encode_frame(payload))
+                return inner(group, payload)
+
+            server.daemon.mcast = mcast
+        start_streaming_session(cluster, run=5.0)
+        assert sum(encoded.values()) > 0
+        for server_id, server in cluster.servers.items():
+            assert server.counters["propagation_bytes_sent"] == encoded[server_id]
+
+    def test_unregistered_state_fails_at_first_propagation(self):
+        with pytest.raises(UnknownTypeError, match="_Unregistered"):
+            _seek_cluster(_Unregistered())

@@ -182,10 +182,12 @@ def test_trailing_bytes_rejected():
 
 
 def test_version_skew_rejected():
-    frame = bytearray(encode_frame(42))
-    frame[4] = WIRE_VERSION + 1
-    with pytest.raises(CodecError, match="version"):
-        decode_frame(bytes(frame))
+    # a newer peer, and the older one a version bump leaves behind
+    for version in (WIRE_VERSION + 1, WIRE_VERSION - 1):
+        frame = bytearray(encode_frame(42))
+        frame[4] = version
+        with pytest.raises(CodecError, match="version"):
+            decode_frame(bytes(frame))
 
 
 def test_unknown_type_id_rejected():
@@ -380,7 +382,7 @@ def _realistic_fast_instances():
     specialized encoders engage instead of falling back."""
     rid = RequestId("c0", 1, 42)
     view = ViewId(3, "s0")
-    order = OrderRequest(rid, "unit:demo", {"op": "rate", "value": 24.0}, 33)
+    order = OrderRequest(rid, "unit:demo", {"op": "rate", "value": 24.0})
     seq = Sequenced(view, 11, order)
     return [
         WireEnvelope("s0", "s1", "gcs", 7, Heartbeat("s0", 1, 3, view)),
@@ -389,7 +391,7 @@ def _realistic_fast_instances():
         view,
         ClientAck(rid),
         order,
-        ClientMcast(rid, "unit:demo", ("chunk", 4), 12),
+        ClientMcast(rid, "unit:demo", ("chunk", 4)),
         seq,
         SequencedBatch(view, (seq, Sequenced(view, 12, order))),
     ]

@@ -7,7 +7,6 @@ live-smoke job runs the full-size scripted run.
 
 import pytest
 
-from repro.metrics.session_audit import propagation_byte_calibration
 from repro.net.cluster import LiveClusterOptions, run_live_cluster
 
 
@@ -53,36 +52,3 @@ def test_live_traffic_crosses_real_sockets(failover_report):
     assert sum(t["bytes_received"] for t in transport.values()) > 1000
     assert failover_report["frames_rejected"] == 0
 
-
-def test_live_byte_accounting_uses_actual_sizes(failover_report):
-    calibration = failover_report["bytes"]
-    assert calibration["actual_bytes_sent"] > 0
-    assert calibration["estimated_bytes_sent"] > 0
-    # the real codec costs more than the abstract unit estimates, and the
-    # live counters must reflect that (estimate == actual would mean the
-    # measure_frame hook never ran)
-    assert calibration["actual_bytes_sent"] != calibration["estimated_bytes_sent"]
-    assert calibration["actual_over_estimate"] > 0
-
-
-def test_sim_mode_calibration_ratio_is_one():
-    """In pure simulation both counter families advance by the estimate."""
-    from repro.core import AvailabilityPolicy, ServiceCluster
-    from repro.services import VodApplication, build_movie
-
-    movie = build_movie("demo", duration_seconds=30, frame_rate=24)
-    cluster = ServiceCluster.build(
-        n_servers=3,
-        units={"demo": VodApplication({"demo": movie})},
-        replication=3,
-        policy=AvailabilityPolicy(num_backups=1),
-        seed=7,
-    )
-    cluster.settle()
-    client = cluster.add_client("c")
-    handle = client.start_session("demo")
-    client.send_update(handle, {"op": "rate", "value": 30.0})
-    cluster.run(3.0)
-    calibration = propagation_byte_calibration(cluster)
-    assert calibration["estimated_bytes_sent"] > 0
-    assert calibration["actual_over_estimate"] == 1.0

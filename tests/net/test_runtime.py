@@ -588,16 +588,3 @@ def test_live_network_survives_hostile_frames(hostile_frames):
         assert [message.payload for message in delivered] == ["still here"]
 
     _run(scenario())
-
-
-def test_measure_frame_reports_actual_bytes():
-    async def scenario():
-        sim = Simulator()
-        transport = UdpLoopbackTransport("a")
-        await transport.start()
-        network = LiveNetwork(sim, transport)
-        payload = WireEnvelope("a", "b", "k", 1, ["data"] * 10)
-        assert network.measure_frame(payload) == len(encode_frame(payload))
-        await transport.close()
-
-    _run(scenario())

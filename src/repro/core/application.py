@@ -20,7 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
+from repro.wiretypes import wire
 
+
+@wire(20)
 @dataclass(frozen=True)
 class ResponseBody:
     """One application response.

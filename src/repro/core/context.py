@@ -30,6 +30,8 @@ import dataclasses
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
+from repro.wiretypes import wire
+
 # ---------------------------------------------------------------------------
 # state diffing (copy-on-write propagation)
 # ---------------------------------------------------------------------------
@@ -68,6 +70,7 @@ def apply_state_delta(state: Any, changes: tuple) -> Any:
     return replace(state, **dict(changes))
 
 
+@wire(17)
 @dataclass(frozen=True, slots=True)
 class ContextSnapshot:
     """An immutable picture of one session's context at a moment.
@@ -102,6 +105,7 @@ class ContextSnapshot:
         return (self.update_counter, self.response_counter, self.epoch)
 
 
+@wire(18)
 @dataclass(frozen=True, slots=True)
 class ContextDelta:
     """The incremental form of one propagation: only what changed.

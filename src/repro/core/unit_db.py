@@ -18,8 +18,10 @@ from dataclasses import dataclass, replace
 
 from repro.core.context import ContextSnapshot
 from repro.sim.topology import NodeId
+from repro.wiretypes import wire
 
 
+@wire(19)
 @dataclass(frozen=True)
 class SessionRecord:
     """One session's entry in the unit database."""

@@ -17,6 +17,7 @@ from typing import Any
 
 from repro.core.context import ContextDelta, ContextSnapshot
 from repro.sim.topology import NodeId
+from repro.wiretypes import wire
 
 
 def service_group() -> str:
@@ -40,11 +41,13 @@ def session_group(session_id: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+@wire(21)
 @dataclass(frozen=True)
 class ListUnitsRequest:
     client_id: NodeId
 
 
+@wire(22)
 @dataclass(frozen=True)
 class UnitList:
     """Reply: available units and the content group name for each."""
@@ -57,6 +60,7 @@ class UnitList:
 # ---------------------------------------------------------------------------
 
 
+@wire(23)
 @dataclass(frozen=True)
 class StartSession:
     client_id: NodeId
@@ -65,6 +69,7 @@ class StartSession:
     params: Any = None
 
 
+@wire(24)
 @dataclass(frozen=True)
 class SessionStarted:
     """Primary -> client: your session group is ready."""
@@ -74,6 +79,7 @@ class SessionStarted:
     primary: NodeId
 
 
+@wire(25)
 @dataclass(frozen=True)
 class SessionDenied:
     session_id: str
@@ -85,6 +91,7 @@ class SessionDenied:
 # ---------------------------------------------------------------------------
 
 
+@wire(26)
 @dataclass(frozen=True)
 class ContextUpdate:
     session_id: str
@@ -92,6 +99,7 @@ class ContextUpdate:
     update: Any
 
 
+@wire(27)
 @dataclass(frozen=True)
 class EndSession:
     session_id: str
@@ -102,6 +110,7 @@ class EndSession:
 # ---------------------------------------------------------------------------
 
 
+@wire(28)
 @dataclass(frozen=True)
 class Propagate:
     """Primary -> content group: periodic context propagation.
@@ -127,12 +136,13 @@ class Propagate:
 
     @cached_property
     def wire_size(self) -> int:
-        # imported here: the codec imports this module to register it
+        # imported here: the codec imports this module for its declarations
         from repro.net.codec import frame_size
 
         return frame_size(self)
 
 
+@wire(29)
 @dataclass(frozen=True)
 class SessionEnded:
     """Primary -> content group: drop the session from the unit database."""
@@ -141,6 +151,7 @@ class SessionEnded:
     unit_id: str
 
 
+@wire(30)
 @dataclass(frozen=True)
 class RebalanceRequest:
     """Anyone -> content group: re-run the deterministic rebalance now.
@@ -155,6 +166,7 @@ class RebalanceRequest:
     unit_id: str
 
 
+@wire(31)
 @dataclass(frozen=True)
 class StateExchange:
     """Member -> content group after a join-type view change: my unit
@@ -171,6 +183,7 @@ class StateExchange:
 # ---------------------------------------------------------------------------
 
 
+@wire(32)
 @dataclass(frozen=True)
 class Handoff:
     """Old primary -> new primary during a controlled migration: the exact
@@ -181,6 +194,7 @@ class Handoff:
     snapshot: ContextSnapshot
 
 
+@wire(33)
 @dataclass(frozen=True)
 class ResponseMsg:
     """Primary -> client: one response.

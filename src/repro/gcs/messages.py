@@ -1,6 +1,7 @@
 """Wire payloads exchanged by the GCS protocol.
 
-All payloads are small frozen dataclasses.
+All payloads are small frozen dataclasses, each declared a wire type by
+``@wire(type_id)``; the hot ones also declare a packed layout.
 """
 
 from __future__ import annotations
@@ -10,8 +11,14 @@ from typing import Any
 
 from repro.gcs.view import ViewId
 from repro.sim.topology import NodeId
+from repro.wiretypes import wire
+
+#: packed layouts shared by the liveness probes and by both multicast requests
+_LIVENESS = "sender:str8 incarnation:u32 view_counter:u32 config_view_id:value"
+_MCAST = "group:str8 request_id:value payload:value"
 
 
+@wire(2, 17, "origin:str8 incarnation:u32 counter:u32")
 @dataclass(frozen=True, slots=True)
 class RequestId:  # repro-lint: allow(P201) — id helper carried inside payloads, not dispatched
     """Globally unique id of one multicast request.
@@ -38,6 +45,7 @@ class RequestId:  # repro-lint: allow(P201) — id helper carried inside payload
 # ---------------------------------------------------------------------------
 
 
+@wire(4, 15, _LIVENESS)
 @dataclass(frozen=True, slots=True)
 class Heartbeat:
     sender: NodeId
@@ -51,6 +59,7 @@ class Heartbeat:
 # ---------------------------------------------------------------------------
 
 
+@wire(37, 23, "subject:str8 status:u8 incarnation:u32 epoch:u32")
 @dataclass(frozen=True, slots=True)
 class SwimUpdate:  # repro-lint: allow(P201) — carried inside swim payloads, not dispatched
     """One piggybacked membership observation: ``subject`` is in ``status``
@@ -69,6 +78,7 @@ class SwimUpdate:  # repro-lint: allow(P201) — carried inside swim payloads, n
     epoch: int
 
 
+@wire(38, 24, _LIVENESS + " probe_seq:u32 origin:value updates:tuple16")
 @dataclass(frozen=True, slots=True)
 class SwimPing:
     """Direct (``origin=None``) or relayed probe of the receiver.
@@ -86,6 +96,7 @@ class SwimPing:
     updates: tuple[SwimUpdate, ...] = ()
 
 
+@wire(39, 25, _LIVENESS + " probe_seq:u32 origin:value updates:tuple16")
 @dataclass(frozen=True, slots=True)
 class SwimAck:
     """Probe response.  ``origin`` echoes the ping's origin: a helper
@@ -100,6 +111,7 @@ class SwimAck:
     updates: tuple[SwimUpdate, ...] = ()
 
 
+@wire(40, 26, _LIVENESS + " target:str8 probe_seq:u32 updates:tuple16")
 @dataclass(frozen=True, slots=True)
 class SwimPingReq:
     """Prober -> helper: ping ``target`` on my behalf (indirect probe after
@@ -114,6 +126,7 @@ class SwimPingReq:
     updates: tuple[SwimUpdate, ...] = ()
 
 
+@wire(41, 27, _LIVENESS + " entries:tuple16 reply_requested:bool8")
 @dataclass(frozen=True, slots=True)
 class SwimDigest:
     """Anti-entropy: the sender's full membership table.  The receiver
@@ -139,6 +152,7 @@ LIVENESS_MESSAGES = (Heartbeat, SwimPing, SwimAck, SwimPingReq, SwimDigest)
 # ---------------------------------------------------------------------------
 
 
+@wire(5, 19, _MCAST)
 @dataclass(frozen=True, slots=True)
 class OrderRequest:
     """Ask the configuration's sequencer to order one group multicast."""
@@ -148,6 +162,7 @@ class OrderRequest:
     payload: Any
 
 
+@wire(6, 20, "seq:u32 config_view_id:value request:value")
 @dataclass(frozen=True, slots=True)
 class Sequenced:  # repro-lint: allow(P201) — travels inside batches, installs and sync replies, not dispatched
     """A multicast stamped with its position in the configuration's total
@@ -159,6 +174,7 @@ class Sequenced:  # repro-lint: allow(P201) — travels inside batches, installs
     request: OrderRequest
 
 
+@wire(7, 21, "messages:tuple16.count config_view_id:value messages:tuple16.items")
 @dataclass(frozen=True, slots=True)
 class SequencedBatch:
     """A window's worth of sequenced multicasts disseminated as one wire
@@ -174,6 +190,7 @@ class SequencedBatch:
     messages: tuple[Sequenced, ...]
 
 
+@wire(8)
 @dataclass(frozen=True, slots=True)
 class NackSeqs:
     """Member -> sequencer: I hold a gap in the configuration's sequence
@@ -183,6 +200,7 @@ class NackSeqs:
     seqs: tuple[int, ...]
 
 
+@wire(9)
 @dataclass(frozen=True, slots=True)
 class ResyncRequired:
     """Sequencer -> member: the sequence gap you NACKed was pruned from the
@@ -201,6 +219,7 @@ class ResyncRequired:
 # ---------------------------------------------------------------------------
 
 
+@wire(3)
 @dataclass(frozen=True, slots=True)
 class AttemptId:  # repro-lint: allow(P201) — id helper carried inside payloads, not dispatched
     """Identifies one view-formation attempt: ``(counter, coordinator)``."""
@@ -218,6 +237,7 @@ class AttemptId:  # repro-lint: allow(P201) — id helper carried inside payload
         return self._key() <= other._key()
 
 
+@wire(10)
 @dataclass(frozen=True, slots=True)
 class Propose:
     """Coordinator -> participants: start forming a view with ``members``."""
@@ -226,6 +246,7 @@ class Propose:
     members: tuple[NodeId, ...]
 
 
+@wire(11)
 @dataclass(frozen=True, slots=True)
 class ProposeNack:
     """Participant -> coordinator: your attempt counter is stale; retry
@@ -235,6 +256,7 @@ class ProposeNack:
     view_counter: int
 
 
+@wire(12)
 @dataclass(frozen=True, slots=True)
 class SyncReply:
     """Participant -> coordinator: my state for the flush round.
@@ -263,6 +285,7 @@ class SyncReply:
     incarnation: int = 0
 
 
+@wire(13)
 @dataclass(frozen=True, slots=True)
 class Install:
     """Coordinator -> participants: the new view, plus everything each
@@ -290,6 +313,7 @@ class Install:
 # ---------------------------------------------------------------------------
 
 
+@wire(14, 22, _MCAST)
 @dataclass(frozen=True, slots=True)
 class ClientMcast:
     """Client -> contact daemon: inject a group multicast into the total
@@ -300,6 +324,7 @@ class ClientMcast:
     payload: Any
 
 
+@wire(15, 16, "request_id:value")
 @dataclass(frozen=True, slots=True)
 class ClientAck:
     """Contact daemon -> client: your message was accepted for ordering."""
@@ -332,6 +357,7 @@ __all__ = [
 ]
 
 
+@wire(16)
 @dataclass(frozen=True, slots=True)
 class PtpData:
     """A point-to-point application payload carried outside the total order

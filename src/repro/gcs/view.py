@@ -14,8 +14,10 @@ from functools import total_ordering
 from typing import Iterable
 
 from repro.sim.topology import NodeId
+from repro.wiretypes import wire
 
 
+@wire(1, 18, "counter:u32 coordinator:str8")
 @total_ordering
 @dataclass(frozen=True)
 class ViewId:

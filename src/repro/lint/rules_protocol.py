@@ -24,9 +24,6 @@ MESSAGE_MODULES = ("gcs/messages.py", "core/wire.py")
 #: Functions recognised as dispatch sites for wire messages.
 DISPATCH_FUNCTIONS = frozenset({"on_message", "on_group_message", "on_ptp"})
 
-#: Modules that register wire dataclasses with the live-runtime codec.
-CODEC_MODULES = ("net/codec.py",)
-
 #: Modules that declare configuration knobs as dataclass fields.
 KNOB_MODULES = ("core/config.py", "gcs/settings.py")
 #: Attribute names under which knob objects travel (``self.policy.x``,
@@ -321,55 +318,6 @@ def check_frozen_message(context: LintContext) -> Iterator[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# P205 codec-registration
-# ---------------------------------------------------------------------------
-@rule(
-    "P205",
-    "codec-registration",
-    "every wire message class must be registered with the live-runtime "
-    "binary codec",
-    project=True,
-)
-def check_codec_registration(context: LintContext) -> Iterator[Finding]:
-    """A wire message that is never ``register()``-ed with the codec can
-    travel in simulation but not over real sockets — the live runtime
-    would reject the frame at send time.  Mirror of P201: the codec
-    module is the second place every new message must be added."""
-    wire = _wire_classes(context)
-    if not wire:
-        return
-    codec_modules = list(context.modules_matching(*CODEC_MODULES))
-    if not codec_modules:
-        return  # partial scan (no codec module): nothing to cross-check
-    registered: set[str] = set()
-    for module in codec_modules:
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "register"
-                and node.args
-            ):
-                continue
-            target = node.args[0]
-            if isinstance(target, ast.Name):
-                registered.add(target.id)
-            elif isinstance(target, ast.Attribute):
-                registered.add(target.attr)
-    for name, (module, node) in sorted(wire.items()):
-        if name not in registered:
-            yield _finding(
-                "P205",
-                "codec-registration",
-                module,
-                node,
-                f"wire message {name} is not registered with the live "
-                f"codec (add register({name}) to net/codec.py — append at "
-                "the end; registration order is the wire contract)",
-            )
-
-
-# ---------------------------------------------------------------------------
 # P204 knob-sync
 # ---------------------------------------------------------------------------
 def _knob_declarations(
@@ -456,4 +404,4 @@ def check_knob_sync(context: LintContext) -> Iterator[Finding]:
             )
 
 
-__all__ = ["CODEC_MODULES", "DISPATCH_FUNCTIONS", "KNOB_MODULES", "MESSAGE_MODULES"]
+__all__ = ["DISPATCH_FUNCTIONS", "KNOB_MODULES", "MESSAGE_MODULES"]

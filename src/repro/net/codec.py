@@ -13,14 +13,14 @@ version byte guards against mixed deployments: a frame whose version
 differs from :data:`WIRE_VERSION` is rejected whole.
 
 Values are tagged recursively: primitives, containers, and *registered
-dataclasses*.  A dataclass crossing the wire needs exactly one
-:func:`register` call; its type id is its position in the registration
-sequence at the bottom of this module, which makes the id assignment
-deterministic in every process — the registration order IS the wire
-contract (append only, never reorder).  The lint rule P205 fails the
-build when a wire message class in ``gcs/messages.py`` / ``core/wire.py``
-has no ``register(...)`` call here, so a new message cannot silently
-break live mode.
+dataclasses*.  A dataclass crossing the wire is declared once, where it
+is defined, with ``@wire(type_id)`` from :mod:`repro.wiretypes`: the id
+is explicit at the class, the same in every process, and part of the
+wire contract (never reuse or renumber one).  This module imports the
+vocabulary modules and registers their declarations in id order; a
+duplicate id, a gap or a reused packed tag fails that import, naming the
+class.  A class defined above the codec (a service builder's session
+state) calls :func:`register` instead and gets the next free id.
 
 **The compile step.**  Nothing here interprets a schema per value.  On
 the first encode or decode of a registered class the module generates
@@ -35,7 +35,7 @@ more than it saves; :func:`generated_source` shows what was built.
 
 **Packed layouts.**  The hottest frame types (heartbeats, client acks,
 sequenced batches, the envelope itself) declare a second, struct-packed
-byte form in that same ``register`` call — a value tag of their own and
+byte form in that same declaration — a value tag of their own and
 a layout such as ``"sender:str8 incarnation:u32 config_view_id:value"``
 (vocabulary: :data:`LAYOUT_KINDS`), checked against the class's fields
 on the spot.  Both forms share one decoder table — :func:`decode_frame`
@@ -57,6 +57,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable, get_type_hints
+
+from repro.wiretypes import DECLARED, wire
 
 #: Version 2 added the packed tags (14..22); version 3 the SWIM gossip
 #: vocabulary and its packed tags (23..27); version 4 took the abstract
@@ -95,7 +97,7 @@ class TruncatedFrameError(CodecError):
 
 
 # ---------------------------------------------------------------------------
-# value tags; 14 and up belong to the packed layouts declared at register()
+# value tags; 14 and up belong to the packed layouts of the wire types
 # ---------------------------------------------------------------------------
 _T_NONE = 0
 _T_TRUE = 1
@@ -228,8 +230,9 @@ class _EncoderTable(dict[type, _Encoder]):
             if cls not in _TYPE_IDS:
                 if is_dataclass(cls):
                     raise UnknownTypeError(
-                        f"{cls.__name__} is not registered with the codec "
-                        "(add a register(...) call in repro/net/codec.py)"
+                        f"{cls.__name__} is not registered with the codec (declare it "
+                        "with @wire(type_id) where it is defined, or call register(cls) "
+                        "from a module above the codec)"
                     )
                 raise UnknownTypeError(f"cannot encode {cls.__name__!r} (not a wire type)")
             encoder = _compile_encoder(cls, self, packed=self.packed and cls in _LAYOUTS)
@@ -419,11 +422,12 @@ def _compile_on_first_call(table: list[Any], key: int, compile_coder: Callable[[
 
 
 def register(cls: type, tag: int | None = None, layout: str | None = None) -> type:
-    """Assign ``cls`` the next wire type id — all a wire dataclass needs.
+    """Assign ``cls`` the next wire type id.
 
-    Ids are positional, so every process that imports this module agrees
-    on them for free — provided the registration sequence below is only
-    ever appended to.  ``tag`` and ``layout`` (both or neither) declare a
+    The ``@wire`` declarations hold ids 0..n-1 from this module's import
+    on, so a call from a module above the codec gets the id after them,
+    the same in every process that makes the same calls in the same
+    order.  ``tag`` and ``layout`` (both or neither) declare a
     packed byte form under a value tag of its own: ``layout`` lists every
     field once, in wire order, as ``field:kind`` with the kinds of
     :data:`LAYOUT_KINDS`.  Coders are compiled when first used.
@@ -697,8 +701,9 @@ def _compile_decoder(cls: type, packed: bool) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# the envelope the live network ships (also just a registered dataclass)
+# the envelope the live network ships (also just a declared wire type)
 # ---------------------------------------------------------------------------
+@wire(0, 14, "sender:str8 receiver:str8 kind:str8 size:u32 payload:value")
 @dataclass(frozen=True, slots=True)
 class WireEnvelope:
     """One transported message: addressing metadata plus the payload."""
@@ -844,109 +849,24 @@ class FrameDecoder:
 
 
 # ---------------------------------------------------------------------------
-# wire type registration — the order below IS the wire contract.
-# Append only; never reorder or remove, and never renumber a packed tag.
-# P205 cross-checks this block against the wire vocabulary in
-# gcs/messages.py and core/wire.py.
+# the declared vocabulary: these imports run every @wire, registered below
 # ---------------------------------------------------------------------------
-from repro.core.application import ResponseBody  # noqa: E402
-from repro.core.context import ContextDelta, ContextSnapshot  # noqa: E402
-from repro.core.unit_db import SessionRecord  # noqa: E402
-from repro.core.wire import (  # noqa: E402
-    ContextUpdate,
-    EndSession,
-    Handoff,
-    ListUnitsRequest,
-    Propagate,
-    RebalanceRequest,
-    ResponseMsg,
-    SessionDenied,
-    SessionEnded,
-    SessionStarted,
-    StartSession,
-    StateExchange,
-    UnitList,
-)
-from repro.gcs.messages import (  # noqa: E402
-    AttemptId,
-    ClientAck,
-    ClientMcast,
-    Heartbeat,
-    Install,
-    NackSeqs,
-    OrderRequest,
-    Propose,
-    ProposeNack,
-    PtpData,
-    RequestId,
-    ResyncRequired,
-    Sequenced,
-    SequencedBatch,
-    SwimAck,
-    SwimDigest,
-    SwimPing,
-    SwimPingReq,
-    SwimUpdate,
-    SyncReply,
-)
-from repro.gcs.view import ViewId  # noqa: E402
-from repro.services.education import EducationSessionState  # noqa: E402
-from repro.services.search import SearchSessionState  # noqa: E402
-from repro.services.vod import VodSessionState  # noqa: E402
+import repro.core.wire  # noqa: E402,F401
+import repro.gcs.messages  # noqa: E402,F401
+import repro.services  # noqa: E402,F401
 
-_LIVENESS = "sender:str8 incarnation:u32 view_counter:u32 config_view_id:value"
-_MCAST = "group:str8 request_id:value payload:value"
 
-register(WireEnvelope, 14, "sender:str8 receiver:str8 kind:str8 size:u32 payload:value")
-# GCS vocabulary (gcs/messages.py + the view id they stamp)
-register(ViewId, 18, "counter:u32 coordinator:str8")
-register(RequestId, 17, "origin:str8 incarnation:u32 counter:u32")
-register(AttemptId)
-register(Heartbeat, 15, _LIVENESS)
-register(OrderRequest, 19, _MCAST)
-register(Sequenced, 20, "seq:u32 config_view_id:value request:value")
-register(
-    SequencedBatch,
-    21,
-    "messages:tuple16.count config_view_id:value messages:tuple16.items",
-)
-register(NackSeqs)
-register(ResyncRequired)
-register(Propose)
-register(ProposeNack)
-register(SyncReply)
-register(Install)
-register(ClientMcast, 22, _MCAST)
-register(ClientAck, 16, "request_id:value")
-register(PtpData)
-# framework vocabulary (core/wire.py + the context/record types it carries)
-register(ContextSnapshot)
-register(ContextDelta)
-register(SessionRecord)
-register(ResponseBody)
-register(ListUnitsRequest)
-register(UnitList)
-register(StartSession)
-register(SessionStarted)
-register(SessionDenied)
-register(ContextUpdate)
-register(EndSession)
-register(Propagate)
-register(SessionEnded)
-register(RebalanceRequest)
-register(StateExchange)
-register(Handoff)
-register(ResponseMsg)
-# application session states (propagated inside snapshots and deltas)
-register(VodSessionState)
-register(EducationSessionState)
-register(SearchSessionState)
-# SWIM gossip membership vocabulary (gcs/messages.py, wire version 3)
-register(SwimUpdate, 23, "subject:str8 status:u8 incarnation:u32 epoch:u32")
-register(SwimPing, 24, _LIVENESS + " probe_seq:u32 origin:value updates:tuple16")
-register(SwimAck, 25, _LIVENESS + " probe_seq:u32 origin:value updates:tuple16")
-register(SwimPingReq, 26, _LIVENESS + " target:str8 probe_seq:u32 updates:tuple16")
-register(SwimDigest, 27, _LIVENESS + " entries:tuple16 reply_requested:bool8")
+def _register_declared() -> None:
+    """Register the ``@wire`` declarations in id order: 0, 1, 2, ..."""
+    for cls, type_id, tag, layout in sorted(DECLARED, key=lambda declared: declared[1]):
+        if type_id != len(_TYPES):
+            taken = 0 <= type_id < len(_TYPES)
+            problem = f"is also declared by {_TYPES[type_id].__name__}" if taken else "leaves a gap"
+            raise CodecError(f"{cls.__name__}: wire type id {type_id} {problem}")
+        register(cls, tag, layout)
+
+
+_register_declared()
 
 
 __all__ = [

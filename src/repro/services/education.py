@@ -15,8 +15,10 @@ from typing import Any
 
 from repro.core.application import RequestResponseApplication, ResponseBody
 from repro.services.content import Topic
+from repro.wiretypes import wire
 
 
+@wire(35)
 @dataclass(frozen=True)
 class EducationSessionState:
     unit_id: str

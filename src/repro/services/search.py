@@ -14,8 +14,10 @@ from typing import Any
 
 from repro.core.application import RequestResponseApplication, ResponseBody
 from repro.services.content import Corpus
+from repro.wiretypes import wire
 
 
+@wire(36)
 @dataclass(frozen=True)
 class SearchSessionState:
     unit_id: str

@@ -16,10 +16,12 @@ from typing import Any
 
 from repro.core.application import ResponseBody
 from repro.services.content import Movie
+from repro.wiretypes import wire
 
 FRAME_SIZE = {"I": 30, "P": 10, "B": 5}
 
 
+@wire(34)
 @dataclass(frozen=True)
 class VodSessionState:
     """Immutable VoD session context (frozen => snapshots are cheap and

@@ -25,9 +25,11 @@ def test_e2_load_shape():
     by_key = {(r[0], r[1]): r for r in rows}
     # period effect at fixed backups=0: T=0.25 vs T=1.0
     assert by_key[(0, 0.25)][2] > 3 * by_key[(0, 1.0)][2]
-    # the delta-accounted wire cost also rises as the period shrinks,
-    # but sub-linearly in message count (deltas ship only changed fields)
+    # the wire cost rises as the period shrinks, linearly in the count: a
+    # VoD delta costs about what a full snapshot does
     assert by_key[(0, 0.25)][3] > by_key[(0, 1.0)][3]
+    per_propagation = [r[3] / r[2] for r in rows]
+    assert max(per_propagation) <= 1.05 * min(per_propagation)
     # backups effect at fixed period (backup_updates is column 4 now)
     assert by_key[(2, 0.25)][4] > by_key[(0, 0.25)][4]
     # responses roughly equal everywhere

@@ -13,7 +13,7 @@ def test_report_json_contract(bad_dir):
     data = json.loads(report.to_json())
     assert data["version"] == 1
     assert data["ok"] is False
-    assert data["files_scanned"] == 11
+    assert data["files_scanned"] == 10
     assert data["suppressed"] == 0
     assert set(data["rules_run"]) == {r.rule_id for r in all_rules()}
     assert data["counts_by_rule"]["D101"] == 2
@@ -30,7 +30,7 @@ def test_registry_catalogue():
     assert ids == sorted(ids)
     assert {r.rule_id for r in rules} == {
         "D101", "D102", "D103", "D104", "D105", "D106",
-        "P201", "P202", "P203", "P204", "P205",
+        "P201", "P202", "P203", "P204",
     }
     assert get_rule("D103").slug == "set-order"
     assert get_rule("set-order").rule_id == "D103"
@@ -65,7 +65,7 @@ def test_cli_json_artifact(bad_dir, tmp_path, capsys):
     capsys.readouterr()
     data = json.loads(artifact.read_text(encoding="utf-8"))
     assert data["ok"] is False
-    assert len(data["findings"]) == 23
+    assert len(data["findings"]) == 22
 
 
 def test_cli_missing_path_exits_two(tmp_path, capsys):

@@ -103,13 +103,6 @@ def test_p204_knob_sync(bad_dir):
     assert any("ghost_knob" in f.message for f in found)
 
 
-def test_p205_codec_registration(bad_dir):
-    (missing,) = _findings(bad_dir, "P205")
-    assert "is not registered" in missing.message and "Pong" in missing.message
-    # the finding points at the unregistered class, not at the codec
-    assert missing.path.endswith("gcs/messages.py")
-
-
 # ---------------------------------------------------------------------------
 # totals and the good twin
 # ---------------------------------------------------------------------------
@@ -127,7 +120,6 @@ def test_bad_fixture_totals(bad_dir):
         "P202": 1,
         "P203": 2,
         "P204": 2,
-        "P205": 1,
     }
 
 

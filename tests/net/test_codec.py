@@ -101,8 +101,8 @@ def test_every_wire_dataclass_is_registered():
     for module in (wire_module, messages_module):
         for cls in _module_wire_classes(module):
             assert cls in registered, (
-                f"{cls.__name__} is a wire dataclass but has no codec "
-                "registration (P205 should also be failing)"
+                f"{cls.__name__} is a wire dataclass but is not registered "
+                "with the codec (declare it with @wire(type_id) above its @dataclass)"
             )
 
 
@@ -372,6 +372,38 @@ def test_coders_are_compiled_on_first_use_and_only_once():
     as +20 % ``setup_s`` on the stack benchmark."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", _LAZY_COMPILE_SCRIPT], env=env, check=True, timeout=60)
+
+
+_STRAY_DECLARATION_SCRIPT = """
+from dataclasses import dataclass
+from repro.wiretypes import wire
+@wire({})
+@dataclass(frozen=True)
+class Stray:
+    seq: int
+import repro.net.codec
+"""
+
+
+@pytest.mark.parametrize(
+    "declaration, complaint",
+    [
+        ("5", "OrderRequest: wire type id 5 is also declared by Stray"),
+        ("43", "Stray: wire type id 43 leaves a gap"),
+        ('42, 15, "seq:u32"', "Stray: packed tag 15 is used twice"),
+    ],
+)
+def test_a_bad_declaration_fails_the_codec_import(declaration, complaint):
+    """Ids are explicit at the class, so the codec checks them as a whole
+    when it reads the declarations: a duplicate id, a gap or a reused
+    packed tag stops its import and names the class."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    script = _STRAY_DECLARATION_SCRIPT.format(declaration)
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode != 0
+    assert result.stderr.splitlines()[-1] == f"repro.net.codec.CodecError: {complaint}"
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,6 @@ class AvailabilityPolicy:
         leave_grace: how long a server stays in a session group after
             losing its role there, so replacements join before it leaves
             (the paper's join-first-then-leave rule).
-        rebalance_on_join: whether a join-triggered view change triggers a
-            full exchange-and-rebalance (the paper's behaviour) — disabled
-            only by ablation experiments.
         prefer_backup_promotion: whether reallocation prefers surviving
             former backups as new primaries (the paper's stated selection
             preference) — disabled only by ablation experiments.
@@ -44,17 +41,9 @@ class AvailabilityPolicy:
             a simultaneous crash of every replica permanently loses its
             sessions (E5); durability converts that into a recoverable
             outage.  An extension beyond the paper, off by default.
-        response_log_cap: per-session cap on the client's received-response
-            log (memory guard for long benchmark runs).
-        delta_propagation: ship incremental context deltas (only the
-            app-state fields changed since the previous propagation)
-            instead of full snapshots whenever safe.  Full snapshots are
-            still sent on the first propagation of a role, after content
-            view changes, and periodically (below) so receivers at an
-            epoch gap re-converge.
-        full_propagation_every: with delta propagation on, force a full
-            snapshot at least every this-many propagations (bounds how
-            long a receiver that missed a delta base can stay stale).
+
+    The form of a propagation is not a knob: each one ships a full
+    snapshot or an incremental delta, whichever the codec prices smaller.
     """
 
     num_backups: int = 1
@@ -62,20 +51,14 @@ class AvailabilityPolicy:
     uncertainty_policy: UncertaintyPolicy = field(default_factory=ResendAll)
     handoff_timeout: float = 0.3
     leave_grace: float = 0.5
-    rebalance_on_join: bool = True
     prefer_backup_promotion: bool = True
     durable_unit_db: bool = False
-    response_log_cap: int = 200_000
-    delta_propagation: bool = True
-    full_propagation_every: int = 8
 
     def __post_init__(self) -> None:
         if self.num_backups < 0:
             raise ValueError("num_backups must be >= 0")
         if self.propagation_period <= 0:
             raise ValueError("propagation_period must be positive")
-        if self.full_propagation_every < 1:
-            raise ValueError("full_propagation_every must be >= 1")
 
     @property
     def session_group_size(self) -> int:

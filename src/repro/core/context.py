@@ -19,9 +19,10 @@ Application states are **immutable by contract**: every
 contexts *by reference* instead of deep-copying, and compute **deltas**
 between successive propagations.  A :class:`ContextDelta` carries only
 the app-state fields that changed since the previous propagation epoch —
-the FRAPPE-style incremental state shipping that makes the paper's
-"frequency of context propagation" knob cost what it actually costs,
-rather than the cost of re-serializing the whole context every period.
+FRAPPE-style incremental state shipping.  One capture yields both forms
+at one epoch, and the primary ships whichever the codec prices smaller:
+a delta pays where a large field stays put, a full snapshot where every
+field is small (a one-field delta outweighs a small snapshot).
 """
 
 from __future__ import annotations
@@ -153,39 +154,41 @@ class PrimaryContext:
     update_counter: int = 0
     response_counter: int = 0
     epoch: int = 0
-    # the app state as of the last snapshot()/delta() capture — the
-    # copy-on-write base the next delta is diffed against
+    # the app state as of the last capture — the copy-on-write base the
+    # next delta is diffed against
     _delta_base: Any = field(default=None, repr=False, compare=False)
 
     def snapshot(self, now: float) -> ContextSnapshot:
-        """Capture a full propagation snapshot (epoch advances).
+        """Capture a full snapshot (epoch advances): what a handoff ships."""
+        return self.capture(now, diff=False)[0]
 
-        States are immutable by the application contract, so this shares
-        the state reference — capture is O(1), not a deep copy."""
+    def capture(
+        self, now: float, diff: bool = True
+    ) -> tuple[ContextSnapshot, ContextDelta | None]:
+        """Advance the epoch once and return both forms of the context at
+        it: the full snapshot, and the delta against the previous capture.
+
+        The delta is ``None`` when ``diff`` is off, no capture exists yet,
+        or the state does not support field-level diffing; either form
+        rebuilds the same snapshot, so the caller ships whichever it likes.
+        States are immutable by the application contract, so the snapshot
+        shares the state reference — capture is O(1), not a deep copy."""
+        changes = None
+        if diff and self._delta_base is not None:
+            changes = state_delta(self._delta_base, self.app_state)
+        base_epoch = self.epoch
         self.epoch += 1
         self._delta_base = self.app_state
-        return ContextSnapshot(
+        snapshot = ContextSnapshot(
             app_state=self.app_state,
             update_counter=self.update_counter,
             response_counter=self.response_counter,
             stamped_at=now,
             epoch=self.epoch,
         )
-
-    def delta(self, now: float) -> ContextDelta | None:
-        """Capture an incremental propagation (epoch advances) against the
-        previous capture, or ``None`` when no capture exists yet or the
-        state does not support field-level diffing (caller falls back to a
-        full :meth:`snapshot`)."""
-        if self._delta_base is None:
-            return None
-        changes = state_delta(self._delta_base, self.app_state)
         if changes is None:
-            return None
-        base_epoch = self.epoch
-        self.epoch += 1
-        self._delta_base = self.app_state
-        return ContextDelta(
+            return snapshot, None
+        return snapshot, ContextDelta(
             base_epoch=base_epoch,
             epoch=self.epoch,
             update_counter=self.update_counter,

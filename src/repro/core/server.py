@@ -73,6 +73,11 @@ CRASH_HOOKS = (
     "mid-exchange",  # own state-exchange snapshot sent, merge pending
 )
 
+#: A primary sends a full snapshot at least every this-many propagations,
+#: even where deltas are smaller: it bounds how long a receiver at an
+#: epoch gap (one that missed a delta's base) stays stale.
+FULL_PROPAGATION_EVERY = 8
+
 
 @dataclass
 class _PrimaryRuntime:
@@ -90,7 +95,8 @@ class _PrimaryRuntime:
     response_event = None
     propagation_timer = None
     # delta propagation bookkeeping: how many deltas since the last full
-    # snapshot, and the content view the receivers of that full saw
+    # snapshot, and the content view the receivers of that full saw (None:
+    # the next propagation must be full)
     deltas_since_full: int = 0
     propagated_view_key: tuple | None = None
 
@@ -657,32 +663,35 @@ class FrameworkServer:
         if runtime is None or runtime.awaiting_handoff:
             return
         self._chaos_hook("pre-propagate")
-        view = self._content_views.get(runtime.unit_id)
+        unit = runtime.unit_id
+        view = self._content_views.get(unit)
         view_key = view.view_key if view is not None else None
-        message = None
-        if (
-            self.policy.delta_propagation
-            and runtime.propagated_view_key == view_key
-            and runtime.deltas_since_full + 1 < self.policy.full_propagation_every
-        ):
-            delta = runtime.ctx.delta(self.sim.now)
-            if delta is not None:
-                message = Propagate(
-                    session_id=session_id, unit_id=runtime.unit_id, delta=delta
-                )
-                runtime.deltas_since_full += 1
-                self.counters["propagations_delta"] += 1
-        if message is None:
-            snapshot = runtime.ctx.snapshot(self.sim.now)
-            message = Propagate(
-                session_id=session_id, unit_id=runtime.unit_id, snapshot=snapshot
-            )
+        own = self.unit_dbs[unit].get(session_id)
+        # a delta only where every receiver holds its base: the last full
+        # went to this view, and the last capture came back through the
+        # total order here, so it is delivered before this one everywhere
+        snapshot, delta = runtime.ctx.capture(
+            self.sim.now,
+            diff=runtime.propagated_view_key == view_key
+            and own is not None
+            and own.snapshot.epoch == runtime.ctx.epoch
+            and runtime.deltas_since_full + 1 < FULL_PROPAGATION_EVERY,
+        )
+        forms = [Propagate(session_id, unit, snapshot=snapshot)]
+        if delta is not None:
+            forms.append(Propagate(session_id, unit, delta=delta))
+        # the codec prices both forms (a state it cannot encode fails here,
+        # before anything is sent); on a tie min() keeps the full one
+        message = min(forms, key=lambda form: form.wire_size)
+        if message.delta is not None:
+            runtime.deltas_since_full += 1
+            self.counters["propagations_delta"] += 1
+        else:
             runtime.deltas_since_full = 0
             runtime.propagated_view_key = view_key
             self.counters["propagations_full"] += 1
-        # priced first: a state the codec cannot encode fails before it is sent
         self.counters["propagation_bytes_sent"] += message.wire_size
-        self.daemon.mcast(content_group(runtime.unit_id), message)
+        self.daemon.mcast(content_group(unit), message)
         self.counters["propagations_sent"] += 1
 
     def _on_propagate(self, message: Propagate) -> None:
@@ -745,8 +754,7 @@ class FrameworkServer:
         """Run the full exchange-merge-rebalance pipeline on demand.
 
         The exchange makes the operation safe even when members' databases
-        have diverged (e.g. a joiner that was never integrated because the
-        rebalance-on-join ablation is active)."""
+        have diverged (e.g. a joiner that was never integrated)."""
         unit = message.unit_id
         db = self.unit_dbs.get(unit)
         view = self._content_views.get(unit)
@@ -788,13 +796,8 @@ class FrameworkServer:
                     joiners.add(member)
         exchange_pending = unit in self._exchanges
 
-        if (joiners or exchange_pending) and self.policy.rebalance_on_join and len(
-            view.members
-        ) > 1:
+        if (joiners or exchange_pending) and len(view.members) > 1:
             self._begin_exchange(unit, view)
-            return
-        if joiners and not self.policy.rebalance_on_join:
-            # Ablation: treat joiners as passive; no exchange, no rebalance.
             return
         if previous is None and len(view.members) == 1 and len(db) > 0:
             # A lone restart with a durable database: nobody to exchange
@@ -895,6 +898,12 @@ class FrameworkServer:
         merged = UnitDatabase.merge(unit, dumps)
         self.unit_dbs[unit] = merged
         del self._exchanges[unit]
+        # the merge rewrote every member's records of this unit, so a
+        # primary that keeps its role has no delta base left at the
+        # receivers: its next propagation must be full
+        for runtime in self.primaries.values():
+            if runtime.unit_id == unit:
+                runtime.propagated_view_key = None
         allocation = allocate_sessions(
             merged,
             view.members,

@@ -228,7 +228,6 @@ class ServiceCluster:
             self.network,
             contact_servers=sorted(self.servers),
             settings=self.settings,
-            response_log_cap=self.policy.response_log_cap,
         )
         client.start()
         self.clients[client_id] = client

@@ -116,11 +116,13 @@ class Propagate:
     """Primary -> content group: periodic context propagation.
 
     Carries either a full ``snapshot`` or an incremental ``delta``
-    (exactly one is set).  Deltas ship only the app-state fields changed
-    since the previous propagation epoch; a receiver whose record is not
-    at the delta's base epoch ignores it and is repaired by the next full
-    snapshot (the primary sends one on view changes and at least every
-    ``AvailabilityPolicy.full_propagation_every`` propagations).
+    (exactly one is set): the primary builds both and ships the one with
+    the smaller ``wire_size``.  Deltas ship only the app-state fields
+    changed since the previous propagation epoch; a receiver whose record
+    is not at the delta's base epoch ignores it and is repaired by the next
+    full snapshot (the primary sends one after content view changes and
+    state-exchange merges, and at least every
+    ``server.FULL_PROPAGATION_EVERY`` propagations).
 
     ``wire_size`` is what the codec makes of this message — the bytes
     the load accounting charges the propagation-frequency knob, on both

@@ -16,6 +16,13 @@ dropped, trace records) and the WAN anchor — the only run on
 ``LogNormalLatency`` — were recorded at PR 22 (``b508c6f``), before PR 23
 hoisted the per-message work out of the simulated message path: "the
 same simulation" is these numbers, not only the hash.
+
+The propagation counts were recorded when each propagation began to ship
+whichever form the codec prices smaller.  The digests did not move (the
+trace records that a propagation was multicast, not its form); before,
+the same runs sent 144/144/135/134/252/254/17 deltas, 52 560/52 560/
+45 317/45 509/66 066/59 150/4 952 bytes, and the ``plant`` runs counted
+25 (gossip) and 4 (heartbeat) delta gaps.
 """
 
 import dataclasses
@@ -58,8 +65,20 @@ _COUNTS = {
     ("plant", "gossip"): (7641, 3868, 140, 3960),
 }
 
+#: (propagations_sent, propagations_delta, propagation_delta_gaps,
+#: propagation_bytes_processed) summed over the servers of each anchored run
+_PROPAGATION = {
+    ("empty", "heartbeat"): (166, 0, 0, 47808),
+    ("empty", "gossip"): (166, 0, 0, 47808),
+    ("mixed", "heartbeat"): (161, 0, 0, 41472),
+    ("mixed", "gossip"): (160, 0, 0, 41280),
+    ("plant", "heartbeat"): (294, 3, 0, 54336),
+    ("plant", "gossip"): (299, 3, 0, 62784),
+}
+
 _WAN_DIGEST = "baa0c20990024d1dfea5366b6f530e0c55c56f04feb0400ffe4ac65fdad77fe4"
 _WAN_COUNTS = (1018, 628, 60, 638)
+_WAN_PROPAGATION = (20, 0, 0, 4512)
 
 
 #: run -> (config, run seed, generator seed; None: the empty schedule)
@@ -91,11 +110,23 @@ def _counts(cluster):
     )
 
 
+def _propagation(cluster):
+    keys = (
+        "propagations_sent",
+        "propagations_delta",
+        "propagation_delta_gaps",
+        "propagation_bytes_processed",
+    )
+    servers = cluster.servers.values()
+    return tuple(sum(s.counters[key] for s in servers) for key in keys)
+
+
 @pytest.mark.parametrize("run,membership", sorted(_ANCHORS))
 def test_trace_digest_anchor(run, membership):
     result, observation = _run(run, membership)
     assert result.digest == _ANCHORS[(run, membership)]
     assert _counts(observation.cluster) == _COUNTS[(run, membership)]
+    assert _propagation(observation.cluster) == _PROPAGATION[(run, membership)]
     # the planted bug is found (convergence: the healed sides never
     # re-merge), the unplanted runs are clean
     assert len(result.violations) == (6 if run == "plant" else 0)
@@ -111,3 +142,4 @@ def test_wan_failover_anchor():
     cluster.run(15.0)
     assert trace_digest(cluster.trace_log()) == _WAN_DIGEST
     assert _counts(cluster) == _WAN_COUNTS
+    assert _propagation(cluster) == _WAN_PROPAGATION

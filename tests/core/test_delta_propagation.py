@@ -10,6 +10,7 @@ delta (counted as a gap) rather than building a frankenstate.
 
 from dataclasses import dataclass, replace
 
+import numpy as np
 import pytest
 
 from repro.core import AvailabilityPolicy, ServiceCluster
@@ -22,10 +23,21 @@ from repro.core.context import (
     apply_state_delta,
     state_delta,
 )
+from repro.core.server import FULL_PROPAGATION_EVERY
 from repro.core.wire import Propagate
-from repro.experiments.common import send_updates_periodically
+from repro.experiments.common import LedgerApplication, send_updates_periodically
 from repro.net import codec
 from repro.net.codec import UnknownTypeError, encode_frame, register
+from repro.services import (
+    EducationApplication,
+    SearchApplication,
+    VodApplication,
+    build_corpus,
+    build_movie,
+    build_topic,
+)
+from repro.services.content import VOCABULARY
+from repro.services.workload import SearcherWorkload, StudentWorkload
 
 from .conftest import make_vod_cluster, start_streaming_session
 
@@ -65,26 +77,103 @@ class _SeekApplication(RequestResponseApplication):
         return state, []
 
 
-def _seek_cluster(state, **policy_kwargs):
-    """Three replicas, one session seeking every 0.1 s for 8 s."""
-    cluster = ServiceCluster.build(
-        n_servers=3,
-        units={"u": _SeekApplication(state)},
-        replication=3,
-        policy=AvailabilityPolicy(
-            num_backups=1, propagation_period=0.3, **policy_kwargs
-        ),
-        seed=7,
-    )
-    cluster.settle()
-    client = cluster.add_client("c0")
-    handle = client.start_session("u")
-    cluster.run(1.0)
+def _seek(cluster, client, handle):
     send_updates_periodically(
         cluster, client, handle, period=0.1, duration=8.0, make_update=lambda k: k
     )
+
+
+def _run_session(app, unit, drive=_seek, policy=None, seed=7):
+    """Three replicas, one session driven for 8 s after a 1 s warm-up."""
+    cluster = ServiceCluster.build(
+        n_servers=3,
+        units={unit: app},
+        replication=3,
+        policy=policy or AvailabilityPolicy(num_backups=1, propagation_period=0.3),
+        seed=seed,
+    )
+    cluster.settle()
+    client = cluster.add_client("c0")
+    handle = client.start_session(unit)
+    cluster.run(1.0)
+    drive(cluster, client, handle)
     cluster.run(8.0)
     return cluster
+
+
+def _total(cluster, counter):
+    return sum(s.counters[counter] for s in cluster.servers.values())
+
+
+def _searcher(think_time_mean):
+    def drive(cluster, client, handle):
+        SearcherWorkload(
+            cluster=cluster,
+            client=client,
+            handle=handle,
+            rng=np.random.default_rng(3),
+            vocabulary=VOCABULARY,
+            think_time_mean=think_time_mean,
+        ).start()
+
+    return drive
+
+
+def _student(cluster, client, handle):
+    StudentWorkload(
+        cluster=cluster,
+        client=client,
+        handle=handle,
+        rng=np.random.default_rng(2),
+        n_objects=12,
+        think_time_mean=0.5,
+    ).start()
+
+
+def _ledger(cluster, client, handle):
+    send_updates_periodically(
+        cluster,
+        client,
+        handle,
+        period=0.1,
+        duration=8.0,
+        make_update=lambda k: {"counter": k},
+    )
+
+
+#: every shipped session state, and ``PlayState`` with a large buffer that
+#: never changes: (application, unit, driver) for :func:`_run_session`
+_STATES = {
+    "vod": lambda: (
+        VodApplication({"m0": build_movie("m0", duration_seconds=120, frame_rate=10)}),
+        "m0",
+        lambda *_: None,
+    ),
+    "search": lambda: (
+        SearchApplication({"c": build_corpus("c", seed=4)}),
+        "c",
+        _searcher(0.5),
+    ),
+    "education": lambda: (
+        EducationApplication({"t": build_topic("t", n_objects=12, seed=3)}),
+        "t",
+        _student,
+    ),
+    "ledger": lambda: (LedgerApplication(), "l", _ledger),
+    "play": lambda: (_SeekApplication(PlayState(buffer=_BUFFER)), "u", _seek),
+}
+
+#: propagation_bytes_processed of each state: (each propagation in the form
+#: the codec prices smaller — pinned; a delta wherever one was allowed; every
+#: propagation full).  The last two were measured before the form was chosen
+#: per propagation, when two policy knobs picked one of them for every state.
+_BYTES = {
+    "vod": (8352, 9177, 8352),
+    "search": (165081, 200463, 292644),
+    "education": (12696, 14151, 18978),
+    "ledger": (34143, 35661, 34149),
+    "play": (41091, 41091, 242034),
+}
 
 
 class TestStateDelta:
@@ -113,10 +202,9 @@ class TestContextDelta:
         base = ctx.snapshot(now=1.0)
         ctx.app_state = PlayState(position=2)
         ctx.update_counter = 5
-        delta = ctx.delta(now=2.0)
+        full, delta = ctx.capture(now=2.0)
         assert delta is not None
-        rebuilt = delta.apply_to(base)
-        assert rebuilt == ContextSnapshot(
+        assert delta.apply_to(base) == full == ContextSnapshot(
             app_state=PlayState(position=2),
             update_counter=5,
             response_counter=0,
@@ -124,31 +212,39 @@ class TestContextDelta:
             epoch=base.epoch + 1,
         )
 
+    def test_one_capture_advances_the_epoch_once(self):
+        ctx = PrimaryContext(app_state=PlayState())
+        ctx.snapshot(now=1.0)
+        full, delta = ctx.capture(now=2.0)
+        assert full.epoch == delta.epoch == ctx.epoch == 2
+        assert delta.base_epoch == 1
+
     def test_delta_refuses_wrong_base_epoch(self):
         ctx = PrimaryContext(app_state=PlayState())
         ctx.snapshot(now=1.0)
         ctx.app_state = PlayState(position=1)
-        delta = ctx.delta(now=2.0)
+        _, delta = ctx.capture(now=2.0)
         stranger = ContextSnapshot(app_state=PlayState(), epoch=999)
         with pytest.raises(ValueError):
             delta.apply_to(stranger)
 
     def test_no_capture_yet_means_no_delta(self):
         ctx = PrimaryContext(app_state=PlayState())
-        assert ctx.delta(now=1.0) is None  # caller falls back to full
+        assert ctx.capture(now=1.0)[1] is None  # only the full form exists
+        assert ctx.capture(now=2.0, diff=False)[1] is None
 
     def test_undiffable_state_means_no_delta(self):
         ctx = PrimaryContext(app_state=[1, 2])
         ctx.snapshot(now=1.0)
         ctx.app_state = [1, 2, 3]
-        assert ctx.delta(now=2.0) is None
+        assert ctx.capture(now=2.0)[1] is None
 
     def test_delta_is_cheaper_on_the_wire_than_full(self):
         big_buffer = tuple(f"frame-{i}" for i in range(200))
         ctx = PrimaryContext(app_state=PlayState(position=0, buffer=big_buffer))
-        full = ctx.snapshot(now=1.0)
+        ctx.snapshot(now=1.0)
         ctx.app_state = PlayState(position=1, buffer=big_buffer)
-        delta = ctx.delta(now=2.0)
+        full, delta = ctx.capture(now=2.0)
         full_msg = Propagate(session_id="s", unit_id="u", snapshot=full)
         delta_msg = Propagate(session_id="s", unit_id="u", delta=delta)
         assert delta_msg.wire_size < full_msg.wire_size / 10
@@ -185,36 +281,102 @@ class TestBackupLogReplay:
 
 
 class TestClusterDeltaPath:
-    def test_steady_state_sends_mostly_deltas(self):
-        cluster = make_vod_cluster(propagation_period=0.3)
-        _, handle = start_streaming_session(cluster, run=8.0)
-        deltas = sum(
-            s.counters["propagations_delta"] for s in cluster.servers.values()
-        )
-        fulls = sum(
-            s.counters["propagations_full"] for s in cluster.servers.values()
-        )
-        gaps = sum(
-            s.counters["propagation_delta_gaps"]
-            for s in cluster.servers.values()
-        )
-        assert deltas > fulls  # full only at start + every Nth
-        assert gaps == 0  # totally ordered propagation: bases always match
-        assert len(handle.received) > 0
+    @pytest.mark.parametrize("state", sorted(_BYTES))
+    def test_each_state_ships_its_smaller_form(self, state):
+        cluster = _run_session(*_STATES[state]())
+        chosen, deltas_only, fulls_only = _BYTES[state]
+        assert _total(cluster, "propagation_bytes_processed") == chosen
+        assert chosen <= min(deltas_only, fulls_only) * 1.01
+        # totally ordered propagation: every delta finds its base
+        assert _total(cluster, "propagation_delta_gaps") == 0
 
-    def test_delta_bytes_cheaper_than_full_only(self):
-        # deltas pay where a large field stays put; on VoD's four small
-        # fields a one-field delta outweighs the snapshot (DESIGN §9)
-        def bytes_processed(**policy_kwargs):
-            cluster = _seek_cluster(PlayState(buffer=_BUFFER), **policy_kwargs)
-            return sum(
-                s.counters["propagation_bytes_processed"]
-                for s in cluster.servers.values()
-            )
+    @pytest.mark.parametrize(
+        "isolated,think_time_mean,before,held,gaps",
+        [
+            # s2 ran its own lineage of the session while cut off; after the
+            # heal its full snapshot, then the state-exchange merge, replaced
+            # the records s0's deltas were based on.  Before a delta needed
+            # its base back through the total order and a merge forced a
+            # full, that was 7 deltas x 3 receivers = 21 gaps.
+            ("s2", 1.5, 3.0, 3.2, 0),
+            # What is left: the isolated primary's last delta, captured in
+            # its one-member view, is ordered into the healed view, where s1
+            # and s2 hold s1's lineage.  The merge right after rewrites
+            # their records, so the two refusals cost nothing.
+            ("s0", 0.5, 2.3, 3.0, 2),
+        ],
+    )
+    def test_partition_heal_gaps(self, isolated, think_time_mean, before, held, gaps):
+        def drive(cluster, client, handle):
+            _searcher(think_time_mean)(cluster, client, handle)
+            cluster.run(before)
+            cluster.partition([isolated])
+            cluster.run(held)
+            cluster.heal()
 
-        with_deltas = bytes_processed(delta_propagation=True)
-        full_only = bytes_processed(delta_propagation=False)
-        assert 0 < with_deltas < full_only / 5
+        cluster = _run_session(
+            SearchApplication({"c": build_corpus("c", seed=4)}),
+            "c",
+            drive,
+            policy=AvailabilityPolicy(num_backups=1),
+            seed=3,
+        )
+        assert _total(cluster, "propagation_delta_gaps") == gaps
+
+    def test_no_delta_before_its_base_is_delivered(self):
+        """The GCS orders one sender's messages in arrival order, and a
+        reordering network can deliver a later one first: a delta is only
+        diffed against a propagation that already came back through the
+        total order, so it is ordered after its base everywhere."""
+        cluster = _run_session(_SeekApplication(PlayState(buffer=_BUFFER)), "u")
+        primary = next(s for s in cluster.servers.values() if s.primaries)
+        (runtime,) = primary.primaries.values()
+        session_id = runtime.session_id
+        chain = runtime.deltas_since_full
+        assert chain + 2 < FULL_PROPAGATION_EVERY  # the cadence allows two
+        primary._propagate(session_id)  # its base is back: the delta wins
+        assert runtime.deltas_since_full == chain + 1
+        primary._propagate(session_id)  # its base is still in flight: full
+        assert runtime.deltas_since_full == 0
+        cluster.run(1.0)
+        assert _total(cluster, "propagation_delta_gaps") == 0
+
+    def test_no_delta_against_a_merged_record(self):
+        """A state exchange rewrites every member's record with the merged
+        one — here the primary's live state, between two propagations.  A
+        primary that keeps its role must not diff its next propagation
+        against its own last one: a field that changed and changed back
+        since would be missing from the delta, leaving the receivers at the
+        value the merge gave them."""
+        cluster = ServiceCluster.build(
+            n_servers=3,
+            units={"u": _SeekApplication(PlayState(buffer=_BUFFER))},
+            replication=3,
+            policy=AvailabilityPolicy(num_backups=1, propagation_period=2.0),
+            seed=7,
+        )
+        cluster.settle()
+        client = cluster.add_client("c0")
+        handle = client.start_session("u")
+        cluster.run(1.0)
+        primary = cluster.servers[cluster.primaries_of(handle.session_id)[0]]
+        sent = primary.counters["propagations_sent"]
+        while primary.counters["propagations_sent"] == sent:
+            cluster.run(0.05)
+        cluster.run(0.1)  # propagated position 0 is everywhere
+        client.send_update(handle, 5)
+        cluster.run(0.1)
+        primary.request_rebalance("u")
+        cluster.run(0.2)  # merged: every record holds position 5
+        assert cluster.primaries_of(handle.session_id) == [primary.server_id]
+        client.send_update(handle, 0)
+        cluster.run(2.0)  # the next propagation
+        assert primary.counters["propagations_sent"] == sent + 2
+        live = primary.primaries[handle.session_id].ctx.app_state
+        assert live.position == 0
+        for server in cluster.servers.values():
+            record = server.unit_dbs["u"].get(handle.session_id)
+            assert record.snapshot.app_state == live
 
     def test_failover_freshness_with_deltas_on(self):
         cluster = make_vod_cluster(propagation_period=0.3)
@@ -277,4 +439,4 @@ class TestCodecPricing:
 
     def test_unregistered_state_fails_at_first_propagation(self):
         with pytest.raises(UnknownTypeError, match="_Unregistered"):
-            _seek_cluster(_Unregistered())
+            _run_session(_SeekApplication(_Unregistered()), "u")

@@ -14,9 +14,7 @@ def skewed_cluster():
         n_servers=3,
         units={"m0": VodApplication({"m0": movie})},
         replication=3,
-        policy=AvailabilityPolicy(
-            num_backups=1, propagation_period=0.5, rebalance_on_join=False
-        ),
+        policy=AvailabilityPolicy(num_backups=1, propagation_period=0.5),
         seed=23,
         trace=False,
     )
@@ -27,8 +25,14 @@ def skewed_cluster():
         client = cluster.add_client(f"c{index}")
         handles.append(client.start_session("m0"))
     cluster.run(4.0)
+    # sabotage: no member starts the state exchange a join triggers, so s2
+    # rejoins the content group with no records and no roles
+    for server in cluster.servers.values():
+        server._begin_exchange = lambda unit, view: None
     cluster.recover_server("s2")
     cluster.run(5.0)
+    for server in cluster.servers.values():
+        del server._begin_exchange
     return cluster, handles
 
 

@@ -323,7 +323,7 @@ def test_membership_live_loopback_gossip(benchmark, bench_persist):
     nodes = 10 if os.environ.get("REPRO_BENCH_FULL") == "1" else 5
     options = LiveClusterOptions(
         nodes=nodes,
-        loopback=True,
+        transport="udp",
         requests=60,
         kill_primary=False,
         update_interval=0.02,

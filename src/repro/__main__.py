@@ -10,7 +10,6 @@
     python -m repro chaos --replay chaos-artifacts/chaos-1-3.json
     python -m repro lint src/              # determinism & hygiene lint
     python -m repro lint --list-rules
-    python -m repro cluster --nodes 3 --loopback --requests 200 --kill-primary
     python -m repro serve --node-id s0 --listen 127.0.0.1:9000 \\
         --peer s1=127.0.0.1:9001 --peer s2=127.0.0.1:9002
 """
@@ -155,7 +154,6 @@ def _cmd_cluster(args) -> int:
 
     options = LiveClusterOptions(
         nodes=args.nodes,
-        loopback=args.loopback,
         requests=args.requests,
         kill_primary=args.kill_primary,
         update_interval=args.update_interval,
@@ -323,11 +321,6 @@ def main(argv: list[str] | None = None) -> int:
         "VoD workload (exit 0 = clean session audit)",
     )
     cluster.add_argument("--nodes", type=int, default=3)
-    cluster.add_argument(
-        "--loopback",
-        action="store_true",
-        help="UDP loopback transport (default is the TCP mesh)",
-    )
     cluster.add_argument("--requests", type=int, default=200)
     cluster.add_argument(
         "--kill-primary",
@@ -338,9 +331,8 @@ def main(argv: list[str] | None = None) -> int:
     cluster.add_argument("--settle", type=float, default=2.0)
     cluster.add_argument(
         "--transport",
-        default=None,
-        help="transport backend by registry name (default: udp when "
-        "--loopback, else tcp)",
+        default="tcp",
+        help="transport backend by registry name (default tcp)",
     )
     cluster.add_argument(
         "--profile",

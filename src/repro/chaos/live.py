@@ -51,11 +51,12 @@ from repro.chaos.runner import (
     start_session,
     vod_units,
 )
+from repro.core.service import ServiceCluster
 from repro.faults.injector import inject
 from repro.faults.schedule import FaultSchedule
 from repro.gcs.settings import GcsSettings
 from repro.gcs.spec import SpecMonitor
-from repro.net.cluster import LiveCluster, assemble, connect_mesh
+from repro.net.cluster import assemble, connect_mesh
 from repro.net.faults import FaultPlane, FaultyTransport, wan_profile
 from repro.net.replay import IngressLog, ReplayTransport
 from repro.net.runtime import LiveRuntime
@@ -91,7 +92,7 @@ def _live_settings(config: ChaosConfig) -> GcsSettings:
 
 def _assemble(
     config: ChaosConfig, sim: Simulator, transports: dict[str, MeshTransport], **live
-) -> LiveCluster:
+) -> ServiceCluster:
     """The chaos cluster over already-created transports; ``live`` is the
     recording run's ``runtime``/``faults``/``recorder``, empty in replay."""
     cluster = assemble(
@@ -113,7 +114,7 @@ def _assemble(
 
 
 def _schedule_phases(
-    cluster: LiveCluster, config: ChaosConfig, seed: int, schedule: FaultSchedule
+    cluster: ServiceCluster, config: ChaosConfig, seed: int, schedule: FaultSchedule
 ) -> tuple[list[VodViewerWorkload], float, float]:
     """Pre-schedule the whole run as simulator events — identically in
     live and replay, so the sequence numbers they take match.

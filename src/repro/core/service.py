@@ -1,5 +1,6 @@
 """Cluster builder: wires the simulator, network, servers, placement and
-clients into a runnable service deployment.
+clients into a runnable service deployment — the one cluster class of
+both runtimes (:func:`repro.net.cluster.assemble` builds the live one).
 
 This is the entry point examples, tests and experiments use::
 
@@ -18,7 +19,7 @@ This is the entry point examples, tests and experiments use::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.core.application import ServiceApplication
 from repro.core.client import ServiceClient
@@ -36,16 +37,8 @@ from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:
     from repro.faults.injector import LinkFaults
-
-
-def primaries_of(servers: Mapping[str, FrameworkServer], session_id: str) -> list[str]:
-    """All live servers currently claiming the primary role for the
-    session (the unique-primary design goal says this should be one)."""
-    return [
-        server_id
-        for server_id, server in servers.items()
-        if server.is_up() and session_id in server.primary_sessions()
-    ]
+    from repro.net.runtime import LiveRuntime
+    from repro.net.transport import MeshTransport
 
 
 def place_units(
@@ -64,29 +57,58 @@ def place_units(
 
 
 class ServiceCluster:
-    """A complete simulated deployment of the framework."""
+    """A complete deployment of the framework, simulated or live.
+
+    Both runtimes construct their servers and clients here, through
+    :meth:`add_server` and :meth:`add_client`.  The one difference is
+    where a node's network comes from (``network_for``): on the simulator
+    every node shares the one :class:`Network` (:meth:`build`); on a live
+    cluster (:func:`repro.net.cluster.assemble`) each node gets its own
+    :class:`~repro.net.runtime.LiveNetwork` over its own transport.
+
+    Runtime-specific state is plain fields, left empty where it does not
+    apply: ``network`` and ``rngs`` (the simulator's shared network and
+    seeded streams), ``runtime`` (the live pacer, ``None`` in a replay)
+    and ``transports``.  ``faults`` is the link-fault surface
+    ``repro.faults.injector.apply`` drives: the simulated network, a live
+    :class:`~repro.net.faults.FaultPlane`, or ``None`` when no transport
+    is fault-wrapped (in a replay the wire faults are already baked into
+    the recorded frame log).
+    """
 
     def __init__(
         self,
         sim: Simulator,
-        network: Network,
-        servers: dict[str, FrameworkServer],
-        placement: dict[str, list[str]],
+        network_for: Callable[[str], Network],
+        applications: Mapping[str, ServiceApplication],
         policy: AvailabilityPolicy,
         settings: GcsSettings,
-        rngs: RngRegistry,
-        monitor: SpecMonitor,
+        trace: TraceLog,
+        monitor: SpecMonitor | None,
+        faults: LinkFaults | None,
+        placement: dict[str, list[str]] | None = None,
+        network: Network | None = None,
+        rngs: RngRegistry | None = None,
+        runtime: LiveRuntime | None = None,
+        transports: Mapping[str, MeshTransport] | None = None,
     ) -> None:
         self.sim = sim
-        self.network = network
-        #: the link-fault surface ``repro.faults.injector.apply`` drives
-        self.faults: LinkFaults = network
-        self.servers = servers
-        self.placement = placement
+        self._network_for = network_for
+        self.applications = applications
+        self.catalog = {unit: content_group(unit) for unit in applications}
         self.policy = policy
         self.settings = settings
-        self.rngs = rngs
+        self.trace = trace
         self.monitor = monitor
+        self.faults = faults
+        self.placement: dict[str, list[str]] = placement if placement is not None else {}
+        self.network = network
+        self.rngs = rngs
+        self.runtime = runtime
+        self.transports: Mapping[str, MeshTransport] = transports or {}
+        #: every node's network, in the order the nodes were added
+        self.networks: dict[str, Network] = {}
+        self.servers: dict[str, FrameworkServer] = {}
         self.clients: dict[str, ServiceClient] = {}
 
     # ------------------------------------------------------------------
@@ -105,7 +127,7 @@ class ServiceCluster:
         placement: dict[str, list[str]] | None = None,
         loss_probability: float = 0.0,
     ) -> "ServiceCluster":
-        """Build a cluster of ``n_servers`` hosting ``units``.
+        """Build a simulated cluster of ``n_servers`` hosting ``units``.
 
         ``latency`` is ``"lan"``, ``"wan"`` or ``"zero"``; GCS timeouts are
         left at their LAN defaults unless explicit ``settings`` are given.
@@ -113,8 +135,6 @@ class ServiceCluster:
         uniformly (the GCS recovers ordered traffic via NACKs; raw
         point-to-point responses are simply lost, as on a real UDP path).
         """
-        policy = policy or AvailabilityPolicy()
-        settings = settings or GcsSettings()
         rngs = RngRegistry(seed)
         sim = Simulator()
         trace_log = TraceLog(enabled=trace)
@@ -135,46 +155,60 @@ class ServiceCluster:
             # never perturbs the latency/loss draws of existing experiments
             chaos_rng=rngs.stream("chaos-net"),
         )
-        monitor = SpecMonitor()
-
         server_ids = [f"s{i}" for i in range(n_servers)]
         if placement is None:
             placement = place_units(list(units), server_ids, replication)
-        catalog = {unit: content_group(unit) for unit in units}
-
-        servers: dict[str, FrameworkServer] = {}
+        cluster = ServiceCluster(
+            sim,
+            lambda _node: network,
+            units,
+            policy or AvailabilityPolicy(),
+            settings or GcsSettings(),
+            trace_log,
+            SpecMonitor(),
+            faults=network,
+            placement=placement,
+            network=network,
+            rngs=rngs,
+        )
         for server_id in server_ids:
             hosted = [u for u, hosts in placement.items() if server_id in hosts]
-            servers[server_id] = FrameworkServer(
-                server_id=server_id,
-                network=network,
-                world=server_ids,
-                hosted_units=hosted,
-                applications={u: units[u] for u in hosted},
-                catalog=catalog,
-                policy=policy,
-                settings=settings,
-                monitor=monitor,
-            )
-        cluster = ServiceCluster(
-            sim=sim,
-            network=network,
-            servers=servers,
-            placement=placement,
-            policy=policy,
-            settings=settings,
-            rngs=rngs,
-            monitor=monitor,
-        )
-        for server in servers.values():
+            cluster.add_server(server_id, server_ids, hosted)
+        for server in cluster.servers.values():
             server.start()
         return cluster
 
+    def add_server(
+        self, server_id: str, world: list[str], hosted_units: list[str] | None = None
+    ) -> FrameworkServer:
+        """Construct (not start) server ``server_id`` hosting
+        ``hosted_units`` (default: every unit of the service) and record
+        it in the placement; ``world`` names every server it heartbeats."""
+        if server_id in self.servers:
+            raise ValueError(f"server id {server_id!r} already exists")
+        if hosted_units is None:
+            hosted_units = sorted(self.applications)
+        self.networks[server_id] = network = self._network_for(server_id)
+        server = FrameworkServer(
+            server_id=server_id,
+            network=network,
+            world=world,
+            hosted_units=hosted_units,
+            applications={unit: self.applications[unit] for unit in hosted_units},
+            catalog=self.catalog,
+            policy=self.policy,
+            settings=self.settings,
+            monitor=self.monitor,
+        )
+        self.servers[server_id] = server
+        for unit in hosted_units:
+            hosts = self.placement.setdefault(unit, [])
+            if server_id not in hosts:
+                hosts.append(server_id)
+        return server
+
     def spawn_server(
-        self,
-        server_id: str,
-        hosted_units: list[str] | None = None,
-        applications: dict[str, ServiceApplication] | None = None,
+        self, server_id: str, hosted_units: list[str] | None = None
     ) -> FrameworkServer:
         """Bring a brand-new server into the running service.
 
@@ -185,49 +219,22 @@ class ServiceCluster:
         it (state exchange + rebalance) with no client involvement.
 
         ``hosted_units`` defaults to every unit in the service (full
-        replication on the newcomer); ``applications`` defaults to reusing
-        the existing servers' application instances.
+        replication on the newcomer).
         """
-        if server_id in self.servers:
-            raise ValueError(f"server id {server_id!r} already exists")
-        if hosted_units is None:
-            hosted_units = sorted(self.placement)
-        if applications is None:
-            applications = {}
-            for unit in hosted_units:
-                host = self.placement[unit][0]
-                applications[unit] = self.servers[host].applications[unit]
-        catalog = {unit: content_group(unit) for unit in self.placement}
-        world = sorted(self.servers) + [server_id]
-        server = FrameworkServer(
-            server_id=server_id,
-            network=self.network,
-            world=world,
-            hosted_units=hosted_units,
-            applications=applications,
-            catalog=catalog,
-            policy=self.policy,
-            settings=self.settings,
-            monitor=self.monitor,
-        )
+        server = self.add_server(server_id, sorted(self.servers) + [server_id], hosted_units)
         # existing daemons must learn to heartbeat the newcomer
         for existing in self.servers.values():
             if server_id not in existing.daemon.world:
                 existing.daemon.world.append(server_id)
-        self.servers[server_id] = server
-        for unit in hosted_units:
-            self.placement.setdefault(unit, [])
-            if server_id not in self.placement[unit]:
-                self.placement[unit].append(server_id)
         server.start()
         return server
 
     def add_client(self, client_id: str) -> ServiceClient:
+        """Construct and start client ``client_id``; its contacts are the
+        servers in sorted order."""
+        self.networks[client_id] = network = self._network_for(client_id)
         client = ServiceClient(
-            client_id,
-            self.network,
-            contact_servers=sorted(self.servers),
-            settings=self.settings,
+            client_id, network, contact_servers=sorted(self.servers), settings=self.settings
         )
         client.start()
         self.clients[client_id] = client
@@ -250,10 +257,10 @@ class ServiceCluster:
         self.servers[server_id].recover()
 
     def partition(self, *components: Iterable[str]) -> None:
-        self.network.topology.partition(*components)
+        self.faults.partition(*components)
 
     def heal(self) -> None:
-        self.network.topology.heal_partition()
+        self.faults.heal_partition()
 
     # ------------------------------------------------------------------
     # queries
@@ -265,10 +272,21 @@ class ServiceCluster:
         return list(self.placement[unit_id])
 
     def primaries_of(self, session_id: str) -> list[str]:
-        return primaries_of(self.servers, session_id)
+        """All live servers currently claiming the primary role for the
+        session (the unique-primary design goal says this should be one)."""
+        return [
+            server_id
+            for server_id, server in self.servers.items()
+            if server.is_up() and session_id in server.primary_sessions()
+        ]
 
     def trace_log(self) -> TraceLog:
-        return self.network.trace
+        return self.trace
+
+    async def close(self) -> None:
+        """Close every transport (a simulated cluster has none)."""
+        for transport in self.transports.values():
+            await transport.close()
 
 
-__all__ = ["ServiceCluster", "place_units", "primaries_of"]
+__all__ = ["ServiceCluster", "place_units"]

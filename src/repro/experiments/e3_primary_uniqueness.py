@@ -17,12 +17,8 @@ from __future__ import annotations
 
 from repro.analysis.risk import SCENARIOS
 from repro.metrics.report import Table
-from repro.metrics.session_audit import (
-    dual_sender_time,
-    max_concurrent_senders,
-    multi_primary_time,
-    no_primary_time,
-)
+from repro.metrics.session_audit import dual_sender_time, max_concurrent_senders
+from repro.metrics.windows import multi_primary_time, no_primary_time
 
 RUN_SECONDS = 16.0
 

@@ -19,7 +19,7 @@ from repro.analysis.montecarlo import MonteCarlo
 from repro.faults.generators import poisson_crash_schedule
 from repro.faults.injector import inject
 from repro.metrics.report import Table
-from repro.metrics.session_audit import no_primary_time
+from repro.metrics.windows import no_primary_time
 from repro.experiments.common import rng_for, vod_cluster
 
 FAILURE_RATE = 0.1

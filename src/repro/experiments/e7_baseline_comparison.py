@@ -21,7 +21,8 @@ from repro.analysis.montecarlo import MonteCarlo
 from repro.faults.generators import poisson_crash_schedule
 from repro.faults.injector import inject
 from repro.metrics.report import Table
-from repro.metrics.session_audit import audit_session, no_primary_time
+from repro.metrics.session_audit import audit_session
+from repro.metrics.windows import no_primary_time
 from repro.experiments.common import (
     ledger_cluster,
     rng_for,

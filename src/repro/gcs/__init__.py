@@ -7,8 +7,9 @@ properties the paper relies on (Section 3.2):
   are *precise* while the network is stable, with one process's failure
   reflected consistently across all the groups it belongs to;
 * **reliable multicast** to named groups, **totally ordered** within each
-  configuration (one total order across all groups, which also yields the
-  causal ordering across groups the paper asks for);
+  configuration (one total order across all groups, from which the causal
+  ordering across groups the paper asks for is argued — the spec monitor
+  does not yet check it);
 * **virtual synchrony**: processes that move together from one view to the
   next deliver the same set of messages in the earlier view (implemented by
   a flush round during view formation);

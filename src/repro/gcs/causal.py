@@ -1,11 +1,10 @@
-"""Vector clocks — used by the specification monitors to *check* causal
-delivery across groups.
+"""Vector clocks — for checking causal delivery across groups.
 
 The GCS itself does not need vector clocks at run time: one sequencer
 orders all groups of a configuration into a single total order, so any
 message causally after another (within the component) is also sequenced
-after it.  The monitors use these clocks to verify that claim rather than
-assume it.
+after it.  That claim is argued, not yet checked: the spec monitor does
+not use these clocks (ROADMAP item 10(a)).
 """
 
 from __future__ import annotations

@@ -8,8 +8,6 @@ from repro.metrics.session_audit import (
     audit_session,
     dual_sender_time,
     lost_updates,
-    multi_primary_time,
-    no_primary_time,
     primary_intervals,
     service_gaps,
 )
@@ -17,7 +15,9 @@ from repro.metrics.windows import (
     intersect_intervals,
     max_silence_within,
     merge_intervals,
+    multi_primary_time,
     multi_primary_time_within,
+    no_primary_time,
     no_primary_time_within,
     pad_intervals,
     subtract_intervals,

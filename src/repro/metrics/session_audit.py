@@ -214,62 +214,12 @@ def primary_intervals(cluster, session_id: str) -> dict[str, list[tuple[float, f
     return intervals
 
 
-def multi_primary_time(cluster, session_id: str) -> float:
-    """Total time during which two or more servers simultaneously held the
-    primary role for the session (design goal 1 violated)."""
-    intervals = primary_intervals(cluster, session_id)
-    events: list[tuple[float, int]] = []
-    for spans in intervals.values():
-        for start, end in spans:
-            events.append((start, 1))
-            events.append((end, -1))
-    events.sort()
-    active = 0
-    overlap = 0.0
-    previous = None
-    for time, delta in events:
-        if previous is not None and active >= 2:
-            overlap += time - previous
-        active += delta
-        previous = time
-    return overlap
-
-
-def no_primary_time(
-    cluster, session_id: str, start: float, end: float
-) -> float:
-    """Total time in [start, end] during which no live server held the
-    primary role (loss of service risk)."""
-    intervals = primary_intervals(cluster, session_id)
-    events: list[tuple[float, int]] = []
-    for spans in intervals.values():
-        for s, e in spans:
-            s, e = max(s, start), min(e, end)
-            if s < e:
-                events.append((s, 1))
-                events.append((e, -1))
-    events.sort()
-    active = 0
-    covered = 0.0
-    previous = start
-    for time, delta in events:
-        if active > 0:
-            covered += time - previous
-        previous = time
-        active += delta
-    if active > 0:
-        covered += end - previous
-    return max(0.0, (end - start) - covered)
-
-
 __all__ = [
     "SessionAuditReport",
     "audit_session",
     "lost_acked_updates",
     "lost_updates",
     "max_concurrent_senders",
-    "multi_primary_time",
-    "no_primary_time",
     "primary_intervals",
     "service_gaps",
 ]

@@ -123,6 +123,12 @@ def multi_primary_spans(cluster, session_id: str) -> list[Interval]:
     return _coverage_spans(primary_intervals(cluster, session_id), threshold=2)
 
 
+def multi_primary_time(cluster, session_id: str) -> float:
+    """Total time during which two or more servers simultaneously held the
+    primary role for the session (design goal 1 violated)."""
+    return float(total_length(multi_primary_spans(cluster, session_id)))
+
+
 def multi_primary_time_within(
     cluster, session_id: str, windows: list[Interval]
 ) -> float:
@@ -138,6 +144,12 @@ def no_primary_spans(
     """Spans of ``[start, end]`` with no live primary for the session."""
     covered = _coverage_spans(primary_intervals(cluster, session_id), threshold=1)
     return subtract_intervals([(start, end)], covered)
+
+
+def no_primary_time(cluster, session_id: str, start: float, end: float) -> float:
+    """Total time in [start, end] during which no live server held the
+    primary role (loss of service risk)."""
+    return float(total_length(no_primary_spans(cluster, session_id, start, end)))
 
 
 def no_primary_time_within(
@@ -193,8 +205,10 @@ __all__ = [
     "max_silence_within",
     "merge_intervals",
     "multi_primary_spans",
+    "multi_primary_time",
     "multi_primary_time_within",
     "no_primary_spans",
+    "no_primary_time",
     "no_primary_time_within",
     "pad_intervals",
     "silence_spans",

@@ -1,9 +1,10 @@
 """In-process live clusters and the scripted VoD workload.
 
-``python -m repro cluster`` builds one :class:`LiveCluster`: every server
-(and the client) owns its own socket and its own
-:class:`~repro.net.runtime.LiveNetwork`, all paced by one shared
-simulator running in lock-step with the wall clock — so every message
+``python -m repro cluster`` builds one
+:class:`~repro.core.service.ServiceCluster` — the cluster class the
+simulator uses too — in which every server (and the client) owns its own
+socket and its own :class:`~repro.net.runtime.LiveNetwork`, all paced by
+one shared simulator running in lock-step with the wall clock — so every message
 between nodes crosses a real socket through the binary codec, while the
 protocol modules execute unchanged.
 
@@ -24,24 +25,18 @@ import asyncio
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, cast
 
 from repro.core.application import ServiceApplication
-from repro.core.client import ServiceClient, SessionHandle
+from repro.core.client import SessionHandle
 from repro.core.config import AvailabilityPolicy
-from repro.core.server import FrameworkServer
-from repro.core.service import primaries_of
-from repro.core.wire import content_group
+from repro.core.service import ServiceCluster
 from repro.faults.injector import LinkFaults
 from repro.gcs.settings import GcsSettings
 from repro.gcs.spec import SpecMonitor
 from repro.metrics.collectors import split_liveness
-from repro.metrics.session_audit import (
-    audit_session,
-    lost_acked_updates,
-    lost_updates,
-    multi_primary_time,
-)
+from repro.metrics.session_audit import audit_session, lost_acked_updates, lost_updates
+from repro.metrics.windows import multi_primary_time
 from repro.net.faults import FaultControlServer, FaultPlane, FaultyTransport
 from repro.net.runtime import IngressRecorder, LiveNetwork, LiveRuntime
 from repro.net.transport import MeshTransport, create_transport
@@ -56,15 +51,12 @@ class LiveClusterOptions:
     """Shape of one scripted live run.
 
     ``transport`` names a registered backend (see
-    :func:`repro.net.transport.create_transport`); when ``None`` the
-    legacy ``loopback`` flag picks ``"udp"``/``"tcp"``.  ``profile``
-    picks the :class:`GcsSettings` preset — live loopback runs default
-    to the tight :meth:`GcsSettings.live_lan` timings the fast wire path
-    affords.
+    :func:`repro.net.transport.create_transport`).  ``profile`` picks the
+    :class:`GcsSettings` preset — live loopback runs default to the tight
+    :meth:`GcsSettings.live_lan` timings the fast wire path affords.
     """
 
     nodes: int = 3
-    loopback: bool = True
     requests: int = 200
     kill_primary: bool = False
     restart: bool = True
@@ -74,7 +66,7 @@ class LiveClusterOptions:
     settle: float = 2.0
     max_tick: float = 0.05
     num_backups: int = 1
-    transport: str | None = None
+    transport: str = "tcp"
     profile: str = "live_lan"
     stats_json: str | None = None
 
@@ -109,57 +101,6 @@ class WorkloadPlan:
     restart_time: float | None = None
 
 
-class LiveCluster:
-    """A live deployment: real sockets below, unchanged protocol above.
-
-    The cluster surface the fault applier, the chaos oracles and the
-    session-audit metrics share with
-    :class:`~repro.core.service.ServiceCluster`: ``sim``, ``servers``,
-    ``clients``, ``monitor``, ``faults``, ``trace_log()``,
-    ``primaries_of()``.  ``runtime`` is ``None`` for a replay (the
-    simulator alone drives it) and ``faults`` is ``None`` when no
-    transport is fault-wrapped — or, in a replay, because the wire
-    faults are already baked into the recorded frame log.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        runtime: LiveRuntime | None,
-        trace: TraceLog,
-        monitor: SpecMonitor | None,
-        transports: dict[str, MeshTransport],
-        networks: dict[str, LiveNetwork],
-        servers: dict[str, FrameworkServer],
-        clients: dict[str, ServiceClient],
-        faults: LinkFaults | None = None,
-    ) -> None:
-        self.sim = sim
-        self.runtime = runtime
-        self.trace = trace
-        self.monitor = monitor
-        self.transports = transports
-        self.networks = networks
-        self.servers = servers
-        self.clients = clients
-        self.faults = faults
-
-    @property
-    def client(self) -> ServiceClient:
-        """The first client (the scripted cluster has exactly one)."""
-        return next(iter(self.clients.values()))
-
-    def trace_log(self) -> TraceLog:
-        return self.trace
-
-    def primaries_of(self, session_id: str) -> list[str]:
-        return primaries_of(self.servers, session_id)
-
-    async def close(self) -> None:
-        for transport in self.transports.values():
-            await transport.close()
-
-
 def assemble(
     sim: Simulator,
     transports: dict[str, MeshTransport],
@@ -174,11 +115,12 @@ def assemble(
     faults: LinkFaults | None = None,
     recorder: IngressRecorder | None = None,
     world: list[str] | None = None,
-) -> LiveCluster:
-    """Build the protocol stack over already-created transports: one
-    :class:`LiveNetwork` per node, then the servers (each hosting every
-    unit of ``applications``), then the clients, then ``start()`` —
-    servers first.
+) -> ServiceCluster:
+    """Build the protocol stack over already-created transports: a
+    :class:`ServiceCluster` whose nodes each get a :class:`LiveNetwork`
+    over their own transport.  The servers (each hosting every unit of
+    ``applications``) are constructed, then started, then each client is
+    constructed and started.
 
     The only live assembler — the scripted cluster, ``repro serve``,
     live chaos and its replay all come through here — because the
@@ -189,40 +131,27 @@ def assemble(
     processes a ``repro serve`` node heartbeats.
     """
     wake = runtime.wake if runtime is not None else None
-    networks = {
-        node: LiveNetwork(
+    cluster = ServiceCluster(
+        sim,
+        lambda node: LiveNetwork(
             sim, transports[node], trace=trace, wake=wake, node_id=node, recorder=recorder
-        )
-        for node in [*server_ids, *client_ids]
-    }
-    catalog = {unit: content_group(unit) for unit in applications}
-    servers = {
-        server_id: FrameworkServer(
-            server_id=server_id,
-            network=networks[server_id],
-            world=world if world is not None else server_ids,
-            hosted_units=list(applications),
-            applications=applications,
-            catalog=catalog,
-            policy=policy,
-            settings=settings,
-            monitor=monitor,
-        )
-        for server_id in server_ids
-    }
-    clients = {
-        client_id: ServiceClient(
-            client_id, networks[client_id], contact_servers=server_ids, settings=settings
-        )
-        for client_id in client_ids
-    }
-    for server in servers.values():
-        server.start()
-    for client in clients.values():
-        client.start()
-    return LiveCluster(
-        sim, runtime, trace, monitor, transports, networks, servers, clients, faults
+        ),
+        applications,
+        policy,
+        settings,
+        trace,
+        monitor,
+        faults,
+        runtime=runtime,
+        transports=transports,
     )
+    for server_id in server_ids:
+        cluster.add_server(server_id, world if world is not None else server_ids)
+    for server in cluster.servers.values():
+        server.start()
+    for client_id in client_ids:
+        cluster.add_client(client_id)
+    return cluster
 
 
 def connect_mesh(transports: dict[str, MeshTransport]) -> None:
@@ -234,7 +163,7 @@ def connect_mesh(transports: dict[str, MeshTransport]) -> None:
                 transport.set_peer(peer, host, port)
 
 
-async def build_live_cluster(options: LiveClusterOptions) -> LiveCluster:
+async def build_live_cluster(options: LiveClusterOptions) -> ServiceCluster:
     """Bind one socket per node, wire the full-mesh address book, and
     start the servers and client (protocol timers arm at sim t=0; nothing
     runs until the pacer does)."""
@@ -242,10 +171,9 @@ async def build_live_cluster(options: LiveClusterOptions) -> LiveCluster:
         raise ValueError("a cluster needs at least one node")
     sim = Simulator()
     server_ids = [f"s{i}" for i in range(options.nodes)]
-    transport_name = options.transport or ("udp" if options.loopback else "tcp")
     transports: dict[str, MeshTransport] = {}
     for node in [*server_ids, "c0"]:
-        transports[node] = create_transport(transport_name, node)
+        transports[node] = create_transport(options.transport, node)
         await transports[node].start("127.0.0.1", 0)
     connect_mesh(transports)
 
@@ -271,10 +199,12 @@ async def build_live_cluster(options: LiveClusterOptions) -> LiveCluster:
     )
 
 
-def schedule_workload(cluster: LiveCluster, options: LiveClusterOptions) -> WorkloadPlan:
+def schedule_workload(
+    cluster: ServiceCluster, options: LiveClusterOptions
+) -> WorkloadPlan:
     """Script the whole run as simulator events before the pacer starts."""
     sim = cluster.sim
-    client = cluster.client
+    client = cluster.clients["c0"]
     plan = WorkloadPlan()
 
     def do_connect() -> None:
@@ -339,9 +269,10 @@ def schedule_workload(cluster: LiveCluster, options: LiveClusterOptions) -> Work
     return plan
 
 
-def build_report(cluster: LiveCluster, plan: WorkloadPlan) -> dict[str, Any]:
+def build_report(cluster: ServiceCluster, plan: WorkloadPlan) -> dict[str, Any]:
     """Audit the finished run; ``clean`` summarizes the CI gate."""
     handle = plan.handle
+    client = cluster.clients["c0"]
     reasons: list[str] = []
     report: dict[str, Any] = {
         "mode": "live",
@@ -371,7 +302,7 @@ def build_report(cluster: LiveCluster, plan: WorkloadPlan) -> dict[str, Any]:
         "uncertain_resends": audit.uncertain_resends,
         "max_gap": round(audit.max_gap, 3),
         "failed_sends": handle.failed_sends,
-        "unacked_sends": cluster.client.gcs.unacked_count,
+        "unacked_sends": client.gcs.unacked_count,
         "lost_updates": lost,
         "lost_acked_updates": lost_acked,
     }
@@ -393,7 +324,7 @@ def build_report(cluster: LiveCluster, plan: WorkloadPlan) -> dict[str, Any]:
         for node, transport in sorted(cluster.transports.items())
     }
     report["frames_rejected"] = sum(
-        network.frames_rejected for network in cluster.networks.values()
+        network.frames_rejected for network in _live_networks(cluster).values()
     )
     if plan.killed is not None and plan.kill_time is not None:
         takeover: float | None = None
@@ -415,8 +346,8 @@ def build_report(cluster: LiveCluster, plan: WorkloadPlan) -> dict[str, Any]:
         reasons.append("no responses received")
     if handle.failed_sends > 0:
         reasons.append(f"{handle.failed_sends} client sends failed")
-    if cluster.client.gcs.unacked_count > 0:
-        reasons.append(f"{cluster.client.gcs.unacked_count} sends never acked")
+    if client.gcs.unacked_count > 0:
+        reasons.append(f"{client.gcs.unacked_count} sends never acked")
     if lost_acked > 0:
         reasons.append(f"{lost_acked} acknowledged updates lost")
     if report["multi_primary_time"] > 0:
@@ -428,24 +359,25 @@ def build_report(cluster: LiveCluster, plan: WorkloadPlan) -> dict[str, Any]:
     return report
 
 
-def _dump_stats(
-    path: str | None,
-    transports: dict[str, MeshTransport],
-    networks: dict[str, LiveNetwork] | None = None,
-) -> None:
+def _live_networks(cluster: ServiceCluster) -> dict[str, LiveNetwork]:
+    """The per-node networks of a cluster :func:`assemble` built."""
+    return cast("dict[str, LiveNetwork]", cluster.networks)
+
+
+def _dump_stats(path: str | None, cluster: ServiceCluster) -> None:
     """Write every transport's full per-peer snapshot as one JSON file.
 
-    When the owning networks are supplied, each node also reports its
-    outgoing traffic split into liveness (heartbeats / SWIM probes) and
-    data, in real encoded bytes and frames — the number an operator
-    watches to judge membership overhead at a given cluster size."""
+    Each node also reports its outgoing traffic split into liveness
+    (heartbeats / SWIM probes) and data, in real encoded bytes and
+    frames — the number an operator watches to judge membership overhead
+    at a given cluster size."""
     if path is None:
         return
     payload: dict[str, Any] = {
         str(node): transport.stats_snapshot()
-        for node, transport in sorted(transports.items(), key=lambda kv: str(kv[0]))
+        for node, transport in sorted(cluster.transports.items(), key=lambda kv: str(kv[0]))
     }
-    for node, network in sorted((networks or {}).items(), key=lambda kv: str(kv[0])):
+    for node, network in sorted(_live_networks(cluster).items(), key=lambda kv: str(kv[0])):
         frames = {
             kind: sent for kind, (sent, _bytes) in network.sent_kind_stats(node).items()
         }
@@ -470,7 +402,7 @@ async def _run_cluster(options: LiveClusterOptions) -> dict[str, Any]:
             raise RuntimeError("build_live_cluster returned no runtime")
         await cluster.runtime.run(plan.duration)
         report = build_report(cluster, plan)
-        _dump_stats(options.stats_json, cluster.transports, cluster.networks)
+        _dump_stats(options.stats_json, cluster)
         return report
     finally:
         await cluster.close()
@@ -543,7 +475,7 @@ async def _serve(options: ServeOptions) -> dict[str, Any]:
     )
     try:
         await runtime.run(options.duration)
-        _dump_stats(options.stats_json, cluster.transports, cluster.networks)
+        _dump_stats(options.stats_json, cluster)
     finally:
         await cluster.close()
         if control_server is not None:
@@ -568,7 +500,6 @@ def run_single_node(options: ServeOptions) -> dict[str, Any]:
 
 
 __all__ = [
-    "LiveCluster",
     "LiveClusterOptions",
     "ServeOptions",
     "WorkloadPlan",

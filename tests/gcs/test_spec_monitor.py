@@ -1,8 +1,11 @@
 """The spec monitor must catch violations, not just stay quiet on good
 runs — these tests feed it corrupted histories."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.chaos.oracles import check_gcs_spec
 from repro.gcs.messages import OrderRequest, RequestId
 from repro.gcs.spec import SpecMonitor, SpecViolation
 from repro.gcs.view import Configuration, ViewId
@@ -111,11 +114,24 @@ def test_causality_allows_gap_fill_but_not_redelivery():
     # out-of-order gap-fill: 1 then 0 — legal (late retransmission)
     monitor.record_delivery("a", V1, 0, req("x", 1))
     monitor.record_delivery("a", V1, 1, req("x", 0))
-    monitor.check_causality()
+    monitor.check_all()
     # re-delivery of the same counter — illegal
     monitor.record_delivery("a", V1, 2, req("x", 1))
     with pytest.raises(SpecViolation):
-        monitor.check_causality()
+        monitor.check_all()
+
+
+def test_every_failed_property_is_reported():
+    monitor = SpecMonitor()
+    monitor.record_delivery("a", V1, 0, req("a", 0))
+    monitor.record_delivery("b", V1, 0, req("b", 7))  # same seq, other req
+    monitor.record_delivery("b", V2, 0, req("b", 7))  # delivered twice
+    with pytest.raises(SpecViolation, match="total order: .*; at-most-once: "):
+        monitor.check_all()
+    observation = SimpleNamespace(cluster=SimpleNamespace(monitor=monitor))
+    violations = check_gcs_spec(observation)
+    assert [v.oracle for v in violations] == ["gcs-spec", "gcs-spec"]
+    assert [v.detail["property"] for v in violations] == ["total order", "at-most-once"]
 
 
 def test_delivered_payloads_in_view_order():

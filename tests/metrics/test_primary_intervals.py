@@ -1,10 +1,7 @@
 """Tests for trace-based primary interval analysis, on a live cluster."""
 
-from repro.metrics.session_audit import (
-    multi_primary_time,
-    no_primary_time,
-    primary_intervals,
-)
+from repro.metrics.session_audit import primary_intervals
+from repro.metrics.windows import multi_primary_time, no_primary_time
 from tests.core.conftest import make_vod_cluster, start_streaming_session
 
 

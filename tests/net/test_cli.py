@@ -20,7 +20,8 @@ def test_cluster_cli_clean_run(tmp_path, capsys):
             "cluster",
             "--nodes",
             "3",
-            "--loopback",
+            "--transport",
+            "udp",
             "--requests",
             "20",
             "--update-interval",

@@ -16,7 +16,7 @@ def failover_report():
     return run_live_cluster(
         LiveClusterOptions(
             nodes=3,
-            loopback=True,
+            transport="udp",
             requests=80,
             kill_primary=True,
             update_interval=0.02,

@@ -226,7 +226,7 @@ def test_stalled_loop_raises_no_suspicion_under_live_lan():
 
     async def scenario():
         cluster = await build_live_cluster(
-            LiveClusterOptions(nodes=3, loopback=True, profile="live_lan")
+            LiveClusterOptions(nodes=3, transport="udp", profile="live_lan")
         )
         try:
             await cluster.runtime.run(0.5)

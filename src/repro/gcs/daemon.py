@@ -109,6 +109,14 @@ class GcsDaemon(Process):
         self.membership = MembershipEngine(self)
         self.config = Configuration.make(ViewId(0, node_id), [node_id])
         self.holdback = HoldbackBuffer()
+        # each configuration member's latest liveness report:
+        # (its config view id, its delivered_upto there) — the stable point
+        # below which the holdback is pruned (_stable_point)
+        self._reports: dict[NodeId, tuple[ViewId | None, int]] = {}
+        # observability (holdback_stats): the stable point of the last tick,
+        # and the most holdback entries any tick left retained
+        self.stable_floor = 0
+        self.holdback_retained_max = 0
         self.group_map = GroupMap()
         self.dup_filter = DuplicateFilter()
         self.pending = PendingRequests()
@@ -157,6 +165,7 @@ class GcsDaemon(Process):
         )
         self.membership.view_counter += 1
         self.holdback = HoldbackBuffer()
+        self._reports.clear()
         self.group_map = GroupMap()
         self.dup_filter = DuplicateFilter()
         self.pending.clear()
@@ -196,7 +205,7 @@ class GcsDaemon(Process):
         self._resubmit_stale()
         self._nack_gaps()
         self._reannounce_tail()
-        self.holdback.prune(self.settings.holdback_keep)
+        self._prune_holdback()
         self._arm_deadline()
 
     def _arm_deadline(self) -> None:
@@ -228,8 +237,13 @@ class GcsDaemon(Process):
     def now(self) -> float:
         return self.sim.now
 
-    def liveness_header(self) -> tuple[int, int, ViewId]:
-        return (self.incarnation, self.membership.view_counter, self.config.view_id)
+    def liveness_header(self) -> tuple[int, int, ViewId, int]:
+        return (
+            self.incarnation,
+            self.membership.view_counter,
+            self.config.view_id,
+            self.holdback.delivered_upto,
+        )
 
     def send_protocol(
         self, dest: NodeId, payload: Any, kind: str, size: int = 1
@@ -452,6 +466,46 @@ class GcsDaemon(Process):
         for message in self.holdback.take_ready():
             self._deliver(message)
 
+    def _prune_holdback(self) -> None:
+        """Retain only what a member can still ask for: the holdback is
+        cut at the stable point (DESIGN §5 item 4, "what the holdback keeps"),
+        ``holdback_keep`` delivered messages back at most."""
+        self.stable_floor = self._stable_point()
+        self.holdback.prune(self.settings.holdback_keep, self.stable_floor)
+        retained = len(self.holdback)
+        if retained > self.holdback_retained_max:
+            self.holdback_retained_max = retained
+
+    def holdback_stats(self) -> dict[str, int]:
+        """The holdback block of ``--stats-json``: entries retained now,
+        the most any tick left retained, the last stable point, and the
+        cap — a ``retained_max`` at the cap means the stable point stalled."""
+        return {
+            "retained": len(self.holdback),
+            "retained_max": self.holdback_retained_max,
+            "stable_floor": self.stable_floor,
+            "keep": self.settings.holdback_keep,
+        }
+
+    def _stable_point(self) -> int:
+        """The least delivery point among this daemon and the latest
+        reports of the other configuration members, 0 while one of them
+        has not reported in this configuration.  Reports only lag their
+        sender's delivery, so every message at or above the stable point
+        is kept: any NACK (it names seqs at or above its sender's delivery
+        point) can be answered, and any flush union rebuilt."""
+        view_id = self.config.view_id
+        stable = self.holdback.delivered_upto
+        for member in self.config.members:
+            if member == self.node_id:
+                continue
+            report = self._reports.get(member)
+            if report is None or report[0] != view_id:
+                return 0
+            if report[1] < stable:
+                stable = report[1]
+        return stable
+
     def _nack_gaps(self) -> None:
         """Lossy links can drop a Sequenced message, leaving a holdback
         gap that would otherwise stall delivery until the next view
@@ -474,11 +528,15 @@ class GcsDaemon(Process):
             return
         resend: list[Sequenced] = []
         unfillable = False
+        # a seq below the peer's own latest report is one it has delivered
+        # since: the NACK is a late duplicate, and its pruned seqs are moot
+        report = self._reports.get(sender)
+        reported = report[1] if report is not None and report[0] == nack.config_view_id else 0
         for seq in nack.seqs:
             message = self.holdback.get(seq)
             if message is not None:
                 resend.append(message)
-            elif seq < self.holdback.pruned_below:
+            elif reported <= seq < self.holdback.pruned_below:
                 # The peer lags beyond the retransmission horizon: this gap
                 # can never be filled in place.  Silently ignoring it (the
                 # pre-fix behaviour) stalled the peer forever — heartbeats
@@ -519,6 +577,7 @@ class GcsDaemon(Process):
         )
         self._config_installed_at = self.sim.now
         self.holdback = HoldbackBuffer()
+        self._reports.clear()
         self._next_seq = 0
         self._discard_batch()
         self._record_member_incarnations()
@@ -675,6 +734,7 @@ class GcsDaemon(Process):
             self._record_member_incarnations()
         self._next_seq = len(install.orphans)
         self.holdback = HoldbackBuffer()
+        self._reports.clear()
         self._discard_batch()
         self.group_map = GroupMap.from_snapshot(install.group_map)
         self.dup_filter.merge(install.delivered_counters)
@@ -770,6 +830,13 @@ class GcsDaemon(Process):
     def on_message(self, message: Message) -> None:
         payload = message.payload
         if self.fd.on_message(payload, message.sender):
+            # liveness vocabulary: each message reports its author's
+            # delivery point (compared with the view id at the tick)
+            if payload.sender in self.config:
+                self._reports[payload.sender] = (
+                    payload.config_view_id,
+                    payload.delivered_upto,
+                )
             return
         if self.settings.piggyback_liveness:
             # Any protocol message is liveness evidence for its sender

@@ -36,9 +36,12 @@ class DetectorHost(Protocol):
     def now(self) -> float:
         """The protocol clock."""
 
-    def liveness_header(self) -> tuple[int, int, ViewId]:
-        """``(incarnation, view_counter, config_view_id)``: what every
-        liveness message a detector authors reports about this daemon."""
+    def liveness_header(self) -> tuple[int, int, ViewId, int]:
+        """``(incarnation, view_counter, config_view_id, delivered_upto)``:
+        what every liveness message a detector authors reports about this
+        daemon.  The detector only carries ``delivered_upto`` (how much of
+        its configuration's total order the daemon has delivered); the
+        daemon reads it off the messages its peers' detectors send."""
 
     def send_protocol(
         self, dest: NodeId, payload: Any, kind: str, size: int = 1

@@ -90,9 +90,9 @@ class FailureDetector:
         per peer, because only heartbeats carry our view id and incarnation
         (the divergence and restart detectors feed on them)."""
         host = self._host
-        incarnation, view_counter, config_view_id = host.liveness_header()
+        incarnation, view_counter, config_view_id, delivered = host.liveness_header()
         heartbeat = Heartbeat(
-            self.me, incarnation, view_counter, config_view_id=config_view_id
+            self.me, incarnation, view_counter, config_view_id, delivered
         )
         now = self._now()
         settings = host.settings

@@ -13,8 +13,13 @@ from repro.gcs.view import ViewId
 from repro.sim.topology import NodeId
 from repro.wiretypes import wire
 
-#: packed layouts shared by the liveness probes and by both multicast requests
-_LIVENESS = "sender:str8 incarnation:u32 view_counter:u32 config_view_id:value"
+#: packed layouts shared by the liveness probes and by both multicast requests;
+#: the liveness header is the :meth:`~repro.gcs.detector.DetectorHost.liveness_header`
+#: of its sender, so every liveness message reports the sender's delivery point
+_LIVENESS = (
+    "sender:str8 incarnation:u32 view_counter:u32 delivered_upto:u32"
+    " config_view_id:value"
+)
 _MCAST = "group:str8 request_id:value payload:value"
 
 
@@ -52,6 +57,9 @@ class Heartbeat:
     incarnation: int
     view_counter: int
     config_view_id: ViewId | None = None
+    #: how many messages of ``config_view_id`` the sender has delivered (the
+    #: last field of every liveness message; see ``GcsDaemon._stable_point``)
+    delivered_upto: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +102,7 @@ class SwimPing:
     probe_seq: int
     origin: NodeId | None
     updates: tuple[SwimUpdate, ...] = ()
+    delivered_upto: int = 0
 
 
 @wire(39, 25, _LIVENESS + " probe_seq:u32 origin:value updates:tuple16")
@@ -109,6 +118,7 @@ class SwimAck:
     probe_seq: int
     origin: NodeId | None
     updates: tuple[SwimUpdate, ...] = ()
+    delivered_upto: int = 0
 
 
 @wire(40, 26, _LIVENESS + " target:str8 probe_seq:u32 updates:tuple16")
@@ -124,6 +134,7 @@ class SwimPingReq:
     target: NodeId
     probe_seq: int
     updates: tuple[SwimUpdate, ...] = ()
+    delivered_upto: int = 0
 
 
 @wire(41, 27, _LIVENESS + " entries:tuple16 reply_requested:bool8")
@@ -140,6 +151,7 @@ class SwimDigest:
     config_view_id: ViewId | None
     entries: tuple[SwimUpdate, ...]
     reply_requested: bool = False
+    delivered_upto: int = 0
 
 
 #: the wire vocabulary of the failure detectors: what a daemon's detector

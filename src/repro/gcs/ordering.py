@@ -89,20 +89,31 @@ class HoldbackBuffer:
     def get(self, seq: int) -> Sequenced | None:
         return self._all.get(seq)
 
-    def prune(self, keep: int = 4096) -> None:
-        """Discard delivered messages older than the last ``keep`` ones.
+    def prune(self, keep: int = 4096, stable: int = 0) -> None:
+        """Discard delivered messages no member can still ask for.
 
-        Old messages are retained only so a sync reply can rebuild peers
-        that missed them; anything older than the in-flight window is
-        already delivered everywhere, so a generous ``keep`` trades a
-        little theoretical coverage for bounded memory on long runs.
+        ``stable`` is the least delivery point the configuration's members
+        reported (:meth:`GcsDaemon._stable_point`): a NACK names sequence
+        numbers at or above its sender's delivery point, and a flush union
+        needs only what some survivor has not delivered, so everything
+        below it is dead weight.  The cut never passes the highest entry
+        (the sequencer's tail repair repeats it) nor this buffer's own
+        delivery point.  However far behind ``stable`` stays — a member
+        that stopped reporting — at most ``keep`` delivered messages are
+        retained, as the cap on what a sync reply can rebuild.
         """
-        floor = self.delivered_upto - keep
+        floor = max(
+            self.delivered_upto - keep,
+            min(stable, self.delivered_upto, self._highest),
+        )
         if floor <= self.pruned_below:
             return
         for seq in range(self.pruned_below, floor):
             self._all.pop(seq, None)
         self.pruned_below = floor
+
+    def __len__(self) -> int:
+        return len(self._all)
 
 
 class DuplicateFilter:

@@ -73,9 +73,13 @@ class GcsSettings:
             heartbeat to every peer at least once per this many intervals —
             heartbeats are the only carriers of the sender's view id and
             incarnation, which the divergence and restart detectors need.
-        holdback_keep: delivered messages the holdback buffer retains for
-            NACK retransmission; a peer lagging further than this can no
-            longer be repaired in place and is resynced via a view change.
+        holdback_keep: cap on the delivered messages the holdback buffer
+            retains for NACK retransmission and the flush.  The buffer is
+            pruned at the stable point the members' liveness messages
+            report (what every member has delivered), so the cap binds
+            only while a member is not reporting; a peer lagging further
+            than this can no longer be repaired in place and is resynced
+            via a view change.
         membership_mode: failure-detection protocol — ``"heartbeat"`` is
             the all-pairs mesh above, ``"gossip"`` the SWIM detector in
             ``gcs/swim.py`` (constant per-node probe work, epidemic

@@ -401,7 +401,7 @@ class SwimDetector:
         ]
         fanout = min(self.settings.swim_fanout, len(helpers))
         if fanout > 0:
-            incarnation, view_counter, config_view_id = self._local_state()
+            incarnation, view_counter, config_view_id, delivered = self._local_state()
             for helper in self._rng.sample(helpers, fanout):
                 request = SwimPingReq(
                     self.me,
@@ -411,6 +411,7 @@ class SwimDetector:
                     probe.target,
                     seq,
                     self._take_gossip(),
+                    delivered,
                 )
                 self._send(helper, request, "swim.ping_req", 1)
         remaining = max(
@@ -478,7 +479,7 @@ class SwimDetector:
             ping.sender, ping.incarnation, ping.view_counter, ping.config_view_id
         )
         self._merge_updates(ping.updates)
-        incarnation, view_counter, config_view_id = self._local_state()
+        incarnation, view_counter, config_view_id, delivered = self._local_state()
         ack = SwimAck(
             self.me,
             incarnation,
@@ -487,6 +488,7 @@ class SwimDetector:
             ping.probe_seq,
             ping.origin,
             self._take_gossip(),
+            delivered,
         )
         self._send(ping.sender, ack, "swim.ack", 1)
 
@@ -524,7 +526,7 @@ class SwimDetector:
             self._send_digest(digest.sender, reply_requested=False)
 
     def _send_ping(self, target: NodeId, seq: int, origin: NodeId | None) -> None:
-        incarnation, view_counter, config_view_id = self._local_state()
+        incarnation, view_counter, config_view_id, delivered = self._local_state()
         ping = SwimPing(
             self.me,
             incarnation,
@@ -533,11 +535,12 @@ class SwimDetector:
             seq,
             origin,
             self._take_gossip(),
+            delivered,
         )
         self._send(target, ping, "swim.ping", 1)
 
     def _send_digest(self, target: NodeId, reply_requested: bool) -> None:
-        incarnation, view_counter, config_view_id = self._local_state()
+        incarnation, view_counter, config_view_id, delivered = self._local_state()
         entries = [SwimUpdate(self.me, SWIM_ALIVE, incarnation, self._my_epoch)]
         for peer in sorted(self._members, key=str):
             state = self._members[peer]
@@ -553,6 +556,7 @@ class SwimDetector:
             config_view_id,
             tuple(entries),
             reply_requested,
+            delivered,
         )
         self._send(target, digest, "swim.digest", 1 + len(entries) // 8)
 
@@ -690,7 +694,7 @@ class SwimDetector:
         with a higher epoch — exactly once per superseding observation."""
         if update.status == SWIM_ALIVE:
             return
-        incarnation, _view_counter, _config_view_id = self._local_state()
+        incarnation = self._local_state()[0]
         if update.incarnation < incarnation:
             return  # about a previous life of ours; already superseded
         if update.epoch < self._my_epoch:

@@ -370,7 +370,8 @@ def _dump_stats(path: str | None, cluster: ServiceCluster) -> None:
     Each node also reports its outgoing traffic split into liveness
     (heartbeats / SWIM probes) and data, in real encoded bytes and
     frames — the number an operator watches to judge membership overhead
-    at a given cluster size."""
+    at a given cluster size — and each server its holdback retention
+    (``GcsDaemon.holdback_stats``)."""
     if path is None:
         return
     payload: dict[str, Any] = {
@@ -389,6 +390,8 @@ def _dump_stats(path: str | None, cluster: ServiceCluster) -> None:
             "data_frames_sent": data_frames,
             "data_bytes_sent": data_bytes,
         }
+    for node, server in sorted(cluster.servers.items()):
+        payload.setdefault(str(node), {})["holdback"] = server.daemon.holdback_stats()
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

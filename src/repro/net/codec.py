@@ -62,10 +62,12 @@ from repro.wiretypes import DECLARED, wire
 
 #: Version 2 added the packed tags (14..22); version 3 the SWIM gossip
 #: vocabulary and its packed tags (23..27); version 4 took the abstract
-#: size word out of ``OrderRequest`` and ``ClientMcast`` (both layouts).
+#: size word out of ``OrderRequest`` and ``ClientMcast`` (both layouts);
+#: version 5 added the sender's ``delivered_upto`` to the header of the
+#: five liveness messages (a ``u32`` packed, the holdback's stable point).
 #: A peer on another version would misread those frames, so the version
 #: byte makes the incompatibility explicit instead.
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 #: Upper bound on one frame's body (a propagation snapshot of a pathological
 #: session state should still fit; anything larger is a protocol bug).

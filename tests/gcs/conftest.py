@@ -73,6 +73,7 @@ class FakeHost:
         self.settings = settings or GcsSettings()
         self.clock = 0.0
         self.incarnation = 0
+        self.delivered_upto = 0
         self.sent = []  # (dest, payload, kind)
         self.timers = []  # (fire_at, callback)
         self.periodic = []  # (period, callback, first_delay)
@@ -82,7 +83,7 @@ class FakeHost:
         return self.clock
 
     def liveness_header(self):
-        return (self.incarnation, 0, None)
+        return (self.incarnation, 0, None, self.delivered_upto)
 
     def send_protocol(self, dest, payload, kind, size=1):
         self.sent.append((dest, payload, kind))
@@ -170,6 +171,23 @@ class GcsWorld:
 
     def check_spec(self):
         self.monitor.check_all()
+
+
+def block_sequenced(daemon) -> list:
+    """Stall ``daemon``'s total-order stream at the handler while
+    everything else — its liveness reports included — keeps flowing: a
+    member that genuinely lags, so the others' holdbacks keep what it has
+    not delivered.  Returns the list every stalled message or batch is
+    appended to; :func:`unblock_sequenced` ends the stall."""
+    stalled = []
+    daemon._on_sequenced = stalled.append
+    daemon._on_sequenced_batch = stalled.append
+    return stalled
+
+
+def unblock_sequenced(daemon) -> None:
+    del daemon._on_sequenced
+    del daemon._on_sequenced_batch
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ import pytest
 from repro.gcs.daemon import _TAIL_REPEATS
 from repro.gcs.messages import NackSeqs, ResyncRequired, SequencedBatch
 from repro.gcs.settings import GcsSettings
-from tests.gcs.conftest import GcsWorld
+from tests.gcs.conftest import GcsWorld, block_sequenced, unblock_sequenced
 
 LATENCY = 0.002  # GcsWorld's fixed link latency
 
@@ -309,17 +309,19 @@ class TestBatchViewChangeAndDuplicates:
         world = GcsWorld(3)
         world.settle()
         _join_all(world)
+        target = world.daemons["s2"]
+        block_sequenced(target)  # s2 lags: the others keep the whole run
         for i in range(5):
             world.daemons["s0"].mcast("g", i)
         world.run(1.0)
-        target = world.daemons["s2"]
-        held = [
-            target.holdback.get(seq)
-            for seq in sorted(target.holdback.all_received())
-        ]
+        sequencer = world.daemons["s0"]
+        first = target.holdback.delivered_upto
+        held = [sequencer.holdback.get(seq) for seq in range(first, first + 5)]
+        assert None not in held and sequencer._next_seq == first + 5
         replay = SequencedBatch(
             config_view_id=target.config.view_id, messages=tuple(held)
         )
+        unblock_sequenced(target)
         target._on_sequenced_batch(replay)
         target._on_sequenced_batch(replay)
         world.run(0.5)
@@ -331,20 +333,27 @@ class TestBatchViewChangeAndDuplicates:
         world = GcsWorld(3)
         world.settle()
         _join_all(world)
+        lagger = world.daemons["s2"]
+        stalled = block_sequenced(lagger)
         for i in range(6):
             world.daemons["s1"].mcast("g", i)
         world.run(1.0)
         sequencer = world.daemons["s0"]
-        held = sorted(sequencer.holdback.all_received())
+        missing = range(lagger.holdback.delivered_upto, sequencer._next_seq)
+        assert len(missing) == 6
+        assert all(sequencer.holdback.get(seq) for seq in missing)
         before = world.network.sent_count("s0", "gcs.sequenced_batch")
         sequencer._on_nack_seqs(
             NackSeqs(
-                config_view_id=sequencer.config.view_id, seqs=tuple(held[:4])
+                config_view_id=sequencer.config.view_id, seqs=tuple(missing[:4])
             ),
             sender="s2",
         )
         after = world.network.sent_count("s0", "gcs.sequenced_batch")
         assert after == before + 1
+        world.run(0.01)
+        answer = stalled[-1]
+        assert [m.seq for m in answer.messages] == list(missing[:4])
 
 
 class TestHeartbeatPiggybacking:

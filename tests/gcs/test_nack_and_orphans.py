@@ -8,7 +8,7 @@ from repro.gcs.messages import NackSeqs, OrderRequest, RequestId, Sequenced
 from repro.gcs.ordering import HoldbackBuffer
 from repro.gcs.settings import GcsSettings
 from repro.gcs.view import ViewId
-from tests.gcs.conftest import GcsWorld
+from tests.gcs.conftest import GcsWorld, block_sequenced
 
 VID = ViewId(3, "s0")
 
@@ -64,26 +64,28 @@ class TestNackHandling:
         for node in world.daemon_ids:
             world.daemons[node].join("g")
         world.run(1.0)
-        world.daemons["s1"].mcast("g", "hello")
+        lagger = world.daemons["s2"]
+        stalled = block_sequenced(lagger)
+        for payload in ("hello", "world"):
+            world.daemons["s1"].mcast("g", payload)
         world.run(1.0)
         sequencer = world.daemons["s0"]
         assert sequencer.config.sequencer == "s0"
-        # simulate s2 reporting a gap it actually has no gap for: the
-        # sequencer resends whatever it holds for those seqs, as one batch
-        # (whatever the spacing: a NACK answer is not a dissemination)
-        held = sorted(sequencer.holdback.all_received())
+        # s2 lags by two messages and NACKs both: the sequencer resends
+        # what it holds for those seqs, as one batch (whatever the
+        # spacing: a NACK answer is not a dissemination)
+        gap = (lagger.holdback.delivered_upto, lagger.holdback.delivered_upto + 1)
+        assert sequencer._next_seq == gap[1] + 1
         kind = "gcs.sequenced_batch"
         before = world.network.sent_count("s0", kind)
         sequencer._on_nack_seqs(
-            NackSeqs(
-                config_view_id=sequencer.config.view_id,
-                seqs=tuple(held[:2]),
-            ),
+            NackSeqs(config_view_id=sequencer.config.view_id, seqs=gap),
             sender="s2",
         )
         world.run(0.5)
         after = world.network.sent_count("s0", kind)
         assert after == before + 1
+        assert [m.seq for m in stalled[-1].messages] == list(gap)
 
     @staticmethod
     def world_with_seq_0_ordered():

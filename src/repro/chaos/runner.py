@@ -175,8 +175,8 @@ def trace_digest(trace) -> str:
     render = _detail_renderer()
     lines: list[str] = []
     size = 0
-    for event in trace:
-        line = f"{event.time!r}|{event.node}|{event.category}|{render(event.detail)}\n"
+    for time, node, category, detail in zip(*trace.columns()):
+        line = f"{time!r}|{node}|{category}|{render(detail)}\n"
         if size + len(line) > _DIGEST_CHUNK and lines:
             digest.update("".join(lines).encode())
             lines.clear()

@@ -25,6 +25,11 @@ vector-clock check (:mod:`repro.gcs.causal`) is not yet wired in.
 ``check_all`` runs every check and raises one :class:`SpecViolation`
 naming each failed property (``failed_properties`` returns them one by
 one); the property-based tests call it after every randomized schedule.
+
+A delivery is recorded as two list entries — its seq and its request, in
+per-view lists kept index for index — not as an object of its own: a chaos
+seed delivers thousands of requests, and a long-lived object per delivery
+was work for the cyclic collector on every pass.
 """
 
 from __future__ import annotations
@@ -42,17 +47,15 @@ class SpecViolation(AssertionError):
 
 
 @dataclass
-class _Delivery:
-    seq: int
-    request: OrderRequest
-
-
-@dataclass
 class _NodeHistory:
     configs: list[Configuration] = field(default_factory=list)
     group_views: list[GroupView] = field(default_factory=list)
-    # deliveries per configuration view id, in delivery order
-    deliveries: dict[ViewId, list[_Delivery]] = field(
+    # per configuration view id, in delivery order: the sequence number and
+    # the request of each delivery, index for index
+    seqs: dict[ViewId, list[int]] = field(
+        default_factory=lambda: defaultdict(list)
+    )
+    requests: dict[ViewId, list[OrderRequest]] = field(
         default_factory=lambda: defaultdict(list)
     )
 
@@ -75,9 +78,9 @@ class SpecMonitor:
     def record_delivery(
         self, node: NodeId, config_view_id: ViewId, seq: int, request: OrderRequest
     ) -> None:
-        self.history[node].deliveries[config_view_id].append(
-            _Delivery(seq=seq, request=request)
-        )
+        history = self.history[node]
+        history.seqs[config_view_id].append(seq)
+        history.requests[config_view_id].append(request)
 
     # ------------------------------------------------------------------
     # checks
@@ -108,15 +111,15 @@ class SpecMonitor:
         # Same seq in same configuration => same request, everywhere.
         assignment: dict[tuple[ViewId, int], OrderRequest] = {}
         for node, history in self.history.items():
-            for view_id, deliveries in history.deliveries.items():
-                for delivery in deliveries:
-                    key = (view_id, delivery.seq)
+            for view_id, seqs in history.seqs.items():
+                for seq, request in zip(seqs, history.requests[view_id]):
+                    key = (view_id, seq)
                     existing = assignment.get(key)
                     if existing is None:
-                        assignment[key] = delivery.request
-                    elif existing.request_id != delivery.request.request_id:
+                        assignment[key] = request
+                    elif existing.request_id != request.request_id:
                         raise SpecViolation(
-                            f"seq {delivery.seq} in {view_id} bound to two requests"
+                            f"seq {seq} in {view_id} bound to two requests"
                         )
         # Within a configuration every node delivers in strictly increasing
         # sequence order.  Together with same-seq-same-request above, this
@@ -126,8 +129,7 @@ class SpecMonitor:
         # whose sequencer died — may skip a seq forever; set agreement for
         # nodes that move *together* is check_virtual_synchrony's job.)
         for node, history in self.history.items():
-            for view_id, deliveries in history.deliveries.items():
-                seqs = [d.seq for d in deliveries]
+            for view_id, seqs in history.seqs.items():
                 if any(a >= b for a, b in zip(seqs, seqs[1:])):
                     raise SpecViolation(
                         f"{node} delivered non-increasing seqs in {view_id}: "
@@ -148,8 +150,8 @@ class SpecMonitor:
         for node, history in self.history.items():
             for old_id, new_id in self._transitions(node):
                 delivered = frozenset(
-                    d.request.request_id._key()
-                    for d in history.deliveries.get(old_id, [])
+                    request.request_id._key()
+                    for request in history.requests.get(old_id, ())
                 )
                 transitions[(old_id, new_id)][node] = delivered
         for (old_id, new_id), per_node in transitions.items():
@@ -165,9 +167,9 @@ class SpecMonitor:
         """No daemon delivers the same request id twice (across configs)."""
         for node, history in self.history.items():
             seen = set()
-            for deliveries in history.deliveries.values():
-                for delivery in deliveries:
-                    key = delivery.request.request_id._key()
+            for requests in history.requests.values():
+                for request in requests:
+                    key = request.request_id._key()
                     if key in seen:
                         raise SpecViolation(
                             f"{node} delivered request {key} twice"
@@ -211,9 +213,9 @@ class SpecMonitor:
         history = self.history[node]
         result = []
         for view_id in sorted(
-            history.deliveries, key=lambda v: (v.counter, str(v.coordinator))
+            history.requests, key=lambda v: (v.counter, str(v.coordinator))
         ):
-            result.extend(d.request.payload for d in history.deliveries[view_id])
+            result.extend(request.payload for request in history.requests[view_id])
         return result
 
 

@@ -358,6 +358,15 @@ def _has_slots(node: ast.ClassDef) -> bool:
     return False
 
 
+_NAMED_TUPLE = frozenset({"typing.NamedTuple", "typing_extensions.NamedTuple"})
+
+
+def _is_named_tuple(node: ast.ClassDef, module: ModuleInfo) -> bool:
+    """A ``NamedTuple`` subclass is slotted: ``typing`` gives it
+    ``__slots__ = ()`` and forbids overriding that."""
+    return any(module.qualified_name(base) in _NAMED_TUPLE for base in node.bases)
+
+
 def _slots_exempt(node: ast.ClassDef) -> bool:
     for base in node.bases:
         name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
@@ -383,7 +392,7 @@ def check_slots(module: ModuleInfo) -> Iterator[Finding]:
     for node in module.tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
-        if _slots_exempt(node) or _has_slots(node):
+        if _slots_exempt(node) or _has_slots(node) or _is_named_tuple(node, module):
             continue
         yield _finding(
             "D105",
@@ -391,7 +400,7 @@ def check_slots(module: ModuleInfo) -> Iterator[Finding]:
             module,
             node,
             f"class {node.name} lives in a hot module but has no __slots__ "
-            "(add __slots__ or @dataclass(slots=True))",
+            "(add __slots__, @dataclass(slots=True) or derive from NamedTuple)",
         )
 
 

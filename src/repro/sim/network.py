@@ -34,7 +34,7 @@ from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,15 +45,15 @@ from repro.sim.topology import NodeId, Topology
 from repro.sim.trace import TraceLog
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """One network message.
 
     ``kind`` is a short string used for accounting and tracing (for example
     ``"heartbeat"``, ``"sequenced"``, ``"response"``); ``size`` is an
-    abstract byte count used by the load metrics.  Slotted: the network
-    allocates one of these per send, making it one of the hottest
-    allocation sites in the simulator.
+    abstract byte count used by the load metrics.  A named tuple: the
+    network allocates one of these per send, making it one of the hottest
+    allocation sites in the simulator, and a tuple builds in about a
+    third of the time of a frozen slotted dataclass.
     """
 
     sender: NodeId
@@ -109,6 +109,7 @@ class Network:
         "_verdicts",
         "_verdicts_generation",
         "_deliver_labels",
+        "_deliver_details",
         "_stats_sent",
         "_stats_received",
         "total_sent",
@@ -155,6 +156,9 @@ class Network:
         self._verdicts: dict[tuple[NodeId, NodeId], bool] = {}
         self._verdicts_generation = self.topology.generation
         self._deliver_labels: dict[str, str] = {}
+        # the ``net.deliver`` trace detail, one shared read-only dict per
+        # (sender, kind): a delivery records no object of its own
+        self._deliver_details: dict[tuple[NodeId, str], dict[str, Any]] = {}
         self._stats_sent: dict[NodeId, dict[str, LinkStats]] = defaultdict(
             lambda: defaultdict(LinkStats)
         )
@@ -401,9 +405,13 @@ class Network:
         stats = self._stats_received[receiver][kind]
         stats.received += 1
         stats.bytes_received += message.size
-        self.trace.record_detail(
-            self.sim.now, receiver, "net.deliver", {"sender": sender, "kind": kind}
-        )
+        detail = self._deliver_details.get((sender, kind))
+        if detail is None:
+            detail = self._deliver_details[(sender, kind)] = {
+                "sender": sender,
+                "kind": kind,
+            }
+        self.trace.record_detail(self.sim.now, receiver, "net.deliver", detail)
         handler(message)
 
     def _drop(self, message: Message, reason: str) -> None:

@@ -1,26 +1,34 @@
 """Structured trace log.
 
 Every interesting action in the stack (message delivery, view installation,
-primary takeover, ...) can be recorded as a :class:`TraceEvent`.  Traces are
+primary takeover, ...) can be recorded in a :class:`TraceLog`.  Traces are
 the raw material for the experiment metrics and make failed property tests
 debuggable: a test can dump the interleaving that broke an invariant.
+
+A record is stored as one entry in each of four columns (time, node,
+category, detail), not as an object: a chaos seed records one
+``net.deliver`` per message, and one long-lived GC-tracked object per
+record was a third of what a seed left for the cyclic collector.  Readers get a
+:class:`TraceEvent` (a named tuple) built on demand; the digest reads the
+columns through :meth:`TraceLog.columns`.  A detail dict is stored as
+given and may be shared between records (``Network`` hands every delivery
+of one sender and kind the same dict), so details are read-only once
+recorded.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One recorded event: time, originating node, category, and details."""
 
     time: float
     node: Any
     category: str
-    detail: dict[str, Any] = field(default_factory=dict)
+    detail: dict[str, Any]
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         details = " ".join(f"{k}={v}" for k, v in self.detail.items())
@@ -28,7 +36,7 @@ class TraceEvent:
 
 
 class TraceLog:
-    """An append-only log of :class:`TraceEvent` with simple querying.
+    """An append-only log of trace records with simple querying.
 
     Recording can be disabled wholesale (``enabled=False``) or filtered to a
     set of categories, which keeps long benchmark runs cheap.  Reads by
@@ -40,18 +48,20 @@ class TraceLog:
         self,
         enabled: bool = True,
         categories: Iterable[str] | None = None,
-        capacity: int | None = None,
     ) -> None:
         self.enabled = enabled
-        self._categories = set(categories) if categories is not None else None
-        self._capacity = capacity
-        self._events: list[TraceEvent] = []
-        # category -> serial numbers of its events, ascending (packed: a
+        self._filter = set(categories) if categories is not None else None
+        # one column per field; the record with serial ``n`` is entry ``n``
+        # of each.  Times stay the objects given (an ``int`` prints as an
+        # ``int`` in the digest), so a list and not an ``array('d')``.
+        self._times: list[Any] = []
+        self._nodes: list[Any] = []
+        self._categories: list[str] = []
+        self._details: list[dict[str, Any]] = []
+        # category -> serial numbers of its records, ascending (packed: a
         # run's log is mostly one category, and the index should not
-        # double its footprint); the event with serial ``n`` sits at
-        # ``_events[n - _first]``
+        # double its footprint)
         self._index: dict[str, array[int]] = {}
-        self._first = 0
         self._subscribers: list[Callable[[TraceEvent], None]] = []
 
     def record(self, time: float, node: Any, category: str, **detail: Any) -> None:
@@ -61,32 +71,26 @@ class TraceLog:
     def record_detail(
         self, time: float, node: Any, category: str, detail: dict[str, Any]
     ) -> None:
-        """:meth:`record` with the detail as a dict the log takes over as
-        is — the entry for hot paths, and for details whose keys could
-        collide with the positional parameters."""
+        """:meth:`record` with the detail as a dict the log keeps as is and
+        never copies — the entry for hot paths, and for details whose keys
+        could collide with the positional parameters.  The caller must not
+        mutate ``detail`` afterwards; it may hand the same dict again."""
         if not self.enabled:
             return
-        if self._categories is not None and category not in self._categories:
+        if self._filter is not None and category not in self._filter:
             return
-        event = TraceEvent(time, node, category, detail)
-        events = self._events
         serials = self._index.get(category)
         if serials is None:
             serials = self._index[category] = array("q")
-        serials.append(self._first + len(events))
-        events.append(event)
-        if self._capacity is not None and len(events) > self._capacity:
-            self._drop_oldest(len(events) - self._capacity)
+        serials.append(len(self._times))
+        self._times.append(time)
+        self._nodes.append(node)
+        self._categories.append(category)
+        self._details.append(detail)
         if self._subscribers:
+            event = TraceEvent(time, node, category, detail)
             for subscriber in self._subscribers:
                 subscriber(event)
-
-    def _drop_oldest(self, count: int) -> None:
-        # the oldest event overall is the oldest of its category
-        for event in self._events[:count]:
-            del self._index[event.category][0]
-        del self._events[:count]
-        self._first += count
 
     def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
         """Invoke ``callback`` synchronously for every future event."""
@@ -95,26 +99,43 @@ class TraceLog:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def columns(
+        self,
+    ) -> tuple[list[Any], list[Any], list[str], list[dict[str, Any]]]:
+        """The live ``(times, nodes, categories, details)`` columns, for
+        readers that want every record without building events; read
+        them, never mutate them."""
+        return self._times, self._nodes, self._categories, self._details
+
+    def _event(self, serial: int) -> TraceEvent:
+        return TraceEvent(
+            self._times[serial],
+            self._nodes[serial],
+            self._categories[serial],
+            self._details[serial],
+        )
+
     @property
     def events(self) -> list[TraceEvent]:
         """A copy of the log; iterate the log itself to read in place."""
-        return list(self._events)
+        return list(self)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return map(TraceEvent, self._times, self._nodes, self._categories, self._details)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._times)
 
-    def in_categories(self, *categories: str) -> list[TraceEvent]:
-        """Events of any of the given categories, in log order."""
-        serials = sorted(
+    def _serials(self, *categories: str) -> list[int]:
+        return sorted(
             serial
             for category in set(categories)
             for serial in self._index.get(category, ())
         )
-        events, first = self._events, self._first
-        return [events[serial - first] for serial in serials]
+
+    def in_categories(self, *categories: str) -> list[TraceEvent]:
+        """Events of any of the given categories, in log order."""
+        return [self._event(serial) for serial in self._serials(*categories)]
 
     def select(
         self,
@@ -124,26 +145,31 @@ class TraceLog:
         until: float | None = None,
     ) -> list[TraceEvent]:
         """Return events matching all given filters."""
-        candidates = self._events if category is None else self.in_categories(category)
+        times, nodes = self._times, self._nodes
+        serials: Iterable[int] = (
+            range(len(times)) if category is None else self._serials(category)
+        )
         return [
-            event
-            for event in candidates
-            if (node is None or event.node == node)
-            and (since is None or event.time >= since)
-            and (until is None or event.time <= until)
+            self._event(serial)
+            for serial in serials
+            if (node is None or nodes[serial] == node)
+            and (since is None or times[serial] >= since)
+            and (until is None or times[serial] <= until)
         ]
 
     def count(self, category: str) -> int:
         return len(self._index.get(category, ()))
 
     def clear(self) -> None:
-        self._events.clear()
+        self._times.clear()
+        self._nodes.clear()
+        self._categories.clear()
+        self._details.clear()
         self._index.clear()
-        self._first = 0
 
     def dump(self, limit: int | None = None) -> str:  # pragma: no cover
         """Render the (tail of the) trace for debugging."""
-        events = self._events if limit is None else self._events[-limit:]
+        events = self.events if limit is None else self.events[-limit:]
         return "\n".join(str(event) for event in events)
 
 

@@ -91,8 +91,8 @@ def assert_cohabitants_agree(monitor):
 
     def delivered(node, view_id):
         return {
-            d.request.request_id._key()
-            for d in monitor.history[node].deliveries.get(view_id, [])
+            request.request_id._key()
+            for request in monitor.history[node].requests.get(view_id, [])
         }
 
     for a in views:

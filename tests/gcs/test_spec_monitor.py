@@ -142,6 +142,19 @@ def test_delivered_payloads_in_view_order():
     assert monitor.delivered_payloads("a") == ["early", "mid", "late"]
 
 
+def test_deliveries_are_two_aligned_columns():
+    monitor = SpecMonitor()
+    requests = [req("x", counter) for counter in range(3)]
+    for seq, request in zip((0, 2, 5), requests):
+        monitor.record_delivery("a", V1, seq, request)
+    monitor.record_delivery("a", V2, 0, req("y", 0))
+    history = monitor.history["a"]
+    assert history.seqs == {V1: [0, 2, 5], V2: [0]}
+    # the recorded requests themselves, index for index with their seqs
+    assert all(a is b for a, b in zip(history.requests[V1], requests, strict=True))
+    assert len(history.requests[V2]) == 1
+
+
 def test_settings_flags_reach_daemon():
     from repro.gcs.settings import GcsSettings
     from tests.gcs.conftest import GcsWorld

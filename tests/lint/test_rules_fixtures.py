@@ -57,6 +57,28 @@ def test_d105_slots_required(bad_dir):
     assert "Simulator" in found[0].message
 
 
+def test_d105_named_tuple_counts_as_slotted(tmp_path):
+    # typing gives a NamedTuple subclass __slots__ = () itself; a plain
+    # class, or a base that merely shares the name, is still flagged
+    hot = tmp_path / "sim" / "network.py"
+    hot.parent.mkdir()
+    hot.write_text(
+        "import typing\n"
+        "from typing import NamedTuple\n\n\n"
+        "class Message(NamedTuple):\n    sender: str\n\n\n"
+        "class Envelope(typing.NamedTuple):\n    kind: str\n\n\n"
+        "class LinkStats:\n    sent = 0\n"
+    )
+    found = _findings(tmp_path, "D105")
+    assert [f.message.split()[1] for f in found] == ["LinkStats"]
+    hot.write_text(
+        "from records import NamedTuple\n\n\n"
+        "class Message(NamedTuple):\n    sender: str\n"
+    )
+    found = _findings(tmp_path, "D105")
+    assert [f.message.split()[1] for f in found] == ["Message"]
+
+
 def test_d106_mutable_default(bad_dir):
     found = _findings(bad_dir, "D106")
     assert len(found) == 2

@@ -102,23 +102,8 @@ def steady_state_all_down(
     )
 
 
-def expected_sessions_lost_fraction(
-    n: int,
-    failure_rate: float,
-    repair_rate: float,
-    session_length: float,
-    single_repairman: bool = False,
-) -> float:
-    """Alias with the E5 framing: the expected fraction of sessions of the
-    given length that are permanently lost to an all-down event."""
-    return all_down_hitting_probability(
-        n, failure_rate, repair_rate, session_length, single_repairman
-    )
-
-
 __all__ = [
     "all_down_hitting_probability",
-    "expected_sessions_lost_fraction",
     "steady_state_all_down",
     "steady_state_distribution",
 ]

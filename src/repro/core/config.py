@@ -30,9 +30,6 @@ class AvailabilityPolicy:
         handoff_timeout: how long a newly selected primary waits for the
             old primary's exact context during a *controlled* migration
             before falling back to its freshest local context.
-        leave_grace: how long a server stays in a session group after
-            losing its role there, so replacements join before it leaves
-            (the paper's join-first-then-leave rule).
         prefer_backup_promotion: whether reallocation prefers surviving
             former backups as new primaries (the paper's stated selection
             preference) — disabled only by ablation experiments.
@@ -50,7 +47,6 @@ class AvailabilityPolicy:
     propagation_period: float = 0.5
     uncertainty_policy: UncertaintyPolicy = field(default_factory=ResendAll)
     handoff_timeout: float = 0.3
-    leave_grace: float = 0.5
     prefer_backup_promotion: bool = True
     durable_unit_db: bool = False
 

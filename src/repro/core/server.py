@@ -78,6 +78,11 @@ CRASH_HOOKS = (
 #: epoch gap (one that missed a delta's base) stays stale.
 FULL_PROPAGATION_EVERY = 8
 
+#: How long a server stays in a session group after losing its role
+#: there, so replacements join before it leaves (the paper's
+#: join-first-then-leave rule).
+LEAVE_GRACE = 0.5
+
 
 @dataclass
 class _PrimaryRuntime:
@@ -180,6 +185,10 @@ class FrameworkServer:
     # ------------------------------------------------------------------
     def start(self) -> None:
         self.daemon.start()
+        self._join_groups()
+
+    def _join_groups(self) -> None:
+        """Join the service group and each hosted unit's content group."""
         self.daemon.join(service_group())
         for unit in self.hosted_units:
             self.daemon.join(content_group(unit))
@@ -206,9 +215,7 @@ class FrameworkServer:
         self._reset_volatile()
         if preserved is not None:
             self.unit_dbs = preserved
-        self.daemon.join(service_group())
-        for unit in self.hosted_units:
-            self.daemon.join(content_group(unit))
+        self._join_groups()
 
     # ------------------------------------------------------------------
     # chaos crash hooks
@@ -456,7 +463,7 @@ class FrameworkServer:
             self._lingering[session_id] = lingering
             self._send_handoff(lingering)
             self.daemon.set_timer(
-                self.policy.leave_grace,
+                LEAVE_GRACE,
                 lambda: self._finish_lingering(session_id),
                 label="leave-grace",
             )
@@ -480,7 +487,7 @@ class FrameworkServer:
             ):
                 self.daemon.leave(session_group(session_id))
 
-        self.daemon.set_timer(self.policy.leave_grace, leave, label="leave-grace")
+        self.daemon.set_timer(LEAVE_GRACE, leave, label="leave-grace")
 
     def _send_handoff(self, lingering: _LingeringPrimary) -> None:
         self._chaos_hook("pre-handoff")

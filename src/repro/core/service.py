@@ -124,10 +124,10 @@ class ServiceCluster:
         seed: int = 0,
         latency: str = "lan",
         trace: bool = True,
-        placement: dict[str, list[str]] | None = None,
         loss_probability: float = 0.0,
     ) -> "ServiceCluster":
-        """Build a simulated cluster of ``n_servers`` hosting ``units``.
+        """Build a simulated cluster of ``n_servers`` hosting ``units``,
+        placed by :func:`place_units`.
 
         ``latency`` is ``"lan"``, ``"wan"`` or ``"zero"``; GCS timeouts are
         left at their LAN defaults unless explicit ``settings`` are given.
@@ -156,8 +156,7 @@ class ServiceCluster:
             chaos_rng=rngs.stream("chaos-net"),
         )
         server_ids = [f"s{i}" for i in range(n_servers)]
-        if placement is None:
-            placement = place_units(list(units), server_ids, replication)
+        placement = place_units(list(units), server_ids, replication)
         cluster = ServiceCluster(
             sim,
             lambda _node: network,

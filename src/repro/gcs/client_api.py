@@ -24,6 +24,10 @@ from repro.sim.network import Message, Network
 from repro.sim.process import Process
 from repro.sim.topology import NodeId
 
+#: Give up (surface an error to the application) after this many contact
+#: rotations for one message.
+CLIENT_MAX_RETRIES = 10
+
 
 class _Outstanding:
     __slots__ = ("mcast", "retries", "timer")
@@ -44,7 +48,7 @@ class GcsClient(Process):
             framework this is the full server list, learned out of band).
         app: optional object with ``on_ptp(sender, payload)`` and
             ``on_send_failed(group, payload)`` callbacks.
-        settings: timing constants (ack timeout, retry limit).
+        settings: timing constants (the ack timeout).
     """
 
     def __init__(
@@ -63,8 +67,13 @@ class GcsClient(Process):
         self.settings = settings or GcsSettings()
         self._counter = itertools.count()
         self._contact_index = 0
-        self._outstanding: dict[RequestId, _Outstanding] = {}
         self.sends_failed = 0
+        self._reset_volatile()
+
+    def _reset_volatile(self) -> None:
+        """What a crash erases: the unacknowledged sends (construction and
+        recovery; their retry timers died with the crash)."""
+        self._outstanding: dict[RequestId, _Outstanding] = {}
 
     @property
     def current_contact(self) -> NodeId:
@@ -99,7 +108,7 @@ class GcsClient(Process):
         if entry is None:
             return
         entry.retries += 1
-        if entry.retries > self.settings.client_max_retries:
+        if entry.retries > CLIENT_MAX_RETRIES:
             del self._outstanding[request_id]
             self.sends_failed += 1
             self.trace("client.send_failed", group=entry.mcast.group)
@@ -126,7 +135,7 @@ class GcsClient(Process):
             self.trace("client.unknown_payload", type=type(payload).__name__)
 
     def on_recover(self) -> None:
-        self._outstanding.clear()
+        self._reset_volatile()
 
 
-__all__ = ["GcsClient"]
+__all__ = ["CLIENT_MAX_RETRIES", "GcsClient"]

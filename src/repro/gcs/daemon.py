@@ -107,42 +107,51 @@ class GcsDaemon(Process):
             )
         self.fd: Detector = DETECTORS[mode](self)
         self.membership = MembershipEngine(self)
-        self.config = Configuration.make(ViewId(0, node_id), [node_id])
-        self.holdback = HoldbackBuffer()
-        # each configuration member's latest liveness report:
-        # (its config view id, its delivered_upto there) — the stable point
-        # below which the holdback is pruned (_stable_point)
-        self._reports: dict[NodeId, tuple[ViewId | None, int]] = {}
+        # The fields below survive a crash (DESIGN §6, "What a recovered
+        # daemon keeps"); what a crash erases is built by _reset_volatile.
         # observability (holdback_stats): the stable point of the last tick,
         # and the most holdback entries any tick left retained
         self.stable_floor = 0
         self.holdback_retained_max = 0
-        self.group_map = GroupMap()
-        self.dup_filter = DuplicateFilter()
-        self.pending = PendingRequests()
-        self._pending_since: dict[RequestId, float] = {}
         self._req_counter = itertools.count()
-        self._next_seq = 0
-        self._my_groups_intent: set[str] = set()
-        self._last_group_view: dict[str, GroupView] = {}
         self._member_incarnations: dict[NodeId, int] = {}
-        self._client_acks_pending: dict[RequestId, NodeId] = {}
-        self._membership_event_guard: dict[tuple, int] = {}
-        self._config_installed_at = 0.0
         self._hb_timer = None
         # the tick is the coarse wheel; a protocol deadline that falls
         # between two ticks gets this one-shot (see _arm_deadline)
         self._next_tick = 0.0
         self._deadline_timer: Event | None = None
-        # sequencer batching: messages stamped but not yet disseminated,
-        # and the earliest instant the next batch may leave (the previous
-        # flush + batch_window; a message that finds it passed is not held)
-        self._batch: list[Sequenced] = []
-        self._batch_timer: Event | None = None
-        self._next_flush_at = 0.0
-        # tail repair: ticks since the sequencer last disseminated anything
-        # (past _TAIL_REPEATS: nothing sent yet, or the repeats are used up)
-        self._quiet_ticks = _TAIL_REPEATS + 1
+        self._batch_timer: Event | None = None  # read by _discard_batch
+        self._reset_volatile(Configuration.make(ViewId(0, node_id), [node_id]))
+
+    def _reset_volatile(self, config: Configuration) -> None:
+        """Build everything a crash erases (construction and recovery):
+        the configuration state of :meth:`_enter`, plus the group map, the
+        duplicate filter, our pending requests, group intents and views,
+        the clients awaiting an end-to-end ack and the event guard."""
+        self._enter(config)
+        self.group_map = GroupMap()
+        self.dup_filter = DuplicateFilter()
+        self.pending = PendingRequests()
+        self._pending_since: dict[RequestId, float] = {}
+        self._my_groups_intent: set[str] = set()
+        self._last_group_view: dict[str, GroupView] = {}
+        self._client_acks_pending: dict[RequestId, NodeId] = {}
+        self._membership_event_guard: dict[tuple, int] = {}
+
+    def _enter(self, config: Configuration, next_seq: int = 0) -> None:
+        """Make ``config`` the current configuration — the one way into a
+        configuration (construction, recovery, resync and install): its
+        install time, a fresh holdback, no liveness reports yet, the next
+        seq to stamp, and an empty batch."""
+        self.config = config
+        self._config_installed_at = self.sim.now
+        self.holdback = HoldbackBuffer()
+        # each configuration member's latest liveness report:
+        # (its config view id, its delivered_upto there) — the stable point
+        # below which the holdback is pruned (_stable_point)
+        self._reports: dict[NodeId, tuple[ViewId | None, int]] = {}
+        self._next_seq = next_seq
+        self._discard_batch()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -160,28 +169,18 @@ class GcsDaemon(Process):
         self._disarm_deadline()
         self.fd.reset()
         self.membership.reset()
-        self.config = Configuration.make(
-            ViewId(self.membership.view_counter + 1, self.node_id), [self.node_id]
-        )
         self.membership.view_counter += 1
-        self.holdback = HoldbackBuffer()
-        self._reports.clear()
-        self.group_map = GroupMap()
-        self.dup_filter = DuplicateFilter()
-        self.pending.clear()
-        self._pending_since.clear()
-        self._next_seq = 0
-        self._discard_batch()
-        self._my_groups_intent.clear()
-        self._last_group_view.clear()
-        self._client_acks_pending.clear()
-        self._membership_event_guard.clear()
+        self._reset_volatile(
+            Configuration.make(
+                ViewId(self.membership.view_counter, self.node_id), [self.node_id]
+            )
+        )
         self._boot()
         if self.app is not None and hasattr(self.app, "on_daemon_recovered"):
             self.app.on_daemon_recovered()
 
     def _boot(self) -> None:
-        self._config_installed_at = self.sim.now
+        self._config_installed_at = self.sim.now  # may start after it was built
         self._emit_config_view()
         first_delay = 0.0 if self.sim.now == 0 else None
         # process-lifetime timer: crash() cancels every timer of this node
@@ -409,8 +408,13 @@ class GcsDaemon(Process):
         if self._batch_timer is not None:
             self._batch_timer.cancel()
             self._batch_timer = None
-        self._batch = []
+        # sequencer batching: messages stamped but not yet disseminated,
+        # and the earliest instant the next batch may leave (the previous
+        # flush + batch_window; a message that finds it passed is not held)
+        self._batch: list[Sequenced] = []
         self._next_flush_at = 0.0
+        # tail repair: ticks since the sequencer last disseminated anything
+        # (past _TAIL_REPEATS: nothing sent yet, or the repeats are used up)
         self._quiet_ticks = _TAIL_REPEATS + 1
 
     def _reannounce_tail(self) -> None:
@@ -572,14 +576,7 @@ class GcsDaemon(Process):
             return
         self.trace("gcs.resync_to_singleton", abandoned=str(self.config.view_id))
         counter = self.membership.restart_as_singleton()
-        self.config = Configuration.make(
-            ViewId(counter, self.node_id), [self.node_id]
-        )
-        self._config_installed_at = self.sim.now
-        self.holdback = HoldbackBuffer()
-        self._reports.clear()
-        self._next_seq = 0
-        self._discard_batch()
+        self._enter(Configuration.make(ViewId(counter, self.node_id), [self.node_id]))
         self._record_member_incarnations()
         self._emit_config_view()
         for group in sorted(set(self.group_map.groups()) | set(self._last_group_view)):
@@ -723,8 +720,10 @@ class GcsDaemon(Process):
             if message.seq >= self.holdback.delivered_upto:
                 self._deliver(message)
         # 2. Switch to the new configuration.
-        self.config = Configuration.make(install.view_id, install.members)
-        self._config_installed_at = self.sim.now
+        self._enter(
+            Configuration.make(install.view_id, install.members),
+            next_seq=len(install.orphans),
+        )
         # Incarnations come from the members' own sync replies — the only
         # authoritative source (the failure detector may not have heard a
         # restarted member's first new-incarnation heartbeat yet).
@@ -732,10 +731,6 @@ class GcsDaemon(Process):
             self._member_incarnations = dict(install.member_incarnations)
         else:
             self._record_member_incarnations()
-        self._next_seq = len(install.orphans)
-        self.holdback = HoldbackBuffer()
-        self._reports.clear()
-        self._discard_batch()
         self.group_map = GroupMap.from_snapshot(install.group_map)
         self.dup_filter.merge(install.delivered_counters)
         # Requests orphaned by the old configuration's death are delivered

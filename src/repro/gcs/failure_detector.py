@@ -24,6 +24,12 @@ from repro.gcs.messages import Heartbeat
 from repro.gcs.view import ViewId
 from repro.sim.topology import NodeId
 
+#: Even with piggybacking, a full heartbeat goes to every peer at least
+#: once per this many intervals: heartbeats are the only carriers of the
+#: sender's view id and incarnation, which the divergence and restart
+#: detectors need.
+HEARTBEAT_REFRESH_FACTOR = 4
+
 
 @dataclass
 class _PeerState:
@@ -54,23 +60,12 @@ class FailureDetector:
         self.suspect_timeout = host.settings.suspect_timeout
         self._now = host.now
         self._on_change = host.on_detector_change
-        self._peers: dict[NodeId, _PeerState] = {}
-        # heartbeat piggybacking: when we last sent each peer a *real*
-        # heartbeat (traffic suppresses them, but view-id/incarnation
-        # reporting must not starve — see heartbeat_refresh_factor)
-        self._last_hb_sent: dict[NodeId, float] = {}
-        # Alive peers, least recently heard first: every refresh moves its
-        # peer to the end, so the head is the next peer that can expire —
-        # next_deadline() is exact and check() idles on it, both in O(1).
-        # (A stale lower bound would do for check() but not as a timer
-        # deadline: the daemon would arm a no-op firing every time the
-        # bound came due, steady state included.)
-        self._alive: OrderedDict[NodeId, None] = OrderedDict()
         self.max_view_counter_seen = 0
         # Observability for the bound (pinned by the unit test): how many
         # check() calls returned on it vs. walked the table to expire peers.
         self.idle_checks = 0
         self.full_scans = 0
+        self.reset()
 
     def start(self, first_delay: float | None) -> None:
         """Nothing to arm: heartbeats ride the host's tick."""
@@ -86,7 +81,7 @@ class FailureDetector:
     def _broadcast_heartbeat(self, force: bool) -> None:
         """Heartbeat every world peer, skipping peers that recent outgoing
         protocol traffic already proved us alive to (piggybacking).  A full
-        heartbeat still goes out every ``heartbeat_refresh_factor`` intervals
+        heartbeat still goes out every ``HEARTBEAT_REFRESH_FACTOR`` intervals
         per peer, because only heartbeats carry our view id and incarnation
         (the divergence and restart detectors feed on them)."""
         host = self._host
@@ -97,7 +92,7 @@ class FailureDetector:
         now = self._now()
         settings = host.settings
         interval = settings.heartbeat_interval
-        refresh_after = interval * settings.heartbeat_refresh_factor
+        refresh_after = interval * HEARTBEAT_REFRESH_FACTOR
         for peer in host.world:
             if peer == self.me:
                 continue
@@ -212,10 +207,20 @@ class FailureDetector:
             self._on_change()
 
     def reset(self) -> None:
-        """Forget everything (used on process recovery)."""
-        self._peers.clear()
-        self._alive.clear()
-        self._last_hb_sent.clear()
+        """Forget every peer (construction and process recovery); the
+        highest view counter seen and the counters are kept."""
+        self._peers: dict[NodeId, _PeerState] = {}
+        # heartbeat piggybacking: when we last sent each peer a *real*
+        # heartbeat (traffic suppresses them, but view-id/incarnation
+        # reporting must not starve — see HEARTBEAT_REFRESH_FACTOR)
+        self._last_hb_sent: dict[NodeId, float] = {}
+        # Alive peers, least recently heard first: every refresh moves its
+        # peer to the end, so the head is the next peer that can expire —
+        # next_deadline() is exact and check() idles on it, both in O(1).
+        # (A stale lower bound would do for check() but not as a timer
+        # deadline: the daemon would arm a no-op firing every time the
+        # bound came due, steady state included.)
+        self._alive: OrderedDict[NodeId, None] = OrderedDict()
 
     def alive_peers(self) -> frozenset[NodeId]:
         """Peers currently believed alive (never includes ``me``)."""
@@ -254,4 +259,4 @@ class FailureDetector:
         return divergent
 
 
-__all__ = ["FailureDetector"]
+__all__ = ["HEARTBEAT_REFRESH_FACTOR", "FailureDetector"]

@@ -63,18 +63,8 @@ class MembershipEngine:
         self.daemon = daemon
         self.me: NodeId = daemon.node_id
         self.settings = daemon.settings
-        self.view_counter = 0
-        # participant state
-        self.accepted_attempt: AttemptId | None = None
-        self.forming = False
-        self._install_deadline = math.inf  # inf: not awaiting an install
-        self._waiting_for: NodeId | None = None  # expected coordinator
-        self._waiting_since: float | None = None
-        # coordinator state
-        self._attempt: AttemptId | None = None
-        self._attempt_members: tuple[NodeId, ...] = ()
-        self._replies: dict[NodeId, SyncReply] = {}
-        self._sync_deadline = math.inf  # inf: no attempt of ours running
+        self.view_counter = 0  # survives a crash: view ids only grow
+        self.reset()
 
     # ------------------------------------------------------------------
     # triggers
@@ -141,12 +131,14 @@ class MembershipEngine:
             self.reconfigure()
 
     def reset(self) -> None:
-        """Forget all protocol state (process recovery)."""
-        self.accepted_attempt = None
+        """Forget all formation state (construction, process recovery and
+        resync); only ``view_counter`` is kept."""
+        # participant state
+        self.accepted_attempt: AttemptId | None = None
         self.forming = False
-        self._install_deadline = math.inf
-        self._waiting_for = None
-        self._waiting_since = None
+        self._install_deadline = math.inf  # inf: not awaiting an install
+        self._waiting_for: NodeId | None = None  # expected coordinator
+        self._waiting_since: float | None = None
         self._abandon_coordination()
 
     def restart_as_singleton(self) -> int:
@@ -183,10 +175,11 @@ class MembershipEngine:
             self.daemon.send_protocol(member, proposal, kind="gcs.propose")
 
     def _abandon_coordination(self) -> None:
-        self._attempt = None
-        self._attempt_members = ()
-        self._replies = {}
-        self._sync_deadline = math.inf
+        """Drop the coordinator state (no attempt of ours running)."""
+        self._attempt: AttemptId | None = None
+        self._attempt_members: tuple[NodeId, ...] = ()
+        self._replies: dict[NodeId, SyncReply] = {}
+        self._sync_deadline = math.inf  # inf: no attempt of ours running
 
     def _on_sync_timeout(self) -> None:
         """Some proposed members never replied: drop them and retry."""

@@ -232,9 +232,6 @@ class PendingRequests:
             for rid in sorted(self._pending, key=lambda r: r.counter)
         ]
 
-    def clear(self) -> None:
-        self._pending.clear()
-
     def __len__(self) -> int:
         return len(self._pending)
 

@@ -44,8 +44,6 @@ class GcsSettings:
             (this wait and the sync wait end at their deadline too).
         client_ack_timeout: how long a client waits for a contact daemon's
             receipt acknowledgement before rotating to another contact.
-        client_max_retries: give up (surface an error to the application)
-            after this many contact rotations for one message.
         detect_divergence: reconfigure when a reachable peer persistently
             reports a different installed view (the zombie-view guard;
             see DESIGN.md §6).  Disable only for the ablation study.
@@ -69,10 +67,6 @@ class GcsSettings:
             evidence for its sender and suppress an explicit heartbeat to
             a peer the sender messaged within the last interval.  Cuts the
             steady-state O(world²) heartbeat storm on busy links.
-        heartbeat_refresh_factor: even with piggybacking, force a full
-            heartbeat to every peer at least once per this many intervals —
-            heartbeats are the only carriers of the sender's view id and
-            incarnation, which the divergence and restart detectors need.
         holdback_keep: cap on the delivered messages the holdback buffer
             retains for NACK retransmission and the flush.  The buffer is
             pruned at the stable point the members' liveness messages
@@ -87,20 +81,11 @@ class GcsSettings:
             detector interface is identical in both modes.
         probe_interval: period of one SWIM probe round (gossip mode only).
         probe_timeout: how long a prober waits for a direct ack before
-            asking ``swim_fanout`` helpers to probe the target indirectly;
-            must be well under ``probe_interval``.
-        suspicion_multiplier: a suspected member is evicted after
-            ``suspicion_multiplier * probe_interval * log10(n + 1)``
-            seconds of unrefuted suspicion — scaling with the member count
-            gives the subject's refutation time to spread epidemically.
-        swim_fanout: indirect probe helpers per failed direct probe; also
-            the gossip retransmission multiplier (each update is forwarded
-            ``~swim_fanout * log10(n + 1)`` times per node).
+            asking ``swim.SWIM_FANOUT`` helpers to probe the target
+            indirectly; must be well under ``probe_interval``.
         anti_entropy_interval: period of the push-pull full-digest
             exchange with one random peer (bounds convergence time after
             partitions heal and for updates that missed the piggyback).
-        gossip_max_updates: most piggybacked membership updates carried on
-            one swim message (bounds probe frame size).
     """
 
     heartbeat_interval: float = 0.1
@@ -108,21 +93,16 @@ class GcsSettings:
     sync_timeout: float = 0.6
     install_timeout: float = 1.2
     client_ack_timeout: float = 0.25
-    client_max_retries: int = 10
     detect_divergence: bool = True
     end_to_end_client_acks: bool = True
     batch_window: float = 0.002
     batch_max: int = 32
     piggyback_liveness: bool = True
-    heartbeat_refresh_factor: int = 4
     holdback_keep: int = 4096
     membership_mode: str = "heartbeat"
     probe_interval: float = 0.1
     probe_timeout: float = 0.04
-    suspicion_multiplier: float = 3.0
-    swim_fanout: int = 3
     anti_entropy_interval: float = 1.0
-    gossip_max_updates: int = 12
 
     @classmethod
     def live_lan(cls) -> "GcsSettings":

@@ -2,19 +2,19 @@
 
 Replaces the all-pairs heartbeat mesh with constant per-node probe work:
 every ``probe_interval`` a daemon pings ONE pseudo-random peer; if the
-direct ack misses ``probe_timeout`` it asks ``swim_fanout`` helpers to
+direct ack misses ``probe_timeout`` it asks ``SWIM_FANOUT`` helpers to
 probe the target indirectly, and only when the whole round stays silent
 does the target become *suspected*.  A suspected member stays in the
 membership estimate until the suspicion survives
-``suspicion_multiplier * probe_interval * log10(n + 1)`` seconds — long
+``SUSPICION_MULTIPLIER * probe_interval * log10(n + 1)`` seconds — long
 enough for the subject to hear its own suspicion through the gossip
 stream and refute it — after which it is evicted (``on_change`` fires
 and the membership engine reconfigures, exactly as when a mesh
 heartbeat times out).
 
 Dissemination is epidemic: every swim message piggybacks up to
-``gossip_max_updates`` pending :class:`~repro.gcs.messages.SwimUpdate`
-observations, each forwarded a bounded ``~swim_fanout * log10(n + 1)``
+``GOSSIP_MAX_UPDATES`` pending :class:`~repro.gcs.messages.SwimUpdate`
+observations, each forwarded a bounded ``~SWIM_FANOUT * log10(n + 1)``
 times per node.  Observations about one subject are ordered by the pair
 ``(incarnation, epoch)`` — the subject's process incarnation and its
 refutation counter within it — with dead > suspect > alive breaking
@@ -73,6 +73,21 @@ _AE_REJOIN_EVERY = 4
 
 #: Floor on per-update gossip retransmissions regardless of cluster size.
 _MIN_GOSSIP_BUDGET = 3
+
+#: Indirect probe helpers per failed direct probe; also the gossip
+#: retransmission multiplier (each update is forwarded
+#: ``~SWIM_FANOUT * log10(n + 1)`` times per node).
+SWIM_FANOUT = 3
+
+#: A suspected member is evicted after ``SUSPICION_MULTIPLIER *
+#: probe_interval * log10(n + 1)`` seconds of unrefuted suspicion —
+#: scaling with the member count gives the subject's refutation time to
+#: spread epidemically.
+SUSPICION_MULTIPLIER = 3.0
+
+#: Most piggybacked membership updates carried on one swim message
+#: (bounds probe frame size).
+GOSSIP_MAX_UPDATES = 12
 
 
 def _swim_seed(node_id: NodeId) -> int:
@@ -140,24 +155,20 @@ class SwimDetector:
         self._on_change = host.on_detector_change
         self._send = host.send_protocol
         self._local_state = host.liveness_header
+        # the draw stream and the round/probe clocks survive a crash
+        # (see reset)
         self._rng = random.Random(_swim_seed(self.me))
-        self._members: dict[NodeId, _MemberState] = {}
-        self._gossip: dict[NodeId, _GossipEntry] = {}
-        self._probes: dict[int, _Probe] = {}
         self._probe_seq = 0
-        self._probe_ring: list[NodeId] = []
-        self._rejoin_ring: list[NodeId] = []
         self._round = 0
         self._ae_turn = 0
         self._next_anti_entropy = self._now() + self.settings.anti_entropy_interval
-        self._next_expiry = math.inf
-        self._my_epoch = 0
         self.max_view_counter_seen = 0
         # observability (read by the membership bench and the tests)
         self.suspicions_started = 0
         self.suspicions_refuted = 0
         self.refutations_sent = 0
         self.evictions = 0
+        self.reset()
 
     # ------------------------------------------------------------------
     # detector interface (mirrors FailureDetector)
@@ -227,13 +238,15 @@ class SwimDetector:
             self._on_change()
 
     def reset(self) -> None:
-        """Forget everything (process recovery).  The RNG stream is NOT
-        reseeded: draw counts must stay deterministic across a run."""
-        self._members.clear()
-        self._gossip.clear()
-        self._probes.clear()
-        self._probe_ring = []
-        self._rejoin_ring = []
+        """Forget every member, observation and probe (construction and
+        process recovery).  The RNG stream is NOT reseeded, nor are the
+        probe sequence, round and anti-entropy clocks restarted: draw
+        counts must stay deterministic across a run."""
+        self._members: dict[NodeId, _MemberState] = {}
+        self._gossip: dict[NodeId, _GossipEntry] = {}
+        self._probes: dict[int, _Probe] = {}
+        self._probe_ring: list[NodeId] = []
+        self._rejoin_ring: list[NodeId] = []
         self._next_expiry = math.inf
         self._my_epoch = 0
 
@@ -347,7 +360,7 @@ class SwimDetector:
         peers = sorted(self.alive_peers(), key=str)
         if not peers:
             return
-        fanout = min(self.settings.swim_fanout, len(peers))
+        fanout = min(SWIM_FANOUT, len(peers))
         for peer in self._rng.sample(peers, fanout):
             self._send_digest(peer, reply_requested=True)
 
@@ -389,7 +402,7 @@ class SwimDetector:
 
     def _probe_deadline(self, seq: int) -> None:
         """The direct ack window closed: fan the probe out through
-        ``swim_fanout`` helpers, then give the round until its end."""
+        ``SWIM_FANOUT`` helpers, then give the round until its end."""
         probe = self._probes.get(seq)
         if probe is None:
             return  # acked in time
@@ -399,7 +412,7 @@ class SwimDetector:
             for peer in sorted(self.alive_peers(), key=str)
             if peer != probe.target
         ]
-        fanout = min(self.settings.swim_fanout, len(helpers))
+        fanout = min(SWIM_FANOUT, len(helpers))
         if fanout > 0:
             incarnation, view_counter, config_view_id, delivered = self._local_state()
             for helper in self._rng.sample(helpers, fanout):
@@ -465,11 +478,7 @@ class SwimDetector:
     def _suspicion_timeout(self) -> float:
         population = len(self._members) + 1
         spread = max(1.0, math.log10(population + 1))
-        return (
-            self.settings.suspicion_multiplier
-            * self.settings.probe_interval
-            * spread
-        )
+        return SUSPICION_MULTIPLIER * self.settings.probe_interval * spread
 
     # ------------------------------------------------------------------
     # message handlers
@@ -716,9 +725,7 @@ class SwimDetector:
     def _gossip_budget(self) -> int:
         population = len(self._members) + 1
         spread = math.ceil(math.log10(population + 1))
-        return max(
-            _MIN_GOSSIP_BUDGET, self.settings.swim_fanout * int(spread)
-        )
+        return max(_MIN_GOSSIP_BUDGET, SWIM_FANOUT * int(spread))
 
     def _queue_gossip(self, update: SwimUpdate) -> None:
         """Queue (or supersede) the pending observation about a subject;
@@ -735,7 +742,7 @@ class SwimDetector:
             self._gossip.values(),
             key=lambda entry: (entry.sent, str(entry.update.subject)),
         )
-        picked = entries[: self.settings.gossip_max_updates]
+        picked = entries[:GOSSIP_MAX_UPDATES]
         for entry in picked:
             entry.sent += 1
         budget = self._gossip_budget()
@@ -750,8 +757,11 @@ class SwimDetector:
 
 
 __all__ = [
+    "GOSSIP_MAX_UPDATES",
+    "SUSPICION_MULTIPLIER",
     "SWIM_ALIVE",
     "SWIM_DEAD",
+    "SWIM_FANOUT",
     "SWIM_SUSPECT",
     "SwimDetector",
 ]

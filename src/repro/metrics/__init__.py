@@ -18,7 +18,6 @@ from repro.metrics.windows import (
     multi_primary_time,
     multi_primary_time_within,
     no_primary_time,
-    no_primary_time_within,
     pad_intervals,
     subtract_intervals,
     total_length,
@@ -36,7 +35,6 @@ __all__ = [
     "multi_primary_time",
     "multi_primary_time_within",
     "no_primary_time",
-    "no_primary_time_within",
     "pad_intervals",
     "primary_intervals",
     "service_gaps",

@@ -152,21 +152,6 @@ def no_primary_time(cluster, session_id: str, start: float, end: float) -> float
     return float(total_length(no_primary_spans(cluster, session_id, start, end)))
 
 
-def no_primary_time_within(
-    cluster, session_id: str, windows: list[Interval]
-) -> float:
-    """Primary-less time restricted to the given (clean) windows."""
-    if not windows:
-        return 0.0
-    hull_start = min(s for s, _ in windows)
-    hull_end = max(e for _, e in windows)
-    return total_length(
-        intersect_intervals(
-            no_primary_spans(cluster, session_id, hull_start, hull_end), windows
-        )
-    )
-
-
 def silence_spans(times: list[float], start: float, end: float) -> list[Interval]:
     """Gaps of ``[start, end]`` containing none of the event ``times`` —
     for response timestamps these are the client-visible silences.
@@ -209,7 +194,6 @@ __all__ = [
     "multi_primary_time_within",
     "no_primary_spans",
     "no_primary_time",
-    "no_primary_time_within",
     "pad_intervals",
     "silence_spans",
     "subtract_intervals",

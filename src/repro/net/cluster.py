@@ -45,6 +45,10 @@ from repro.services.vod import VodApplication
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceLog
 
+#: the content unit a scripted live run streams (and ``repro serve``'s
+#: default ``--unit``)
+_DEMO_UNIT = "demo"
+
 
 @dataclass(slots=True)
 class LiveClusterOptions:
@@ -53,19 +57,16 @@ class LiveClusterOptions:
     ``transport`` names a registered backend (see
     :func:`repro.net.transport.create_transport`).  ``profile`` picks the
     :class:`GcsSettings` preset — live loopback runs default to the tight
-    :meth:`GcsSettings.live_lan` timings the fast wire path affords.
+    :meth:`GcsSettings.live_lan` timings the fast wire path affords.  A
+    killed primary is always recovered later in the run.
     """
 
     nodes: int = 3
     requests: int = 200
     kill_primary: bool = False
-    restart: bool = True
     update_interval: float = 0.02
-    unit: str = "demo"
     warmup: float = 1.8
     settle: float = 2.0
-    max_tick: float = 0.05
-    num_backups: int = 1
     transport: str = "tcp"
     profile: str = "live_lan"
     stats_json: str | None = None
@@ -183,19 +184,19 @@ async def build_live_cluster(options: LiveClusterOptions) -> ServiceCluster:
         + options.settle + 10.0
     )
     movie = build_movie(
-        options.unit, duration_seconds=int(run_seconds * 2) + 60, frame_rate=24
+        _DEMO_UNIT, duration_seconds=int(run_seconds * 2) + 60, frame_rate=24
     )
     return assemble(
         sim,
         transports,
         server_ids,
         ["c0"],
-        {options.unit: VodApplication({options.unit: movie})},
-        AvailabilityPolicy(num_backups=options.num_backups),
+        {_DEMO_UNIT: VodApplication({_DEMO_UNIT: movie})},
+        AvailabilityPolicy(num_backups=1),
         resolve_profile(options.profile),
         TraceLog(enabled=True),
         SpecMonitor(),
-        runtime=LiveRuntime(sim, max_tick=options.max_tick),
+        runtime=LiveRuntime(sim),
     )
 
 
@@ -211,7 +212,7 @@ def schedule_workload(
         client.connect()
 
     def do_start() -> None:
-        plan.handle = client.start_session(options.unit)
+        plan.handle = client.start_session(_DEMO_UNIT)
 
     sim.schedule_at(min(1.0, options.warmup / 2), do_connect, label="wl:connect")
     sim.schedule_at(options.warmup, do_start, label="wl:start-session")
@@ -254,16 +255,14 @@ def schedule_workload(
 
         sim.schedule_at(kill_at, do_kill, label="wl:kill-primary")
         restart_at = kill_at + max(1.5, 0.3 * options.requests * interval)
-        if options.restart:
 
-            def do_restart() -> None:
-                if plan.killed is not None:
-                    plan.restart_time = sim.now
-                    cluster.servers[plan.killed].recover()
+        def do_restart() -> None:
+            if plan.killed is not None:
+                plan.restart_time = sim.now
+                cluster.servers[plan.killed].recover()
 
-            sim.schedule_at(restart_at, do_restart, label="wl:restart")
-            end = max(end, restart_at + 1.5)
-        end = max(end, kill_at + 3.0)
+        sim.schedule_at(restart_at, do_restart, label="wl:restart")
+        end = max(end, restart_at + 1.5)
 
     plan.duration = end + 0.5
     return plan
@@ -433,10 +432,9 @@ class ServeOptions:
     node_id: str
     listen: tuple[str, int]
     peers: dict[str, tuple[str, int]] = field(default_factory=dict)
-    unit: str = "demo"
+    unit: str = _DEMO_UNIT
     duration: float = 10.0
     expect_members: int | None = None
-    max_tick: float = 0.05
     transport: str = "tcp"
     profile: str = "default"
     stats_json: str | None = None
@@ -445,7 +443,7 @@ class ServeOptions:
 
 async def _serve(options: ServeOptions) -> dict[str, Any]:
     sim = Simulator()
-    runtime = LiveRuntime(sim, max_tick=options.max_tick)
+    runtime = LiveRuntime(sim)
     transport = create_transport(options.transport, options.node_id)
     plane: FaultPlane | None = None
     control_server: FaultControlServer | None = None

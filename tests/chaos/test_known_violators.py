@@ -9,12 +9,21 @@ in ROADMAP) — and one in a responsiveness gap.  A
 change that is not meant to touch protocol behaviour leaves all four
 verdicts as they are; the fix for that class must change the first three
 on purpose, and update this file when it does.
+
+The three duplicate deliveries are also committed as ddmin-shrunk
+``repro-chaos/1`` artifacts under ``artifacts/`` (recorded with
+``chaos.engine._explore_iteration`` on ``CONFIG``, shrink budget 48); each
+replays to its recorded verdict, oracle and detail alike.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.chaos.config import ChaosConfig
+from repro.chaos.engine import replay
 from repro.chaos.generator import generate_schedule, resolve_profile
 from repro.chaos.runner import run_schedule
 
@@ -56,3 +65,32 @@ def test_known_violator_keeps_its_verdict(case):
     assert profile == expected_profile
     result = run_schedule(CONFIG, run_seed, schedule)
     assert [(v.oracle, v.detail) for v in result.violations] == [(oracle, detail)]
+
+
+ARTIFACTS = Path(__file__).parent / "artifacts"
+
+#: artifact -> the shrunk schedule's (oracle, detail)
+_SHRUNK = {
+    "chaos-1006-57.json": (
+        "gcs-spec",
+        {"property": "at-most-once", "error": "s0 delivered request ('s4', 0, 7) twice"},
+    ),
+    "chaos-1006-60.json": (
+        "gcs-spec",
+        {"property": "at-most-once", "error": "s3 delivered request ('s4', 0, 84) twice"},
+    ),
+    "chaos-2003-56.json": (
+        "gcs-spec",
+        {"property": "at-most-once", "error": "s0 delivered request ('s2', 0, 139) twice"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHRUNK))
+def test_shrunk_artifact_replays_its_verdict(name):
+    path = ARTIFACTS / name
+    recorded = json.loads(path.read_text())["violations"]
+    assert [(v["oracle"], v["detail"]) for v in recorded] == [_SHRUNK[name]]
+    result, _, reproduced = replay(path)
+    assert reproduced
+    assert [(v.oracle, v.detail) for v in result.violations] == [_SHRUNK[name]]

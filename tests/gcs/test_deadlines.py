@@ -13,6 +13,7 @@ import pytest
 
 from repro.gcs.daemon import GcsDaemon
 from repro.gcs.settings import GcsSettings
+from repro.gcs.swim import SUSPICION_MULTIPLIER
 from tests.gcs.conftest import GcsWorld
 
 LATENCY = 0.002  # GcsWorld's fixed link latency
@@ -94,7 +95,7 @@ def test_gossip_takeover_happens_at_the_suspicion_timeout(crash_at):
     )
     world = GcsWorld(4, settings)
     last_heard = crash_with_last_words(world, crash_at)
-    suspicion_timeout = settings.suspicion_multiplier * settings.probe_interval
+    suspicion_timeout = SUSPICION_MULTIPLIER * settings.probe_interval
     coordinator = world.daemons["s0"].fd
     suspected_at = []
 

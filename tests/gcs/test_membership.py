@@ -43,6 +43,33 @@ def test_recovery_rejoins_view_with_new_incarnation(world3):
     world3.check_spec()
 
 
+def test_recovered_daemon_matches_a_fresh_one(world3):
+    """A crash erases everything but what DESIGN §6 lists as kept: right
+    after recovery, a daemon that had joined a group and had a request in
+    flight looks like a freshly built one, one view counter on."""
+    daemon = world3.daemons["s1"]
+    daemon.join("g")
+    world3.run(0.5)
+    assert daemon.my_groups() == {"g"} and daemon.dup_filter.snapshot()
+    daemon.mcast("g", "in flight")
+    assert daemon.pending.outstanding()
+    view_counter = daemon.membership.view_counter
+    daemon.crash()
+    daemon.recover()
+
+    fresh = GcsWorld(1).daemons["s0"]
+    for d in (daemon, fresh):
+        assert d.pending.outstanding() == []
+        assert d.my_groups() == frozenset()
+        assert d.dup_filter.snapshot() == fresh.dup_filter.snapshot()
+        assert d.group_map.snapshot() == fresh.group_map.snapshot()
+        assert len(d.holdback) == len(fresh.holdback) == 0
+        assert not d.membership.forming
+        assert d.fd.alive_peers() == frozenset()
+    assert daemon.config.members == ("s1",)
+    assert daemon.membership.view_counter == view_counter + 1
+
+
 def test_partition_forms_two_views(world5):
     world5.network.topology.partition({"s0", "s1"}, {"s2", "s3", "s4"})
     world5.settle()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.gcs.failure_detector import HEARTBEAT_REFRESH_FACTOR
 from repro.gcs.messages import (
     Heartbeat,
     NackSeqs,
@@ -57,7 +58,7 @@ def _bound(settings: GcsSettings) -> float:
     fourth tick falls a hair short of 0.4 s) — five intervals by default.
     SWIM probes every member within that."""
     interval = settings.heartbeat_interval
-    refresh = (settings.heartbeat_refresh_factor + 1) * interval
+    refresh = (HEARTBEAT_REFRESH_FACTOR + 1) * interval
     return (PER_STEP / STEP) * refresh
 
 

@@ -16,7 +16,13 @@ from repro.gcs.messages import (
     SwimUpdate,
 )
 from repro.gcs.settings import GcsSettings
-from repro.gcs.swim import SWIM_ALIVE, SWIM_DEAD, SWIM_SUSPECT, SwimDetector
+from repro.gcs.swim import (
+    SWIM_ALIVE,
+    SWIM_DEAD,
+    SWIM_FANOUT,
+    SWIM_SUSPECT,
+    SwimDetector,
+)
 
 
 def gossip_settings(**overrides) -> GcsSettings:
@@ -167,9 +173,7 @@ def test_unacked_probe_escalates_to_indirect_then_suspicion():
     # no ack before the probe timeout -> ping-req fan-out to helpers
     h.advance(h.detector.settings.probe_timeout + 0.001)
     req_kinds = [kind for _d, _p, kind in h.sent]
-    assert req_kinds.count("swim.ping_req") == min(
-        h.detector.settings.swim_fanout, 2
-    )
+    assert req_kinds.count("swim.ping_req") == min(SWIM_FANOUT, 2)
     assert all(p.target == target for _d, p, k in h.sent if k == "swim.ping_req")
     # still no ack by round end -> the target becomes suspected, not dead
     h.advance(h.detector.settings.probe_interval)
@@ -318,7 +322,7 @@ def test_forget_is_local_only_and_revivable():
 
 
 def test_gossip_budget_retires_updates():
-    h = SwimHarness(gossip_max_updates=8)
+    h = SwimHarness()
     h.detector.on_message(
         ping_from("n1", updates=[SwimUpdate("n2", SWIM_SUSPECT, 0, 0)]), "n1"
     )

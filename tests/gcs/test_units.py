@@ -180,7 +180,7 @@ class TestSettingsScaling:
         """scaled() multiplies DURATION_FIELDS; a new timeout that is not
         listed there would silently keep its LAN value in every WAN
         experiment."""
-        not_durations = {"suspicion_multiplier"}
+        not_durations: set[str] = set()
         floats = {
             f.name for f in dataclasses.fields(GcsSettings) if f.type == "float"
         }

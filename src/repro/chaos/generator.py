@@ -11,9 +11,9 @@ region:
 * the **spare** server is never crashed, slowed, or isolated — a fully
   informed witness always survives;
 * partitions always name the **clients and the spare in component 0**
-  explicitly: the simulated topology puts unmentioned nodes into an
-  implicit extra component, so forgetting the clients would silently cut
-  every client off from everything.
+  explicitly: the link model puts unmentioned nodes into an implicit
+  extra component, so forgetting the clients would silently cut every
+  client off from everything.
 """
 
 from __future__ import annotations
@@ -122,9 +122,10 @@ def _partition_layers(rng: np.random.Generator, config: ChaosConfig) -> FaultSch
     if getattr(config, "mode", "sim") == "live" and len(faultable) >= 2:
         # live-only layer: an *asymmetric* link cut (A hears B, B does not
         # hear A) — the non-transitive failure mode the fault-injecting
-        # transport exists to exercise, and one the simulated topology's
-        # partition layer cannot express.  Gated on live mode so the sim
-        # generator's RNG stream (and every recorded digest) is unchanged.
+        # transport exists to exercise.  The link model expresses it on
+        # both runtimes (``cut_link(symmetric=False)``); the gate on live
+        # mode only keeps the sim generator's RNG stream, and with it
+        # every recorded digest, unchanged.
         if rng.random() < 0.6:
             a, b = (
                 str(s) for s in rng.choice(faultable, size=2, replace=False)

@@ -168,7 +168,7 @@ async def _run_live(
         wan_profile(config.wan_profile).install(plane)
 
     cluster = _assemble(
-        config, sim, transports, runtime=runtime, faults=plane, recorder=log.record
+        config, sim, transports, runtime=runtime, faults=plane.model, recorder=log.record
     )
     try:
         workloads, inject_t0, end = _schedule_phases(cluster, config, seed, schedule)

@@ -36,7 +36,6 @@ from repro.sim.topology import Topology
 from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:
-    from repro.faults.injector import LinkFaults
     from repro.net.runtime import LiveRuntime
     from repro.net.transport import MeshTransport
 
@@ -69,11 +68,11 @@ class ServiceCluster:
     Runtime-specific state is plain fields, left empty where it does not
     apply: ``network`` and ``rngs`` (the simulator's shared network and
     seeded streams), ``runtime`` (the live pacer, ``None`` in a replay)
-    and ``transports``.  ``faults`` is the link-fault surface
-    ``repro.faults.injector.apply`` drives: the simulated network, a live
-    :class:`~repro.net.faults.FaultPlane`, or ``None`` when no transport
-    is fault-wrapped (in a replay the wire faults are already baked into
-    the recorded frame log).
+    and ``transports``.  ``faults`` is the link model
+    ``repro.faults.injector.apply`` drives: the simulated network's
+    topology, a live :class:`~repro.net.faults.FaultPlane`'s model, or
+    ``None`` when no transport is fault-wrapped (in a replay the wire
+    faults are already baked into the recorded frame log).
     """
 
     def __init__(
@@ -85,7 +84,7 @@ class ServiceCluster:
         settings: GcsSettings,
         trace: TraceLog,
         monitor: SpecMonitor | None,
-        faults: LinkFaults | None,
+        faults: Topology | None,
         placement: dict[str, list[str]] | None = None,
         network: Network | None = None,
         rngs: RngRegistry | None = None,
@@ -165,7 +164,7 @@ class ServiceCluster:
             settings or GcsSettings(),
             trace_log,
             SpecMonitor(),
-            faults=network,
+            faults=network.topology,
             placement=placement,
             network=network,
             rngs=rngs,

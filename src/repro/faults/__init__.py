@@ -10,15 +10,15 @@ from repro.faults.generators import (
     poisson_crash_schedule,
     slowdown_schedule,
 )
-from repro.faults.injector import LinkFaults, apply, inject
+from repro.faults.injector import apply, apply_link, inject
 from repro.faults.schedule import FaultEvent, FaultSchedule, VALID_KINDS
 
 __all__ = [
     "FaultEvent",
     "FaultSchedule",
-    "LinkFaults",
     "VALID_KINDS",
     "apply",
+    "apply_link",
     "crash_burst_schedule",
     "crash_hook_schedule",
     "flapping_partition_schedule",

@@ -3,11 +3,13 @@
 :func:`apply` is the only ``FaultEvent -> action`` mapping in the tree.
 Process-side kinds (``crash``, ``recover``, ``slowdown``,
 ``restore_speed``, ``crash_at``) act on ``cluster.servers``; link-side
-kinds go to ``cluster.faults``, a :class:`LinkFaults` — the simulated
-:class:`~repro.sim.network.Network` or the live
-:class:`~repro.net.faults.FaultPlane`.  ``cluster.faults is None`` means
-the wire faults are already baked into a recorded frame log (a live
-chaos replay): nothing is applied, the trace record is still written.
+kinds go through :func:`apply_link` to ``cluster.faults``, the link model
+(:class:`~repro.sim.topology.Topology`) that the simulated network and
+the live fault-injecting transports both read.  ``cluster.faults is
+None`` means the wire faults are already baked into a recorded frame log
+(a live chaos replay): nothing is applied, the trace record is still
+written.  The live control channel (:meth:`repro.net.faults.FaultPlane.apply`)
+calls :func:`apply_link` too, with no cluster behind it.
 
 Every applied event is recorded in the cluster's trace log under a
 ``fault.<kind>`` category, so a chaos repro's event log shows the injected
@@ -17,35 +19,16 @@ interleaved timeline that makes a shrunk schedule debuggable.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from typing import TYPE_CHECKING, Protocol
 
 from repro.faults.schedule import FaultEvent, FaultSchedule
-from repro.sim.topology import NodeId
+from repro.sim.topology import Topology
 
 if TYPE_CHECKING:
     from repro.core.server import FrameworkServer
     from repro.sim.engine import Simulator
     from repro.sim.trace import TraceLog
-
-
-class LinkFaults(Protocol):
-    """What a runtime offers for breaking links.  Partitions and link
-    cuts are independent layers (healing one leaves the other), nodes a
-    partition does not mention form one implicit extra component, and
-    ``clear_all`` lifts everything a schedule can inject."""
-
-    def partition(self, *components: Iterable[NodeId]) -> None: ...
-    def heal_partition(self) -> None: ...
-    def cut_link(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None: ...
-    def restore_link(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None: ...
-    def set_link_delay(
-        self, a: NodeId, b: NodeId, extra: float, symmetric: bool = True
-    ) -> None: ...
-    def clear_link_delay(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None: ...
-    def set_duplication(self, probability: float) -> None: ...
-    def set_reordering(self, probability: float, window: float = 0.05) -> None: ...
-    def clear_all(self) -> None: ...
 
 
 class FaultTarget(Protocol):
@@ -58,7 +41,7 @@ class FaultTarget(Protocol):
     @property
     def servers(self) -> Mapping[str, FrameworkServer]: ...
     @property
-    def faults(self) -> LinkFaults | None: ...
+    def faults(self) -> Topology | None: ...
     def trace_log(self) -> TraceLog: ...
 
 
@@ -76,8 +59,6 @@ def apply(cluster: FaultTarget, event: FaultEvent) -> None:
     kind, args = event.kind, event.args
     server = cluster.servers.get(event.target)
     manager = getattr(cluster, "availability_manager", None)
-    faults = cluster.faults
-    symmetric = args.get("symmetric", True)
     if kind == "crash":
         if server is not None and server.is_up():
             server.crash()
@@ -99,9 +80,17 @@ def apply(cluster: FaultTarget, event: FaultEvent) -> None:
     elif kind == "crash_at":
         if server is not None:
             server.arm_crash_hook(args["hook"])
-    elif faults is None:
-        pass  # replay: wire-level faults live in the frame log already
-    elif kind == "partition":
+    elif cluster.faults is not None:  # None: replay, the frame log has them
+        apply_link(cluster.faults, event)
+
+
+def apply_link(faults: Topology, event: FaultEvent) -> None:
+    """Apply one link-side fault event to the link model (no trace
+    record: :func:`apply` writes it).  Raises ``ValueError`` for a kind
+    that is not a link fault."""
+    kind, args = event.kind, event.args
+    symmetric = args.get("symmetric", True)
+    if kind == "partition":
         faults.partition(*args["components"])
     elif kind == "heal":
         faults.heal_partition()
@@ -122,7 +111,7 @@ def apply(cluster: FaultTarget, event: FaultEvent) -> None:
             float(args["probability"]), window=float(args.get("window", 0.05))
         )
     else:
-        raise ValueError(f"fault kind {kind!r} has no arm in apply()")
+        raise ValueError(f"fault kind {kind!r} has no arm in apply_link()")
 
 
 def inject(
@@ -143,4 +132,4 @@ def inject(
         )
 
 
-__all__ = ["FaultTarget", "LinkFaults", "apply", "inject"]
+__all__ = ["FaultTarget", "apply", "apply_link", "inject"]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -46,6 +47,54 @@ VALID_KINDS = {
 }
 
 
+def _is_str(value: object) -> bool:
+    return isinstance(value, str)
+
+
+def _is_bool(value: object) -> bool:
+    return isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:  # an int beyond float range
+        return False
+    return True
+
+
+def _is_components(value: object) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(component, list) and all(map(_is_str, component))
+        for component in value
+    )
+
+
+_Check = tuple[Callable[[object], bool], str]
+_NODE: _Check = (_is_str, "a node id string")
+_BOOL: _Check = (_is_bool, "true or false")
+_NUMBER: _Check = (_is_number, "a number")
+_LINK = {"a": _NODE, "b": _NODE}
+_SYMMETRIC = {"symmetric": _BOOL}
+
+#: per kind: (required arguments, optional arguments), each with the
+#: check its JSON value must pass — what :func:`repro.faults.injector.apply`
+#: reads, so a validated event can always be applied
+_ARGS: dict[str, tuple[dict[str, _Check], dict[str, _Check]]] = {
+    "partition": ({"components": (_is_components, "a list of node-id lists")}, {}),
+    "cut_link": (_LINK, _SYMMETRIC),
+    "restore_link": (_LINK, _SYMMETRIC),
+    "delay_link": ({**_LINK, "extra": _NUMBER}, _SYMMETRIC),
+    "restore_delay": (_LINK, _SYMMETRIC),
+    "duplicate": ({"probability": _NUMBER}, {}),
+    "reorder": ({"probability": _NUMBER}, {"window": _NUMBER}),
+    "slowdown": ({"delay": _NUMBER}, {}),
+    "crash_at": ({"hook": (_is_str, "a protocol step name")}, {}),
+}
+
+
 @dataclass(frozen=True)
 class FaultEvent:
     """One timed fault."""
@@ -62,6 +111,36 @@ class FaultEvent:
             raise ValueError(f"fault time must be finite (got {self.time!r})")
         if self.time < 0:
             raise ValueError("fault time must be >= 0")
+
+    @classmethod
+    def from_json(cls, entry: object) -> "FaultEvent":
+        """Rebuild one event from its :meth:`FaultSchedule.to_json` entry.
+
+        The entry is untrusted input (a repro artifact, a control-channel
+        command): a malformed entry, an unknown kind, a non-finite or
+        negative time, or an argument the applier could not use raises
+        ``ValueError``.
+        """
+        if not isinstance(entry, dict):
+            raise ValueError("entry is not an object")
+        try:
+            time = float(entry["time"])
+            kind = entry["kind"]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"entry is malformed: {exc!r}") from exc
+        if not isinstance(kind, str):
+            raise ValueError(f"unknown fault kind {kind!r}")
+        args = entry.get("args") or {}
+        if not isinstance(args, dict):
+            raise ValueError("args must be an object")
+        required, optional = _ARGS.get(kind, ({}, {}))
+        for name, (check, what) in required.items():
+            if name not in args or not check(args[name]):
+                raise ValueError(f"{kind} needs {name}: {what}")
+        for name, (check, what) in optional.items():
+            if name in args and not check(args[name]):
+                raise ValueError(f"{kind}'s {name} must be {what}")
+        return cls(time=time, kind=kind, target=entry.get("target"), args=args)
 
     def key(self) -> tuple:
         """A stable identity used for sorting and shrinking."""
@@ -179,32 +258,14 @@ class FaultSchedule:
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "FaultSchedule":
-        """Rebuild a schedule from :meth:`to_json` output.
-
-        Validates aggressively — a repro artifact is untrusted input:
-        unknown kinds, non-finite or negative times, and malformed entries
-        are all rejected with a descriptive error.
-        """
+        """Rebuild a schedule from :meth:`to_json` output, validating each
+        entry with :meth:`FaultEvent.from_json` (errors name the index)."""
         if not isinstance(data, list):
             raise ValueError(f"schedule JSON must be a list (got {type(data).__name__})")
         events: list[FaultEvent] = []
         for index, entry in enumerate(data):
-            if not isinstance(entry, dict):
-                raise ValueError(f"schedule entry {index} is not an object")
             try:
-                time = float(entry["time"])
-                kind = entry["kind"]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"schedule entry {index} is malformed: {exc}") from exc
-            args = entry.get("args") or {}
-            if not isinstance(args, dict):
-                raise ValueError(f"schedule entry {index} args must be an object")
-            # FaultEvent.__post_init__ rejects NaN/inf/negative times and
-            # unknown kinds; re-raise with the entry index for debuggability.
-            try:
-                events.append(
-                    FaultEvent(time=time, kind=kind, target=entry.get("target"), args=args)
-                )
+                events.append(FaultEvent.from_json(entry))
             except ValueError as exc:
                 raise ValueError(f"schedule entry {index}: {exc}") from exc
         return cls(events=events)

@@ -17,10 +17,11 @@ them:
 * :mod:`repro.net.cluster` — the in-process live cluster the
   ``python -m repro cluster`` CLI drives (scripted VoD workload,
   kill/restart mid-run, session-audit report);
-* :mod:`repro.net.faults` — a fault-injecting transport wrapper
-  (sever/delay/duplicate/reorder real links, WAN latency profiles, a
-  JSON-lines runtime control channel) that gives live clusters the same
-  fault vocabulary as the simulated topology;
+* :mod:`repro.net.faults` — a fault-injecting transport wrapper that
+  severs, delays, duplicates and reorders real links as the one link
+  model (:class:`~repro.sim.topology.Topology`, the simulator's too)
+  says, plus WAN latency profiles and a JSON-lines runtime control
+  channel that speaks the chaos schedule's vocabulary;
 * :mod:`repro.net.replay` — the ingress frame log and null transport
   that make a recorded live run bit-reproducible in pure simulation.
 """

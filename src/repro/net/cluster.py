@@ -31,7 +31,6 @@ from repro.core.application import ServiceApplication
 from repro.core.client import SessionHandle
 from repro.core.config import AvailabilityPolicy
 from repro.core.service import ServiceCluster
-from repro.faults.injector import LinkFaults
 from repro.gcs.settings import GcsSettings
 from repro.gcs.spec import SpecMonitor
 from repro.metrics.collectors import split_liveness
@@ -43,6 +42,7 @@ from repro.net.transport import MeshTransport, create_transport
 from repro.services.content import build_movie
 from repro.services.vod import VodApplication
 from repro.sim.engine import Simulator
+from repro.sim.topology import Topology
 from repro.sim.trace import TraceLog
 
 #: the content unit a scripted live run streams (and ``repro serve``'s
@@ -113,7 +113,7 @@ def assemble(
     trace: TraceLog,
     monitor: SpecMonitor | None,
     runtime: LiveRuntime | None = None,
-    faults: LinkFaults | None = None,
+    faults: Topology | None = None,
     recorder: IngressRecorder | None = None,
     world: list[str] | None = None,
 ) -> ServiceCluster:
@@ -471,7 +471,7 @@ async def _serve(options: ServeOptions) -> dict[str, Any]:
         TraceLog(enabled=False),
         None,
         runtime=runtime,
-        faults=plane,
+        faults=plane.model if plane is not None else None,
         world=sorted([options.node_id, *options.peers]),
     )
     try:

@@ -1,33 +1,33 @@
 """Fault injection for live transports.
 
 :class:`FaultyTransport` wraps any :class:`~repro.net.transport.MeshTransport`
-and perturbs its *outbound* traffic: links can be severed (symmetric,
-asymmetric, or non-transitive — each wrapper only controls its own
-outbound direction, so cutting a→b while leaving b→a intact is just a
-matter of which wrapper you tell), delayed with per-link base latency
-plus jitter (WAN-shaped profiles in :data:`WAN_PROFILES`), and frames
-can be dropped, duplicated, or held back (reordered) under a seeded
-chaos RNG.
+and perturbs its *outbound* traffic as the link model says.  The model is
+:class:`~repro.sim.topology.Topology`, the same class the simulator reads:
+partitions, directed link cuts, per-link delay spikes, duplication and
+reordering are held there once, and a wrapper reads the model's record
+of its link (``model.link(self.node_id, peer)``) at send and again when a
+held frame fires.  What stays per wrapper is what is particular to the live
+wire: the per-link base delay and jitter of a WAN matrix
+(:data:`WAN_PROFILES`), and the draws.
 
 Determinism contract: every injection decision on a directed link is
 drawn from ``numpy.random.default_rng([seed, h(src), h(dst)])`` where
 ``h`` is a stable digest of the node id — so two runs with the same
 seed, the same node names, and the same per-link frame sequence make
-identical drop/duplicate/hold/jitter decisions.  (Wall-clock delivery
-of a *delayed* frame still lands wherever the event loop puts it; the
+identical duplicate/hold/jitter decisions.  (Wall-clock delivery of a
+*delayed* frame still lands wherever the event loop puts it; the
 bit-reproducible replay story lives one layer up, in the ingress frame
 log — see :mod:`repro.net.replay`.)
 
-:class:`FaultPlane` coordinates the wrappers of a whole cluster and
-speaks the chaos engine's fault vocabulary (``partition`` / ``heal`` /
-``cut_link`` / ``delay_link`` / ``duplicate`` / ``reorder`` …), with
-the same semantics as the simulator's topology: partition components
-are maintained separately from individual link cuts, ``heal_partition``
-does not restore cut links, and nodes unmentioned by a partition form
-one implicit extra component.  :class:`FaultControlServer` exposes the
-plane over a JSON-lines TCP socket so an external process (or
-``repro chaos --live`` in another orchestration mode) can drive faults
-against a running ``repro serve`` node.
+:class:`FaultPlane` is the model, the wrappers that read it, the WAN
+install and the control-channel parser: :meth:`FaultPlane.apply` takes
+the chaos schedule's own vocabulary (``partition``, ``heal``,
+``cut_link``, ``delay_link``, ``duplicate``, ``reorder``, … plus
+``clear_all``), validated by :meth:`repro.faults.schedule.FaultEvent.from_json`
+and applied by :func:`repro.faults.injector.apply_link`, exactly as a
+schedule is.  :class:`FaultControlServer` exposes the plane over a
+JSON-lines TCP socket so an external process can drive faults against a
+running ``repro serve`` node.
 """
 
 from __future__ import annotations
@@ -35,11 +35,12 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
-from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from repro.faults.injector import apply_link
+from repro.faults.schedule import FaultEvent
 from repro.net.transport import (
     FrameHandler,
     MeshTransport,
@@ -48,7 +49,7 @@ from repro.net.transport import (
     UdpLoopbackTransport,
     register_transport,
 )
-from repro.sim.topology import NodeId
+from repro.sim.topology import NodeId, Topology
 
 
 def _stable_hash(node: NodeId) -> int:
@@ -65,7 +66,6 @@ class FaultStats:
 
     severed_drops: int = 0
     in_flight_killed: int = 0
-    dropped: int = 0
     duplicated: int = 0
     reordered: int = 0
     delayed: int = 0
@@ -75,31 +75,15 @@ class FaultStats:
 
 
 class _LinkState:
-    """Outbound fault state for one directed link (this node → peer)."""
+    """What a wrapper keeps per directed link (this node → peer): the WAN
+    matrix's base delay and jitter, and the link's decision stream."""
 
-    __slots__ = (
-        "severed_by",
-        "base_delay",
-        "jitter",
-        "extra_delay",
-        "drop_p",
-        "rng",
-    )
+    __slots__ = ("base_delay", "jitter", "rng")
 
     def __init__(self, rng: np.random.Generator) -> None:
-        # Tags mirror the simulator topology's two independent layers:
-        # "partition" entries come and go with partition/heal_partition,
-        # "cut" entries only with cut_link/restore_link.
-        self.severed_by: set[str] = set()
         self.base_delay = 0.0
         self.jitter = 0.0
-        self.extra_delay = 0.0
-        self.drop_p = 0.0
         self.rng = rng
-
-    @property
-    def severed(self) -> bool:
-        return bool(self.severed_by)
 
 
 class FaultyTransport:
@@ -107,9 +91,11 @@ class FaultyTransport:
 
     Wraps transparently: ``stats`` is the inner transport's stats object
     and ``on_frame`` forwards to the inner transport, so the runtime
-    cannot tell it is talking to a wrapped transport.  With no faults
-    configured (the ``faulty-tcp`` / ``faulty-udp`` registry entries),
-    every frame passes straight through with zero added latency.
+    cannot tell it is talking to a wrapped transport.  ``model`` is the
+    link model it obeys — its own, fault-free one until a
+    :class:`FaultPlane` adopts it — so with no faults injected (the
+    ``faulty-tcp`` / ``faulty-udp`` registry entries) every frame passes
+    straight through with zero added latency.
     """
 
     def __init__(self, inner: MeshTransport, seed: int = 0) -> None:
@@ -118,9 +104,7 @@ class FaultyTransport:
         self.node_id: NodeId = getattr(inner, "node_id", "?")
         self.stats: TransportStats = inner.stats
         self.faults = FaultStats()
-        self.dup_p = 0.0
-        self.reorder_p = 0.0
-        self.reorder_window = 0.05
+        self.model = Topology()
         self._links: dict[NodeId, _LinkState] = {}
         self._timers: set[asyncio.TimerHandle] = set()
         self._closed = False
@@ -157,13 +141,12 @@ class FaultyTransport:
         snapshot = self.inner.stats_snapshot()
         snapshot["faults"] = self.faults.as_dict()
         snapshot["severed_links"] = sorted(
-            str(peer) for peer, link in self._links.items() if link.severed
+            str(peer)
+            for peer in self._links
+            if not self.model.connected(self.node_id, peer)
         )
         return snapshot
 
-    # ------------------------------------------------------------------
-    # fault configuration (the FaultPlane calls these)
-    # ------------------------------------------------------------------
     def _link(self, peer: NodeId) -> _LinkState:
         link = self._links.get(peer)
         if link is None:
@@ -174,51 +157,12 @@ class FaultyTransport:
             self._links[peer] = link
         return link
 
-    def sever(self, peer: NodeId, tag: str = "cut") -> None:
-        """Cut this node's outbound link to ``peer`` (inbound unaffected —
-        sever both wrappers for a symmetric cut)."""
-        self._link(peer).severed_by.add(tag)
-
-    def restore(self, peer: NodeId, tag: str = "cut") -> None:
-        self._link(peer).severed_by.discard(tag)
-
-    def clear_tag(self, tag: str) -> None:
-        """Remove ``tag`` from every link (e.g. heal all partitions)."""
-        for link in self._links.values():
-            link.severed_by.discard(tag)
-
     def set_base_delay(self, peer: NodeId, base: float, jitter: float = 0.0) -> None:
+        """The WAN matrix's one-way delay to ``peer`` (topology rather
+        than fault: :meth:`Topology.clear_all` leaves it)."""
         link = self._link(peer)
         link.base_delay = base
         link.jitter = jitter
-
-    def set_extra_delay(self, peer: NodeId, extra: float) -> None:
-        self._link(peer).extra_delay = extra
-
-    def clear_extra_delay(self, peer: NodeId) -> None:
-        self._link(peer).extra_delay = 0.0
-
-    def set_drop(self, peer: NodeId, probability: float) -> None:
-        self._link(peer).drop_p = probability
-
-    def set_duplication(self, probability: float) -> None:
-        self.dup_p = probability
-
-    def set_reordering(self, probability: float, window: float = 0.05) -> None:
-        self.reorder_p = probability
-        self.reorder_window = window
-
-    def clear_faults(self) -> None:
-        """Lift every injected fault: heal every link, zero every knob a
-        schedule or the control channel can turn.  ``base_delay`` and
-        ``jitter`` stay — they are the deployment's latency matrix (a
-        :class:`WanProfile`), topology rather than fault."""
-        self.dup_p = 0.0
-        self.reorder_p = 0.0
-        for link in self._links.values():
-            link.severed_by.clear()
-            link.extra_delay = 0.0
-            link.drop_p = 0.0
 
     # ------------------------------------------------------------------
     # sending (the injection point)
@@ -226,28 +170,28 @@ class FaultyTransport:
     def send(self, peer: NodeId, frame: bytes) -> None:
         if self._closed:
             return
-        link = self._links.get(peer)
-        if link is None:
-            self.inner.send(peer, frame)
-            return
-        if link.severed:
+        model = self.model
+        fault = model.link(self.node_id, peer)  # the model's record of it
+        if not fault.connected:
             self.faults.severed_drops += 1
             return
+        link = self._link(peer)
         # Always burn four draws per frame so the decision stream stays
         # aligned with the frame index no matter which faults are active
         # — that is what makes same-seed runs take identical decisions.
+        # The layout is fixed (draw 0 is spare; duplicate, hold, jitter).
         draws = link.rng.random(4)
-        if link.drop_p > 0.0 and draws[0] < link.drop_p:
-            self.faults.dropped += 1
-            return
-        duplicate = self.dup_p > 0.0 and draws[1] < self.dup_p
-        delay = link.base_delay + link.extra_delay
+        duplicate = (
+            model.duplicate_probability > 0.0
+            and draws[1] < model.duplicate_probability
+        )
+        delay = link.base_delay + fault.extra_delay
         if link.jitter > 0.0:
             delay += float(draws[3]) * link.jitter
-        if self.reorder_p > 0.0 and draws[2] < self.reorder_p:
+        if model.reorder_probability > 0.0 and draws[2] < model.reorder_probability:
             # Holding one frame back while its successors go out on time
             # is exactly a bounded FIFO violation.
-            delay += self.reorder_window
+            delay += model.reorder_window
             self.faults.reordered += 1
         if duplicate:
             self.faults.duplicated += 1
@@ -266,8 +210,7 @@ class FaultyTransport:
                 self._timers.discard(handle)
             if self._closed:
                 return
-            current = self._links.get(peer)
-            if current is not None and current.severed:
+            if not self.model.link(self.node_id, peer).connected:
                 # the link was cut while the frame was in flight
                 self.faults.in_flight_killed += 1
                 return
@@ -282,142 +225,41 @@ class FaultyTransport:
 # cluster-wide coordination
 # ---------------------------------------------------------------------------
 class FaultPlane:
-    """Drives the :class:`FaultyTransport` wrappers of a whole cluster.
-
-    Mirrors the simulator topology's semantics so chaos schedules mean
-    the same thing live as they do simulated: partitions and individual
-    link cuts are independent layers (healing one leaves the other),
-    and nodes unmentioned by :meth:`partition` form one implicit extra
-    component.
-    """
+    """One link model and the :class:`FaultyTransport` wrappers that obey
+    it — a whole in-process cluster's, or the one wrapper of a
+    ``repro serve`` node, which then obeys a partition that names nodes
+    in other processes exactly as a simulated network would.  The model
+    is what a live cluster's ``faults`` is: schedules drive it through
+    :func:`repro.faults.injector.apply`, the control channel through
+    :meth:`apply`."""
 
     def __init__(self) -> None:
+        self.model = Topology()
         self._transports: dict[NodeId, FaultyTransport] = {}
 
     def adopt(self, node: NodeId, transport: FaultyTransport) -> None:
         self._transports[node] = transport
+        transport.model = self.model
+        self.model.add_node(node)
 
     def nodes(self) -> tuple[NodeId, ...]:
         return tuple(sorted(self._transports, key=str))
 
-    # -- partition layer ------------------------------------------------
-    def partition(self, *components: Iterable[NodeId]) -> None:
-        component_of: dict[NodeId, int] = {}
-        for index, component in enumerate(components):
-            for node in component:
-                component_of[node] = index
-        for src, transport in self._transports.items():
-            src_comp = component_of.get(src, -1)
-            for dst in self._transports:
-                if dst == src:
-                    continue
-                if component_of.get(dst, -1) == src_comp:
-                    transport.restore(dst, tag="partition")
-                else:
-                    transport.sever(dst, tag="partition")
-
-    def heal_partition(self) -> None:
-        for transport in self._transports.values():
-            transport.clear_tag("partition")
-
-    # -- link-cut layer -------------------------------------------------
-    def cut_link(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None:
-        if a in self._transports:
-            self._transports[a].sever(b, tag="cut")
-        if symmetric and b in self._transports:
-            self._transports[b].sever(a, tag="cut")
-
-    def restore_link(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None:
-        if a in self._transports:
-            self._transports[a].restore(b, tag="cut")
-        if symmetric and b in self._transports:
-            self._transports[b].restore(a, tag="cut")
-
-    # -- latency layer --------------------------------------------------
-    def set_link_delay(
-        self, a: NodeId, b: NodeId, extra: float, symmetric: bool = True
-    ) -> None:
-        if a in self._transports:
-            self._transports[a].set_extra_delay(b, extra)
-        if symmetric and b in self._transports:
-            self._transports[b].set_extra_delay(a, extra)
-
-    def clear_link_delay(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None:
-        if a in self._transports:
-            self._transports[a].clear_extra_delay(b)
-        if symmetric and b in self._transports:
-            self._transports[b].clear_extra_delay(a)
-
-    # -- message adversity ---------------------------------------------
-    def set_duplication(self, probability: float) -> None:
-        for transport in self._transports.values():
-            transport.set_duplication(probability)
-
-    def set_reordering(self, probability: float, window: float = 0.05) -> None:
-        for transport in self._transports.values():
-            transport.set_reordering(probability, window)
-
-    def set_loss(self, a: NodeId, b: NodeId, probability: float) -> None:
-        if a in self._transports:
-            self._transports[a].set_drop(b, probability)
-
-    def clear_all(self) -> None:
-        for transport in self._transports.values():
-            transport.clear_faults()
-
-    # -- control-channel surface ---------------------------------------
     def apply(self, command: dict[str, object]) -> None:
-        """Apply one JSON command (the control-channel wire surface).
+        """Apply one JSON control command: ``{"op": <kind>, **args}`` with
+        a link-side schedule kind, or ``{"op": "clear_all"}``.
 
-        Raises ``ValueError`` for unknown or malformed commands; the
-        control server turns that into an error reply.
+        Raises ``ValueError`` for an unknown or malformed command, before
+        anything changes; the control server turns it into an error reply.
         """
-        op = command.get("op")
-        if op == "partition":
-            raw = command.get("components")
-            if not isinstance(raw, list):
-                raise ValueError("partition needs components: list of node lists")
-            self.partition(*[list(c) for c in raw])
-        elif op == "heal_partition":
-            self.heal_partition()
-        elif op in ("cut_link", "restore_link", "set_link_delay", "clear_link_delay"):
-            a, b = command.get("src"), command.get("dst")
-            if not isinstance(a, str) or not isinstance(b, str):
-                raise ValueError(f"{op} needs string src and dst")
-            symmetric = bool(command.get("symmetric", True))
-            if op == "cut_link":
-                self.cut_link(a, b, symmetric=symmetric)
-            elif op == "restore_link":
-                self.restore_link(a, b, symmetric=symmetric)
-            elif op == "set_link_delay":
-                self.set_link_delay(
-                    a, b, float(_number(command, "extra")), symmetric=symmetric
-                )
-            else:
-                self.clear_link_delay(a, b, symmetric=symmetric)
-        elif op == "set_loss":
-            a, b = command.get("src"), command.get("dst")
-            if not isinstance(a, str) or not isinstance(b, str):
-                raise ValueError("set_loss needs string src and dst")
-            self.set_loss(a, b, float(_number(command, "probability")))
-        elif op == "set_duplication":
-            self.set_duplication(float(_number(command, "probability")))
-        elif op == "set_reordering":
-            self.set_reordering(
-                float(_number(command, "probability")),
-                window=float(_number(command, "window", 0.05)),
-            )
-        elif op == "clear_all":
-            self.clear_all()
-        else:
-            raise ValueError(f"unknown fault op {op!r}")
-
-
-def _number(command: dict[str, object], key: str, default: float | None = None) -> float:
-    value = command.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{key} must be a number")
-    return float(value)
+        if command.get("op") == "clear_all":
+            self.model.clear_all()
+            return
+        args = {key: value for key, value in command.items() if key != "op"}
+        event = FaultEvent.from_json(
+            {"time": 0.0, "kind": command.get("op"), "args": args}
+        )
+        apply_link(self.model, event)
 
 
 class FaultControlServer:
@@ -458,7 +300,7 @@ class FaultControlServer:
                         raise ValueError("command must be a JSON object")
                     self.plane.apply(command)
                     reply: dict[str, object] = {"ok": True}
-                except (ValueError, TypeError) as exc:
+                except ValueError as exc:
                     reply = {"ok": False, "error": str(exc)}
                 writer.write(json.dumps(reply).encode("utf-8") + b"\n")
                 await writer.drain()

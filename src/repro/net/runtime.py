@@ -22,9 +22,10 @@ Two pieces make the simulator's process model run live:
 
 Adversity on the live wire comes from :mod:`repro.net.faults`: wrapping
 the transport in a :class:`~repro.net.faults.FaultyTransport` lets the
-chaos engine partition, delay, drop, duplicate, and reorder real socket
-traffic (DESIGN.md §13 — this retired the old §11 caveat that loopback
-could not partition).
+chaos engine partition, delay, duplicate and reorder real socket
+traffic, as the link model the simulator reads too says (DESIGN.md §13
+and §15 — this retired the old §11 caveat that loopback could not
+partition).
 
 Ingress is two-phase for replayability: the socket callback only
 *schedules* the frame (capturing its ``(time, seq)`` heap coordinates,

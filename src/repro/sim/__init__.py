@@ -7,8 +7,9 @@ single-threaded, seeded, exactly reproducible discrete-event simulator with
 * a process abstraction with timers and crash/recover lifecycle
   (:mod:`repro.sim.process`),
 * a message-passing network with FIFO per-pair delivery, pluggable latency
-  models and a mutable connectivity topology supporting partitions and
-  non-transitive link cuts (:mod:`repro.sim.network`,
+  models and the link model — partitions, non-transitive link cuts,
+  delay spikes, duplication and reordering — that the live runtime's
+  fault-injecting transports read too (:mod:`repro.sim.network`,
   :mod:`repro.sim.topology`, :mod:`repro.sim.latency`),
 * named, seeded random streams (:mod:`repro.sim.rng`), and
 * a structured trace log (:mod:`repro.sim.trace`).

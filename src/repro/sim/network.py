@@ -12,13 +12,12 @@ Semantics, chosen to match what the paper's GCS assumes of its transport:
 * **No duplication, no corruption** — losses only, per the above.
 
 The chaos engine (:mod:`repro.chaos`) can deliberately weaken the last two
-guarantees through :meth:`Network.set_duplication` (a message may be
-delivered twice) and :meth:`Network.set_reordering` (a message may bypass
-the per-pair FIFO clamp with a bounded extra delay), and can inflate
-individual links via :meth:`Network.set_link_delay` — the gray-failure
-vocabulary Section 4's risk analysis worries about but hand-written fault
-schedules could not express.  All adversity draws come from a dedicated
-seeded ``chaos_rng`` stream, so a chaotic run stays bit-reproducible.
+guarantees and inflate individual links through the link model
+(:class:`~repro.sim.topology.Topology`: duplication, reordering, per-link
+delay spikes) — the gray-failure vocabulary Section 4's risk analysis
+worries about.  The model holds that state; this network draws the
+decisions, all from a dedicated seeded ``chaos_rng`` stream, so a chaotic
+run stays bit-reproducible.
 
 The network also keeps per-node send/receive accounting by message *kind*,
 which experiment E2 (server load vs. configuration parameters) reads, and
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
@@ -95,10 +93,7 @@ class Network:
         "loss_probability",
         "_loss_rng",
         "_chaos_rng",
-        "duplicate_probability",
-        "reorder_probability",
-        "reorder_window",
-        "_link_extra_delay",
+        "_links",
         "total_duplicated",
         "total_reordered",
         "_handlers",
@@ -106,8 +101,6 @@ class Network:
         "_msg_ids",
         "_last_delivery",
         "_last_send",
-        "_verdicts",
-        "_verdicts_generation",
         "_deliver_labels",
         "_deliver_details",
         "_stats_sent",
@@ -138,12 +131,14 @@ class Network:
         self.trace = trace if trace is not None else TraceLog(enabled=False)
         self.loss_probability = loss_probability
         self._loss_rng = loss_rng
-        # chaos adversity (all off by default; see repro.chaos)
+        # chaos adversity is drawn here, set in the topology (see repro.chaos)
         self._chaos_rng = chaos_rng
-        self.duplicate_probability = 0.0
-        self.reorder_probability = 0.0
-        self.reorder_window = 0.0
-        self._link_extra_delay: dict[tuple[NodeId, NodeId], float] = {}
+        if chaos_rng is None:
+            self.topology.refuse_adversity(
+                "a seeded chaos_rng is required for duplication/reordering"
+            )
+        # the topology's per-link records, read on every send and delivery
+        self._links = self.topology.links
         self.total_duplicated = 0
         self.total_reordered = 0
         self._handlers: dict[NodeId, Callable[[Message], None]] = {}
@@ -151,10 +146,6 @@ class Network:
         self._msg_ids = itertools.count()
         self._last_delivery: dict[tuple[NodeId, NodeId], float] = {}
         self._last_send: dict[tuple[NodeId, NodeId], float] = {}
-        # ``topology.connected`` per ordered pair, valid for one topology
-        # generation (see ``_connected``)
-        self._verdicts: dict[tuple[NodeId, NodeId], bool] = {}
-        self._verdicts_generation = self.topology.generation
         self._deliver_labels: dict[str, str] = {}
         # the ``net.deliver`` trace detail, one shared read-only dict per
         # (sender, kind): a delivery records no object of its own
@@ -169,83 +160,6 @@ class Network:
         self.total_delivered = 0
         self.total_dropped = 0
         self.dropped_by_reason: dict[str, int] = {}
-
-    # ------------------------------------------------------------------
-    # chaos adversity controls (all deterministic given chaos_rng's seed)
-    # ------------------------------------------------------------------
-    def _require_chaos_rng(self) -> None:
-        if self._chaos_rng is None:
-            raise ValueError(
-                "a seeded chaos_rng is required for duplication/reordering"
-            )
-
-    def set_duplication(self, probability: float) -> None:
-        """Deliver each unicast twice with the given probability (the
-        second copy lands shortly after the first, FIFO-exempt)."""
-        if not 0.0 <= probability < 1.0:
-            raise ValueError("duplicate probability must be in [0, 1)")
-        if probability > 0.0:
-            self._require_chaos_rng()
-        self.duplicate_probability = probability
-
-    def set_reordering(self, probability: float, window: float = 0.05) -> None:
-        """With the given probability, delay a message by up to ``window``
-        extra seconds *and* exempt it from the per-pair FIFO clamp, so it
-        can arrive after messages sent later on the same link."""
-        if not 0.0 <= probability < 1.0:
-            raise ValueError("reorder probability must be in [0, 1)")
-        if window < 0.0:
-            raise ValueError("reorder window must be >= 0")
-        if probability > 0.0:
-            self._require_chaos_rng()
-        self.reorder_probability = probability
-        self.reorder_window = window
-
-    def set_link_delay(
-        self, a: NodeId, b: NodeId, extra: float, symmetric: bool = True
-    ) -> None:
-        """Add ``extra`` seconds of one-way delay to the ``a -> b`` link
-        (a transient congestion spike; pass ``extra=0`` via
-        :meth:`clear_link_delay` to lift it)."""
-        if extra < 0.0:
-            raise ValueError("extra link delay must be >= 0")
-        self._link_extra_delay[(a, b)] = extra
-        if symmetric:
-            self._link_extra_delay[(b, a)] = extra
-
-    def clear_link_delay(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None:
-        self._link_extra_delay.pop((a, b), None)
-        if symmetric:
-            self._link_extra_delay.pop((b, a), None)
-
-    def clear_adversity(self) -> None:
-        """Lift every chaos-induced weakening of the wire guarantees."""
-        self.duplicate_probability = 0.0
-        self.reorder_probability = 0.0
-        self.reorder_window = 0.0
-        self._link_extra_delay.clear()
-
-    # connectivity faults live in the topology; these pass-throughs complete
-    # the ``LinkFaults`` surface (repro.faults.injector) the live
-    # ``FaultPlane`` also implements, so one applier drives both runtimes
-    def partition(self, *components: Iterable[NodeId]) -> None:
-        self.topology.partition(*components)
-
-    def heal_partition(self) -> None:
-        self.topology.heal_partition()
-
-    def cut_link(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None:
-        self.topology.cut_link(a, b, symmetric=symmetric)
-
-    def restore_link(self, a: NodeId, b: NodeId, symmetric: bool = True) -> None:
-        self.topology.restore_link(a, b, symmetric=symmetric)
-
-    def clear_all(self) -> None:
-        """Lift every injected fault — adversity, partition *and* cut
-        links (the chaos heal sweep)."""
-        self.clear_adversity()
-        self.topology.heal_partition()
-        self.topology.restore_all_links()
 
     # ------------------------------------------------------------------
     # registration
@@ -291,11 +205,12 @@ class Network:
         message = Message(
             sender, receiver, payload, kind, size, now, next(self._msg_ids)
         )
-        # the one key of this link: last send, verdict, extra delay, FIFO
+        # the one key of this link: last send, fault record, FIFO
         key = (sender, receiver)
         self._account_send(key, kind, size, now)
-
-        if not self._connected(key):
+        topology = self.topology
+        link = self._links.get(key) or topology.link(sender, receiver)
+        if not link.connected:
             self._drop(message, reason="disconnected-at-send")
             return message
         if (
@@ -306,19 +221,17 @@ class Network:
             self._drop(message, reason="random-loss")
             return message
 
-        latency = self.latency_model.sample(sender, receiver)
-        if self._link_extra_delay:
-            latency += self._link_extra_delay.get(key, 0.0)
+        latency = self.latency_model.sample(sender, receiver) + link.extra_delay
         arrival = now + latency
         reordered = (
-            self.reorder_probability > 0.0
+            topology.reorder_probability > 0.0
             and sender != receiver
-            and self._chaos_rng.random() < self.reorder_probability
+            and self._chaos_rng.random() < topology.reorder_probability
         )
         if reordered:
             # FIFO-exempt: an extra bounded delay without advancing the
             # pair's monotone clamp, so later sends can overtake this one.
-            arrival += float(self._chaos_rng.uniform(0.0, self.reorder_window))
+            arrival += float(self._chaos_rng.uniform(0.0, topology.reorder_window))
             self.total_reordered += 1
         else:
             # Enforce FIFO per ordered pair.
@@ -331,9 +244,9 @@ class Network:
             label = self._deliver_labels[kind] = f"deliver:{kind}"
         self.sim.schedule_at(arrival, partial(self._deliver, message), label)
         if (
-            self.duplicate_probability > 0.0
+            topology.duplicate_probability > 0.0
             and sender != receiver
-            and self._chaos_rng.random() < self.duplicate_probability
+            and self._chaos_rng.random() < topology.duplicate_probability
         ):
             # the duplicate trails the original and skips the FIFO clamp
             echo = arrival + float(self._chaos_rng.uniform(0.0, 0.002))
@@ -356,21 +269,6 @@ class Network:
         sent_stats.sent += 1
         sent_stats.bytes_sent += size
 
-    def _connected(self, key: tuple[NodeId, NodeId]) -> bool:
-        """``topology.connected(*key)``, asked once per ordered pair per
-        topology generation: every connectivity mutator bumps
-        ``Topology.generation``, and a moved generation drops every
-        cached verdict, so a verdict can never outlive the state it was
-        computed from."""
-        topology = self.topology
-        if topology.generation != self._verdicts_generation:
-            self._verdicts.clear()
-            self._verdicts_generation = topology.generation
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            verdict = self._verdicts[key] = topology.connected(*key)
-        return verdict
-
     def multicast(
         self,
         sender: NodeId,
@@ -392,7 +290,10 @@ class Network:
     # ------------------------------------------------------------------
     def _deliver(self, message: Message) -> None:
         sender, receiver = message.sender, message.receiver
-        if not self._connected((sender, receiver)):
+        link = self._links.get((sender, receiver)) or self.topology.link(
+            sender, receiver
+        )
+        if not link.connected:
             self._drop(message, reason="disconnected-in-flight")
             return
         is_up = self._is_up.get(receiver)

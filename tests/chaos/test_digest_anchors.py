@@ -24,6 +24,10 @@ the same runs sent 144/144/135/134/252/254/17 deltas, 52 560/52 560/
 45 317/45 509/66 066/59 150/4 952 bytes, and the ``plant`` runs counted
 25 (gossip) and 4 (heartbeat) delta gaps.
 
+The liveness census (``_LIVENESS``) counts where the heartbeat runs'
+heartbeats go; it explains why heartbeats are half of every chaos seed's
+sends (ROADMAP item 19).
+
 The retained holdback entries (the last count) were added when the
 holdback began to be pruned at the stable point its members report rather
 than 4096 messages back.  No digest or other count moved; the same runs
@@ -32,6 +36,7 @@ and the WAN run 48.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +45,7 @@ from repro.chaos import ChaosConfig
 from repro.chaos.generator import generate_schedule, resolve_profile
 from repro.chaos.runner import run_schedule, trace_digest
 from repro.faults.schedule import FaultSchedule
+from repro.sim.network import Network
 from tests.core.test_wan_deployment import make_wan_cluster
 
 _MIXED = ChaosConfig(n_servers=3, n_sessions=2, duration=8.0, profile="mixed")
@@ -81,6 +87,15 @@ _PROPAGATION = {
     ("mixed", "gossip"): (160, 0, 0, 41280),
     ("plant", "heartbeat"): (294, 3, 0, 54336),
     ("plant", "gossip"): (299, 3, 0, 62784),
+}
+
+#: the liveness census of the heartbeat runs: (heartbeats sent, heartbeats
+#: per daemon per simulated second, heartbeats on an idle link — to a peer
+#: the sender had sent no other frame within the previous heartbeat
+#: interval, so no piggybacked header could have stood in for them)
+_LIVENESS = {
+    "empty": (891, 12.375, 891),
+    "mixed": (792, 11.0, 786),
 }
 
 _WAN_DIGEST = "baa0c20990024d1dfea5366b6f530e0c55c56f04feb0400ffe4ac65fdad77fe4"
@@ -138,6 +153,37 @@ def test_trace_digest_anchor(run, membership):
     # the planted bug is found (convergence: the healed sides never
     # re-merge), the unplanted runs are clean
     assert len(result.violations) == (6 if run == "plant" else 0)
+
+
+@pytest.mark.parametrize("run", sorted(_LIVENESS))
+def test_liveness_census(run, monkeypatch):
+    """Of the 2 139 and 1 946 sends of the two runs, heartbeats are 42 %
+    and 41 %, and all but 6 go to idle links: piggybacking has nothing
+    to ride on between daemons that have nothing else to say."""
+    sends = []
+    account = Network._account_send
+
+    def recording(self, key, kind, size, now):
+        sends.append((now, key, kind))
+        account(self, key, kind, size, now)
+
+    monkeypatch.setattr(Network, "_account_send", recording)
+    _, observation = _run(run, "heartbeat")
+    cluster = observation.cluster
+    interval = cluster.settings.heartbeat_interval
+    last_other: dict = {}
+    heartbeats = idle = 0
+    for now, key, kind in sends:
+        if kind != "gcs.heartbeat":
+            last_other[key] = now
+            continue
+        heartbeats += 1
+        idle += now - last_other.get(key, -math.inf) >= interval
+    per_daemon_second = heartbeats / len(cluster.servers) / cluster.sim.now
+    assert (heartbeats, per_daemon_second, idle) == _LIVENESS[run]
+    assert heartbeats == sum(
+        cluster.network.sent_count(server, "gcs.heartbeat") for server in cluster.servers
+    )
 
 
 def test_wan_failover_anchor():

@@ -1,5 +1,7 @@
 """Unit tests for fault schedules, generators, and the injector."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from repro.faults.generators import (
 from repro.faults.injector import apply, inject
 from repro.faults.schedule import VALID_KINDS, FaultEvent, FaultSchedule
 from repro.net.faults import FaultPlane, FaultyTransport
-from repro.net.transport import UdpLoopbackTransport
+from repro.net.replay import ReplayTransport
 from repro.sim.engine import Simulator
+from repro.sim.latency import FixedLatency
 from repro.sim.network import Network
+from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceLog
 from tests.core.conftest import make_vod_cluster
 
@@ -274,11 +278,11 @@ class TestInjectorExtended:
         )
         inject(cluster, schedule)
         cluster.run(2.0)
-        assert cluster.network.duplicate_probability == 0.04
-        assert cluster.network.reorder_probability == 0.03
+        assert cluster.faults.duplicate_probability == 0.04
+        assert cluster.faults.reorder_probability == 0.03
         cluster.run(2.0)
-        assert cluster.network.duplicate_probability == 0.0
-        assert cluster.network.reorder_probability == 0.0
+        assert cluster.faults.duplicate_probability == 0.0
+        assert cluster.faults.reorder_probability == 0.0
 
     def test_link_delay_spike_applied(self):
         cluster = make_vod_cluster()
@@ -289,10 +293,10 @@ class TestInjectorExtended:
         )
         inject(cluster, schedule)
         cluster.run(2.0)
-        assert cluster.network._link_extra_delay[("s0", "s1")] == 0.2
-        assert cluster.network._link_extra_delay[("s1", "s0")] == 0.2
+        assert cluster.faults.link("s0", "s1").extra_delay == 0.2
+        assert cluster.faults.link("s1", "s0").extra_delay == 0.2
         cluster.run(2.0)
-        assert ("s0", "s1") not in cluster.network._link_extra_delay
+        assert cluster.faults.link("s0", "s1").extra_delay == 0.0
 
     def test_crash_at_arms_hook_on_target(self):
         cluster = make_vod_cluster()
@@ -350,9 +354,10 @@ class TestInjectorExtended:
 
 
 # ----------------------------------------------------------------------
-# one applier, two link-fault surfaces
+# one applier, one link model, every runtime
 # ----------------------------------------------------------------------
 _NODES = ("a", "b", "c", "d")
+_SPIKE = 0.01  # seconds: the delay spike and the reorder hold
 
 
 class _Target:
@@ -371,22 +376,61 @@ class _Target:
         return [(e.node, e.category, e.detail) for e in self.trace.events]
 
 
+class _Recording(ReplayTransport):
+    """A null transport that remembers which link each frame left on."""
+
+    def __init__(self, node_id, sent):
+        super().__init__(node_id)
+        self._sent = sent
+
+    def send(self, peer, frame):
+        super().send(peer, frame)
+        self._sent.append((self.node_id, peer))
+
+
 def _sim_surface():
-    network = Network(Simulator())
-    return network, network.topology.connected
+    """A simulated network: a pair passes when its message is delivered."""
+    network = Network(
+        Simulator(), latency_model=FixedLatency(0.001),
+        chaos_rng=RngRegistry(5).stream("chaos-net"),
+    )
+    got = []
+    for node in _NODES:
+        network.attach(node, lambda m: got.append((m.sender, m.receiver)), lambda: True)
+
+    async def probe(pairs):
+        got.clear()
+        for src, dst in pairs:
+            network.send(src, dst, "probe")
+        network.sim.run()
+        return set(got)
+
+    return network.topology, _NODES, probe
 
 
-def _live_surface():
-    transports = {n: FaultyTransport(UdpLoopbackTransport(n)) for n in _NODES}
+def _live_surface(adopted=_NODES):
+    """Fault-injecting wrappers under one plane: a pair passes when its
+    frame reaches the inner transport (held frames included)."""
+    sent = []
     plane = FaultPlane()
+    transports = {n: FaultyTransport(_Recording(n, sent)) for n in adopted}
     for node, transport in transports.items():
         plane.adopt(node, transport)
 
-    def connected(src, dst):
-        link = transports[src]._links.get(dst)
-        return link is None or not link.severed
+    async def probe(pairs):
+        sent.clear()
+        for src, dst in pairs:
+            transports[src].send(dst, b"probe")
+        await asyncio.sleep(4 * _SPIKE)  # every held frame fires
+        return set(sent)
 
-    return plane, connected
+    return plane.model, adopted, probe
+
+
+def _serve_surface():
+    """``repro serve --control``: the plane adopted its own node's wrapper
+    only, and the partition names nodes of other processes."""
+    return _live_surface(adopted=("a",))
 
 
 def _split(left, right):
@@ -395,10 +439,14 @@ def _split(left, right):
 
 
 #: the conformance script: after each event, the directed pairs that
-#: must be unreachable — on either surface
+#: must be unreachable — on every surface
 _SCRIPT = [
+    # a partition that leaves d unmentioned: d is alone in the implicit
+    # extra component
+    (FaultEvent(0.0, "partition", args={"components": [["a"], ["b", "c"]]}),
+     _split("a", "bcd") | _split("bc", "d")),
     # nodes a partition does not mention form ONE implicit component
-    (FaultEvent(0.0, "partition", args={"components": [["a"]]}), _split("a", "bcd")),
+    (FaultEvent(0.5, "partition", args={"components": [["a"]]}), _split("a", "bcd")),
     # an asymmetric cut severs one direction only
     (FaultEvent(1.0, "cut_link", args={"a": "b", "b": "c", "symmetric": False}),
      _split("a", "bcd") | {("b", "c")}),
@@ -412,30 +460,35 @@ _SCRIPT = [
     (FaultEvent(5.0, "cut_link", args={"a": "a", "b": "b"}),
      _split("ab", "cd") | {("a", "b"), ("b", "a")}),
     # the latency and adversity kinds never touch reachability
-    (FaultEvent(6.0, "delay_link", args={"a": "c", "b": "d", "extra": 0.1}), None),
-    (FaultEvent(7.0, "duplicate", args={"probability": 0.0}), None),
-    (FaultEvent(8.0, "reorder", args={"probability": 0.0, "window": 0.1}), None),
-    (FaultEvent(9.0, "restore_delay", args={"a": "c", "b": "d"}), None),
+    (FaultEvent(6.0, "delay_link", args={"a": "a", "b": "c", "extra": _SPIKE}), None),
+    (FaultEvent(7.0, "duplicate", args={"probability": 0.5}), None),
+    (FaultEvent(8.0, "reorder", args={"probability": 0.5, "window": _SPIKE}), None),
+    (FaultEvent(9.0, "restore_delay", args={"a": "a", "b": "c"}), None),
 ]
 
 
-def _blocked(connected):
-    return {(s, d) for s in _NODES for d in _NODES if s != d and not connected(s, d)}
-
-
 class TestOneApplierTwoSurfaces:
-    @pytest.mark.parametrize("surface", [_sim_surface, _live_surface])
+    @pytest.mark.parametrize("surface", [_sim_surface, _live_surface, _serve_surface])
     def test_link_faults_conform(self, surface):
-        faults, connected = surface()
+        faults, senders, probe = surface()
         target = _Target(faults)
-        expected = set()
-        for event, blocked in _SCRIPT:
-            apply(target, event)
-            expected = expected if blocked is None else blocked
-            assert _blocked(connected) == expected, event
-        # clear_all lifts both layers (the chaos heal sweep)
-        faults.clear_all()
-        assert _blocked(connected) == set()
+        pairs = [(s, d) for s in senders for d in _NODES if s != d]
+
+        async def blocked():
+            return set(pairs) - await probe(pairs)
+
+        async def run():
+            expected = set()
+            assert await blocked() == expected
+            for event, cut in _SCRIPT:
+                apply(target, event)
+                expected = expected if cut is None else cut
+                assert await blocked() == {p for p in expected if p[0] in senders}, event
+            # clear_all lifts every layer (the chaos heal sweep)
+            faults.clear_all()
+            assert await blocked() == set()
+
+        asyncio.run(run())
         assert target.records() == [
             ("net", f"fault.{event.kind}", event.args) for event, _ in _SCRIPT
         ]
@@ -455,7 +508,7 @@ class TestOneApplierTwoSurfaces:
         schedule = FaultSchedule.from_json(
             [{"time": 1.0, "kind": "heal", "args": {"time": 3, "node": "x", "category": "y"}}]
         )
-        target = _Target(Network(Simulator()))
+        target = _Target(Network(Simulator()).topology)
         inject(target, schedule)
         target.sim.run()
         assert target.records() == [

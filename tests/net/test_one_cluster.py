@@ -62,11 +62,12 @@ def test_partition_and_heal_drive_a_live_fault_plane():
     plane = FaultPlane()
     for node, transport in transports.items():
         plane.adopt(node, transport)
-    cluster = _assemble(transports, faults=plane)
+    cluster = _assemble(transports, faults=plane.model)
 
     def severed(src, dst):
-        link = transports[src]._links.get(dst)
-        return link is not None and link.severed
+        before = transports[src].faults.severed_drops
+        transports[src].send(dst, b"probe")
+        return transports[src].faults.severed_drops > before
 
     cluster.partition(["s0"], ["s1", "s2", "c0"])
     assert severed("s0", "s1") and severed("s2", "s0")

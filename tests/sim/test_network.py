@@ -182,7 +182,8 @@ def test_trace_records_delivery_and_drop():
 
 
 # ----------------------------------------------------------------------
-# chaos adversity: duplication, reordering, link delay spikes
+# chaos adversity: duplication, reordering, link delay spikes (held by
+# the topology, drawn by the network)
 # ----------------------------------------------------------------------
 def _chaos_net():
     sim = Simulator()
@@ -193,28 +194,28 @@ def _chaos_net():
 def test_duplication_and_reordering_require_seeded_rng(net):
     # determinism guard: unseeded adversity would make runs irreproducible
     with pytest.raises(ValueError, match="chaos_rng"):
-        net.set_duplication(0.2)
+        net.topology.set_duplication(0.2)
     with pytest.raises(ValueError, match="chaos_rng"):
-        net.set_reordering(0.2)
-    net.set_duplication(0.0)  # switching OFF never needs randomness
-    net.set_reordering(0.0)
+        net.topology.set_reordering(0.2)
+    net.topology.set_duplication(0.0)  # switching OFF never needs randomness
+    net.topology.set_reordering(0.0)
 
 
 def test_adversity_rejects_bad_parameters():
     net = _chaos_net()
     with pytest.raises(ValueError):
-        net.set_duplication(1.0)
+        net.topology.set_duplication(1.0)
     with pytest.raises(ValueError):
-        net.set_duplication(-0.1)
+        net.topology.set_duplication(-0.1)
     with pytest.raises(ValueError):
-        net.set_reordering(0.5, window=-0.01)
+        net.topology.set_reordering(0.5, window=-0.01)
 
 
 def test_duplication_delivers_extra_copies():
     net = _chaos_net()
     Sink(net, "a")
     b = Sink(net, "b")
-    net.set_duplication(0.5)
+    net.topology.set_duplication(0.5)
     for i in range(200):
         net.send("a", "b", i)
     net.sim.run()
@@ -228,7 +229,7 @@ def test_reordering_breaks_per_pair_fifo():
     net = _chaos_net()
     Sink(net, "a")
     b = Sink(net, "b")
-    net.set_reordering(0.5, window=0.2)
+    net.topology.set_reordering(0.5, window=0.2)
     for i in range(100):
         net.send("a", "b", i)
     net.sim.run()
@@ -241,11 +242,11 @@ def test_reordering_breaks_per_pair_fifo():
 def test_link_delay_spike_and_restore(net):
     Sink(net, "a")
     b = Sink(net, "b")
-    net.set_link_delay("a", "b", 0.5)
+    net.topology.set_link_delay("a", "b", 0.5)
     net.send("a", "b", "slow")
     net.sim.run()
     assert net.sim.now == pytest.approx(0.51)
-    net.clear_link_delay("a", "b")
+    net.topology.clear_link_delay("a", "b")
     net.send("a", "b", "fast")
     net.sim.run()
     assert net.sim.now == pytest.approx(0.52)
@@ -256,12 +257,12 @@ def test_clear_adversity_lifts_everything():
     net = _chaos_net()
     Sink(net, "a")
     Sink(net, "b")
-    net.set_duplication(0.3)
-    net.set_reordering(0.3, window=0.1)
-    net.set_link_delay("a", "b", 1.0)
-    net.clear_adversity()
-    assert net.duplicate_probability == 0.0
-    assert net.reorder_probability == 0.0
+    net.topology.set_duplication(0.3)
+    net.topology.set_reordering(0.3, window=0.1)
+    net.topology.set_link_delay("a", "b", 1.0)
+    net.topology.clear_all()
+    assert net.topology.duplicate_probability == 0.0
+    assert net.topology.reorder_probability == 0.0
     net.send("a", "b", "x")
     net.sim.run()
     assert net.sim.now == pytest.approx(0.01)  # spike lifted too
@@ -325,25 +326,25 @@ def test_random_loss_counted_with_reason():
 
 
 # ----------------------------------------------------------------------
-# the link fast path: cached verdicts, block-drawn latency
+# the link fast path: per-link fault records, block-drawn latency
 # ----------------------------------------------------------------------
-#: (verb that cuts a -> b, verb that lifts it), each a ``LinkFaults`` call
+#: (verb that cuts a -> b, verb that lifts it), each a link-model call
 _CUT_AND_LIFT = {
     "partition/heal_partition": (
-        lambda net: net.partition(["a"], ["b"]),
-        lambda net: net.heal_partition(),
+        lambda net: net.topology.partition(["a"], ["b"]),
+        lambda net: net.topology.heal_partition(),
     ),
     "partition/clear_all": (
-        lambda net: net.partition(["a"], ["b"]),
-        lambda net: net.clear_all(),
+        lambda net: net.topology.partition(["a"], ["b"]),
+        lambda net: net.topology.clear_all(),
     ),
     "cut_link/restore_link": (
-        lambda net: net.cut_link("a", "b"),
-        lambda net: net.restore_link("a", "b"),
+        lambda net: net.topology.cut_link("a", "b"),
+        lambda net: net.topology.restore_link("a", "b"),
     ),
     "one-way cut_link/clear_all": (
-        lambda net: net.cut_link("a", "b", symmetric=False),
-        lambda net: net.clear_all(),
+        lambda net: net.topology.cut_link("a", "b", symmetric=False),
+        lambda net: net.topology.clear_all(),
     ),
 }
 
@@ -383,9 +384,9 @@ def test_the_other_fault_verbs_keep_a_warm_link_connected(verb):
     net.send("a", "b", "warm")
     net.sim.run()
     if verb == "set_link_delay":
-        net.set_link_delay("a", "b", 0.5)
+        net.topology.set_link_delay("a", "b", 0.5)
     else:
-        getattr(net, verb)(0.0)
+        getattr(net.topology, verb)(0.0)
     net.send("a", "b", "after")
     net.sim.run()
     assert [m.payload for m in b.received] == ["warm", "after"]

@@ -1,4 +1,9 @@
-"""Unit tests for connectivity topology (partitions, link cuts, transitivity)."""
+"""Unit tests for the link model (partitions, link cuts, transitivity,
+delay spikes and adversity)."""
+
+import json
+
+import pytest
 
 from repro.sim.topology import Topology
 
@@ -139,29 +144,26 @@ def test_remove_node_clears_its_state():
     assert topo.connected(0, 1)  # old cut/down state was removed
 
 
-def test_generation_bumps_on_changes():
-    topo = make()
-    g0 = topo.generation
-    topo.partition({0}, {1, 2, 3})
-    g1 = topo.generation
-    topo.cut_link(1, 2)
-    g2 = topo.generation
-    assert g0 < g1 < g2
-
-
 def test_snapshot_is_json_friendly():
     topo = make()
     topo.partition({0, 1}, {2, 3})
     topo.cut_link(0, 3)
     topo.set_node_down(2)
+    topo.set_link_delay(1, 2, 0.25, symmetric=False)
     snap = topo.snapshot()
-    assert set(snap) == {"nodes", "down", "components", "cut_links"}
+    assert set(snap) == {
+        "nodes", "down", "components", "cut_links", "link_delays",
+        "duplicate_probability", "reorder_probability", "reorder_window",
+    }
     assert snap["down"] == ["2"]
+    assert snap["link_delays"] == [("1", "2", 0.25)]
+    assert json.loads(json.dumps(snap))["cut_links"] == [["0", "3"], ["3", "0"]]
 
 
-# every connectivity mutator, as (name, call); ``Network`` caches
-# ``connected`` verdicts per generation, so a mutator that forgot to bump
-# it would leave the network acting on the old connectivity
+# every connectivity mutator, as (name, call); ``Network.send`` and
+# ``FaultyTransport.send`` read ``Topology.link`` records, so a mutator
+# that forgot to refresh them would leave both runtimes acting on the old
+# connectivity
 _MUTATORS = {
     "partition": lambda topo: topo.partition({0}, {1, 2, 3}),
     "heal_partition": lambda topo: topo.heal_partition(),
@@ -170,23 +172,45 @@ _MUTATORS = {
     "restore_all_links": lambda topo: topo.restore_all_links(),
     "set_node_down": lambda topo: topo.set_node_down(3),
     "remove_node": lambda topo: topo.remove_node(3),
+    "clear_all": lambda topo: topo.clear_all(),
 }
-#: the rest of the public surface: queries, and ``add_node`` (``connected``
-#: never reads the node set, so a new node changes no verdict)
+#: the rest of the public surface: queries, ``add_node`` (``connected``
+#: never reads the node set, so a new node changes no verdict), and the
+#: latency and adversity setters, which never touch reachability
 _NOT_MUTATORS = {
-    "add_node", "nodes", "generation", "is_node_down", "connected",
-    "component_members", "is_transitive", "snapshot",
+    "add_node", "nodes", "is_node_down", "connected", "link",
+    "component_members", "is_transitive", "snapshot", "set_link_delay",
+    "clear_link_delay", "refuse_adversity", "set_duplication", "set_reordering",
 }
 
 
-def test_every_mutator_moves_the_generation():
+def test_every_mutator_refreshes_the_link_records():
     for name, mutate in _MUTATORS.items():
         topo = make()
-        before = topo.generation
+        topo.partition({0, 1, 2}, {3})
+        topo.cut_link(0, 1, symmetric=False)
+        records = {(a, b): topo.link(a, b) for a in range(4) for b in range(4)}
         mutate(topo)
-        assert topo.generation > before, name
+        for (a, b), record in records.items():
+            if (a, b) in topo.links:  # remove_node drops the node's records
+                assert record.connected == topo.connected(a, b), (name, a, b)
 
 
 def test_the_mutator_list_is_complete():
     public = {name for name in vars(Topology) if not name.startswith("_")}
     assert public == set(_MUTATORS) | _NOT_MUTATORS
+
+
+def test_adversity_setters_validate_before_changing_anything():
+    topo = make()
+    for bad in (
+        lambda: topo.set_duplication(1.0),
+        lambda: topo.set_reordering(-0.1),
+        lambda: topo.set_reordering(0.1, window=float("inf")),
+        lambda: topo.set_link_delay(0, 1, float("nan")),
+        lambda: topo.set_link_delay(0, 1, -1.0),
+    ):
+        before = topo.snapshot()
+        with pytest.raises(ValueError):
+            bad()
+        assert topo.snapshot() == before

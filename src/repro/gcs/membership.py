@@ -80,7 +80,7 @@ class MembershipEngine:
             and not self.daemon.incarnations_stale()
             and not self.daemon.config_divergence_detected()
         ):
-            self._waiting_since = None
+            self._awaited = None
             return
         coordinator = min(estimate, key=str)
         if coordinator == self.me:
@@ -90,9 +90,8 @@ class MembershipEngine:
             # so a silent coordinator can be abandoned (asymmetric links).
             if self._attempt is not None:
                 self._abandon_coordination()
-            if self._waiting_for != coordinator:
-                self._waiting_for = coordinator
-                self._waiting_since = self.daemon.sim.now
+            if self._awaited is None or self._awaited[0] != coordinator:
+                self._awaited = (coordinator, self.daemon.sim.now)
 
     def next_deadline(self) -> float:
         """The earliest instant :meth:`on_tick` has a wait to expire:
@@ -103,14 +102,9 @@ class MembershipEngine:
         )
 
     def _proposal_deadline(self) -> float:
-        if (
-            self._waiting_for is None
-            or self._waiting_since is None
-            or self.forming
-            or self._attempt is not None
-        ):
+        if self._awaited is None or self.forming or self._attempt is not None:
             return math.inf
-        return self._waiting_since + self.settings.install_timeout
+        return self._awaited[1] + self.settings.install_timeout
 
     def on_tick(self) -> None:
         """Expire the sync/install/proposal waits that have run out (the
@@ -123,9 +117,8 @@ class MembershipEngine:
         if now >= self._proposal_deadline():
             # The expected coordinator never proposed to us (it may not be
             # able to hear us).  Drop it from the estimate and retry.
-            silent = self._waiting_for
-            self._waiting_for = None
-            self._waiting_since = None
+            silent, _since = self._awaited
+            self._awaited = None
             self.daemon.trace("gcs.coordinator_silent", coordinator=silent)
             self.daemon.fd.forget(silent)
             self.reconfigure()
@@ -137,8 +130,8 @@ class MembershipEngine:
         self.accepted_attempt: AttemptId | None = None
         self.forming = False
         self._install_deadline = math.inf  # inf: not awaiting an install
-        self._waiting_for: NodeId | None = None  # expected coordinator
-        self._waiting_since: float | None = None
+        # (expected coordinator, since when) — set and cleared as one
+        self._awaited: tuple[NodeId, float] | None = None
         self._abandon_coordination()
 
     def restart_as_singleton(self) -> int:
@@ -165,8 +158,7 @@ class MembershipEngine:
         self._attempt_members = tuple(sorted(members, key=str))
         self._replies = {}
         self._sync_deadline = self.daemon.sim.now + self.settings.sync_timeout
-        self._waiting_for = None
-        self._waiting_since = None
+        self._awaited = None
         self.daemon.trace(
             "gcs.propose", attempt=str(attempt.counter), members=self._attempt_members
         )
@@ -284,8 +276,7 @@ class MembershipEngine:
         self.accepted_attempt = proposal.attempt
         self.forming = True
         self._install_deadline = self.daemon.sim.now + self.settings.install_timeout
-        self._waiting_for = None
-        self._waiting_since = None
+        self._awaited = None
         reply = self.daemon.build_sync_reply(proposal.attempt, self.view_counter)
         self.daemon.send_protocol(
             proposal.attempt.coordinator,
@@ -309,7 +300,12 @@ class MembershipEngine:
         self.accepted_attempt = None
         self.forming = False
         self._install_deadline = math.inf
+        # A wait for a coordinator begun before this install (the estimate
+        # changed while we were forming) is answered or obsolete: end it,
+        # and compare the estimate with the view just installed instead.
+        self._awaited = None
         self.daemon.apply_install(install)
+        self.reconfigure()
 
     def _on_install_timeout(self) -> None:
         """The coordinator we synced with went silent: resume and retry."""

@@ -163,6 +163,59 @@ def test_silent_member_is_dropped_at_the_sync_timeout():
     }
 
 
+def test_a_wait_begun_while_forming_ends_with_the_install():
+    """A participant whose estimate changes between PROPOSE and INSTALL
+    starts waiting for the coordinator's next proposal; the install that
+    follows answers the wait, so nobody is declared silent afterwards (it
+    was, ``install_timeout`` later, and the view split and re-merged)."""
+    world = GcsWorld(4)
+    world.sim.run_until(5.03)
+    world.daemons[VICTIM].crash()  # s0 will propose the view without it
+    participant = world.daemons["s1"]
+    changed_at = []
+
+    def change_while_forming():
+        if not changed_at and participant.membership.forming:
+            changed_at.append(world.sim.now)
+            participant.on_detector_change()
+
+    run_events_until(world, 6.0, change_while_forming)
+    assert changed_at
+    world.sim.run_until(changed_at[0] + 2 * world.settings.install_timeout)
+    assert world.trace.count("gcs.coordinator_silent") == 0
+    world.assert_single_view({"s0", "s1", "s2"})
+    installed = world.trace.select("gcs.view_installed", since=5.03)
+    assert sorted(event.node for event in installed) == ["s0", "s1", "s2"]
+
+
+def test_a_renewed_wait_for_the_same_coordinator_still_times_out():
+    """s1 stops hearing s2 and waits for s0 to propose the view without
+    it; hearing s2 again ends that wait.  When s2 falls silent once more,
+    the new wait for the same s0 has its own deadline (it had none, and a
+    coordinator that never proposed was never abandoned)."""
+    world = GcsWorld(3)
+    settings = world.settings
+    topology = world.network.topology
+    world.sim.run_until(5.0)
+    topology.cut_link("s2", "s1", symmetric=False)
+    world.sim.run_until(5.5)  # s1 suspects s2: a wait for s0 begins
+    topology.restore_link("s2", "s1", symmetric=False)
+    # past the first wait's deadline: s2 was heard again, the wait ended
+    world.sim.run_until(5.0 + settings.suspect_timeout + settings.install_timeout + 0.2)
+    assert world.trace.count("gcs.coordinator_silent") == 0
+    recut = world.sim.now
+    topology.cut_link("s2", "s1", symmetric=False)
+    world.sim.run_until(recut + settings.suspect_timeout + 2 * settings.install_timeout)
+    silent = first(world, "gcs.coordinator_silent", node="s1", since=recut)
+    assert silent.detail["coordinator"] == "s0"
+    # the wait begins when s1 suspects s2 again, at most a suspect timeout in
+    assert (
+        recut + settings.install_timeout
+        <= silent.time
+        <= recut + settings.suspect_timeout + settings.install_timeout
+    )
+
+
 @pytest.mark.parametrize(
     ("mode", "events"), [("heartbeat", 1830), ("gossip", 2651)]
 )

@@ -1,19 +1,19 @@
-"""Membership scaling: SWIM gossip vs the all-pairs heartbeat mesh.
+"""Membership scaling of the heartbeat mesh.
 
-Sweeps raw daemon clusters from 8 to 200+ nodes in both
-``membership_mode`` settings and records, per mode and size:
+Sweeps raw daemon clusters from 8 to 200+ nodes and records, per size:
 
-* liveness frames per node per second — the mesh grows linearly with the
-  world size, gossip stays ~flat (the simulator counts frames; real bytes
-  come from the live loopback run below);
+* liveness frames per node per second — linear in the world size, every
+  daemon heartbeats every other (the simulator counts frames);
 * detection latency p50/p99 — crash one daemon, measure how long each
   survivor's detector takes to drop it from the estimate;
-* false suspicions during the clean measurement window (must be zero).
+* false evictions during the clean measurement window — peers expired
+  while nobody crashed (must be zero).
 
-A WAN-latency variant checks the suspicion machinery against lognormal
-30ms-median delays, and a live loopback run exercises gossip mode over
-real UDP sockets.  Results land in ``BENCH_membership.json``;
-``benchmarks/check_membership_regression.py`` gates CI on them.
+A WAN-latency variant checks the detector against lognormal 30ms-median
+delays.  Results land in ``BENCH_membership.json``;
+``benchmarks/check_membership_regression.py`` gates CI on them.  (Until
+the SWIM gossip detector was removed, this bench ran it beside the mesh;
+DESIGN.md §14 keeps the last comparison.)
 
 ``REPRO_BENCH_MEMBERSHIP_SIZES`` (comma list) overrides the sweep sizes —
 CI caps at 64; the committed results use the full ``8,64,200``.
@@ -21,7 +21,6 @@ CI caps at 64; the committed results use the full ``8,64,200``.
 
 from __future__ import annotations
 
-import asyncio
 import os
 
 import numpy as np
@@ -29,7 +28,6 @@ import numpy as np
 from repro.gcs.daemon import GcsDaemon
 from repro.gcs.settings import GcsSettings
 from repro.metrics.collectors import split_liveness
-from repro.net.cluster import LiveClusterOptions, build_live_cluster, schedule_workload
 from repro.sim.engine import Simulator
 from repro.sim.latency import FixedLatency, wan_latency
 from repro.sim.network import Network
@@ -48,8 +46,8 @@ def _sweep_sizes() -> list[int]:
     return [8, 32]
 
 
-def _settings(mode: str, scale: float = 1.0) -> GcsSettings:
-    base = GcsSettings(membership_mode=mode)
+def _settings(scale: float = 1.0) -> GcsSettings:
+    base = GcsSettings()
     return base.scaled(scale) if scale != 1.0 else base
 
 
@@ -95,8 +93,7 @@ class DaemonCluster:
                 return self.sim.now - start
             self.run(0.5)
         raise AssertionError(
-            f"cluster of {len(self.ids)} never converged within {budget}s "
-            f"({self.settings.membership_mode})"
+            f"cluster of {len(self.ids)} never converged within {budget}s"
         )
 
     def liveness_rates(self, window: float) -> dict[str, float]:
@@ -117,20 +114,10 @@ class DaemonCluster:
             "data_frames_per_node_per_sec": round(data_frames / nodes / window, 2),
         }
 
-    def false_suspicions(self) -> dict[str, int]:
-        """Detector-level counters summed over the cluster (gossip mode
-        exposes them; the mesh has no suspicion stage)."""
-        if self.settings.membership_mode != "gossip":
-            return {}
-        return {
-            "suspicions_started": sum(
-                d.fd.suspicions_started for d in self.daemons.values()
-            ),
-            "suspicions_refuted": sum(
-                d.fd.suspicions_refuted for d in self.daemons.values()
-            ),
-            "evictions": sum(d.fd.evictions for d in self.daemons.values()),
-        }
+    def expiries(self) -> int:
+        """Detector checks that expired a peer, summed over the cluster —
+        on a network where nobody crashed, each one is a false eviction."""
+        return sum(d.fd.full_scans for d in self.daemons.values())
 
     def measure_detection(self, victim: str) -> list[float]:
         """Crash ``victim`` and poll every survivor's detector until it
@@ -160,20 +147,15 @@ def _percentile(values: list[float], q: float) -> float:
     return ordered[index]
 
 
-def _measure(mode: str, n: int, window: float) -> dict:
-    cluster = DaemonCluster(n, _settings(mode))
+def _measure(n: int, window: float) -> dict:
+    cluster = DaemonCluster(n, _settings())
     boot = cluster.settle()
-    baseline = cluster.false_suspicions()
+    expiries = cluster.expiries()
     cluster.network.reset_stats()
     cluster.run(window)
     assert cluster.single_view(), "view changed during the clean window"
     rates = cluster.liveness_rates(window)
-    counters = cluster.false_suspicions()
-    false_evictions = (
-        counters.get("evictions", 0) - baseline.get("evictions", 0)
-        if counters
-        else 0
-    )
+    false_evictions = cluster.expiries() - expiries
     latencies = cluster.measure_detection(cluster.ids[-1])
     return {
         "boot_convergence_seconds": round(boot, 2),
@@ -181,7 +163,6 @@ def _measure(mode: str, n: int, window: float) -> dict:
         "false_evictions_in_window": false_evictions,
         "detection_p50_seconds": round(_percentile(latencies, 0.50), 4),
         "detection_p99_seconds": round(_percentile(latencies, 0.99), 4),
-        **({"counters": counters} if counters else {}),
     }
 
 
@@ -190,167 +171,63 @@ def test_membership_scaling_sweep(benchmark, bench_persist):
     window = 5.0 if os.environ.get("REPRO_BENCH_FULL") == "1" else 3.0
 
     def sweep():
-        results: dict[str, dict] = {"mesh": {}, "gossip": {}}
-        for mode_key, mode in (("mesh", "heartbeat"), ("gossip", "gossip")):
-            for n in sizes:
-                results[mode_key][str(n)] = _measure(mode, n, window)
-        return results
+        return {str(n): _measure(n, window) for n in sizes}
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    for mode_key in ("mesh", "gossip"):
-        for n in sizes:
-            row = results[mode_key][str(n)]
-            assert row["false_evictions_in_window"] == 0, (mode_key, n, row)
-            print(
-                f"\n{mode_key:7s} n={n:4d}: "
-                f"{row['liveness_frames_per_node_per_sec']:9.1f} liveness frames/node/s, "
-                f"detect p50={row['detection_p50_seconds']:.3f}s "
-                f"p99={row['detection_p99_seconds']:.3f}s, "
-                f"boot {row['boot_convergence_seconds']:.1f}s"
-            )
-    small, large = str(min(sizes)), str(max(sizes))
-    mesh_growth = (
-        results["mesh"][large]["liveness_frames_per_node_per_sec"]
-        / results["mesh"][small]["liveness_frames_per_node_per_sec"]
-    )
-    gossip_growth = (
-        results["gossip"][large]["liveness_frames_per_node_per_sec"]
-        / results["gossip"][small]["liveness_frames_per_node_per_sec"]
-    )
-    print(
-        f"\nliveness frames/node growth {small}->{large}: "
-        f"mesh {mesh_growth:.1f}x, gossip {gossip_growth:.1f}x"
-    )
-    assert gossip_growth < mesh_growth, "gossip must scale better than the mesh"
+    for n in sizes:
+        row = results[str(n)]
+        assert row["false_evictions_in_window"] == 0, (n, row)
+        print(
+            f"\nmesh n={n:4d}: "
+            f"{row['liveness_frames_per_node_per_sec']:9.1f} liveness frames/node/s, "
+            f"detect p50={row['detection_p50_seconds']:.3f}s "
+            f"p99={row['detection_p99_seconds']:.3f}s, "
+            f"boot {row['boot_convergence_seconds']:.1f}s"
+        )
     bench_persist(
         "membership",
         {
             "sim_sweep": {
                 "sizes": sizes,
                 "window_seconds": window,
-                "suspect_timeout_seconds": _settings("heartbeat").suspect_timeout,
-                "modes": results,
+                "suspect_timeout_seconds": _settings().suspect_timeout,
+                "modes": {"mesh": results},
             }
         },
     )
 
 
 def test_membership_wan_latency(benchmark, bench_persist):
-    """Gossip under WAN delays (lognormal, 30ms median): the suspicion /
-    refutation machinery must keep false evictions at zero while probe
-    RTTs routinely exceed the LAN probe timeout."""
+    """The mesh under WAN delays (lognormal, 30ms median) with ``scaled(3)``
+    timings: heartbeats that arrive late, but inside the suspect timeout,
+    must never expire a peer."""
     n = 16 if os.environ.get("REPRO_BENCH_FULL") == "1" else 12
     window = 12.0
 
     def run():
         cluster = DaemonCluster(
             n,
-            _settings("gossip", scale=3.0),
+            _settings(scale=3.0),
             latency=wan_latency(np.random.default_rng(7)),
         )
         boot = cluster.settle()
         cluster.network.reset_stats()
-        before = cluster.false_suspicions()
+        expiries = cluster.expiries()
         cluster.run(window)
         assert cluster.single_view(), "view changed during the WAN window"
-        after = cluster.false_suspicions()
         rates = cluster.liveness_rates(window)
         return {
             "nodes": n,
             "boot_convergence_seconds": round(boot, 2),
             "settings_scale": 3.0,
             **rates,
-            "suspicions_started_in_window": after["suspicions_started"]
-            - before["suspicions_started"],
-            "false_evictions_in_window": after["evictions"] - before["evictions"],
+            "false_evictions_in_window": cluster.expiries() - expiries,
         }
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result["false_evictions_in_window"] == 0, result
     print(
-        f"\ngossip n={n} under WAN latency: "
-        f"{result['suspicions_started_in_window']} transient suspicions, "
-        f"0 false evictions, "
+        f"\nmesh n={n} under WAN latency: 0 false evictions, "
         f"{result['liveness_frames_per_node_per_sec']:.1f} liveness frames/node/s"
     )
     bench_persist("membership", {"wan": result})
-
-
-async def _live_gossip_run(options: LiveClusterOptions) -> dict:
-    cluster = await build_live_cluster(options)
-    try:
-        plan = schedule_workload(cluster, options)
-        await cluster.runtime.run(plan.duration)
-        # UDP loopback can drop frames under load, resyncing a node to a
-        # singleton view mid-run; give gossip re-merge time to converge
-        # instead of asserting a one-shot snapshot.
-        expected = {str(node) for node in cluster.servers}
-        extra = 0.0
-        while extra < 20.0:
-            views = {
-                frozenset(str(m) for m in server.daemon.config.members)
-                for server in cluster.servers.values()
-            }
-            if views == {frozenset(expected)}:
-                break
-            await cluster.runtime.run(1.0)
-            extra += 1.0
-        liveness_bytes = data_bytes = 0
-        for node, network in cluster.networks.items():
-            lb, db = split_liveness(network.actual_bytes_sent)
-            liveness_bytes += lb
-            data_bytes += db
-        members = {
-            str(node): sorted(str(m) for m in server.daemon.config.members)
-            for node, server in cluster.servers.items()
-        }
-        return {
-            "sim_seconds": plan.duration + extra,
-            "nodes": options.nodes,
-            "extra_convergence_seconds": extra,
-            "liveness_bytes_sent": liveness_bytes,
-            "data_bytes_sent": data_bytes,
-            "members": members,
-        }
-    finally:
-        await cluster.close()
-
-
-def test_membership_live_loopback_gossip(benchmark, bench_persist):
-    """Gossip mode over real UDP loopback sockets: the cluster must form
-    a full view and serve the scripted workload — the live-wire proof
-    that the SWIM path works outside the simulator."""
-    nodes = 10 if os.environ.get("REPRO_BENCH_FULL") == "1" else 5
-    options = LiveClusterOptions(
-        nodes=nodes,
-        transport="udp",
-        requests=60,
-        kill_primary=False,
-        update_interval=0.02,
-        warmup=2.5,
-        settle=1.5,
-        profile="live_lan_gossip",
-    )
-
-    def once():
-        return asyncio.run(_live_gossip_run(options))
-
-    result = benchmark.pedantic(once, rounds=1, iterations=1)
-    expected = sorted(f"s{i}" for i in range(nodes))
-    full_views = sum(
-        1 for members in result["members"].values() if members == expected
-    )
-    assert full_views == nodes, result["members"]
-    per_node_rate = result["liveness_bytes_sent"] / nodes / result["sim_seconds"]
-    out = {
-        "nodes": nodes,
-        "liveness_bytes_per_node_per_sec": round(per_node_rate, 1),
-        "data_bytes_sent": result["data_bytes_sent"],
-        "extra_convergence_seconds": result["extra_convergence_seconds"],
-        "full_views": full_views,
-    }
-    bench_persist("membership", {"live_loopback_gossip": out})
-    print(
-        f"\nlive gossip over UDP loopback: {nodes} nodes, full view on all, "
-        f"{per_node_rate:.0f} liveness B/node/s"
-    )

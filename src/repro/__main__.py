@@ -118,7 +118,6 @@ def _cmd_chaos(args) -> int:
             plant=args.plant,
             mode="live" if args.live else "sim",
             wan_profile=args.wan,
-            membership=args.membership,
         )
     except ValueError as exc:
         print(f"chaos: {exc}", file=sys.stderr)
@@ -256,12 +255,6 @@ def main(argv: list[str] | None = None) -> int:
         "--profile",
         choices=("crashes", "partitions", "gray", "mixed"),
         default="mixed",
-    )
-    chaos.add_argument(
-        "--membership",
-        choices=("heartbeat", "gossip"),
-        default="heartbeat",
-        help="failure-detection protocol for the cluster under test",
     )
     chaos.add_argument("--servers", type=int, default=4)
     chaos.add_argument("--sessions", type=int, default=2)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.config import AvailabilityPolicy
-from repro.gcs.messages import LIVENESS_MESSAGES
-from repro.gcs.settings import GcsSettings
+from repro.gcs.messages import Heartbeat
 
 #: Named deliberate weakenings used to validate the chaos pipeline.
 #:
@@ -29,8 +28,8 @@ from repro.gcs.settings import GcsSettings
 #: ``partition-amnesia`` puts an :class:`AmnesiacDetector` in front of
 #: every daemon's failure detector: each daemon permanently distrusts
 #: liveness evidence from members it once evicted, so after a partition
-#: heals the two sides keep discarding each other's heartbeats (or swim
-#: probes), the views never re-merge, and both primaries persist — the
+#: heals the two sides keep discarding each other's heartbeats, the views
+#: never re-merge, and both primaries persist — the
 #: convergence oracle fires.  Unlike ``handoff-stall`` this plant needs
 #: real *partition* faults, which is exactly what makes it the validation
 #: plant for live-mode chaos (the fault-injecting transport is what made
@@ -42,7 +41,7 @@ class AmnesiacDetector:
     """The ``partition-amnesia`` plant: a daemon's failure detector, deaf
     to every member a view change removed since the daemon booted.
 
-    Liveness messages from such a sender are swallowed and its other
+    Heartbeats from such a sender are swallowed and its other
     traffic is no longer evidence that it lives; everything else is the
     wrapped detector's.  Nothing tells the wrapper about installs: it
     diffs ``daemon.config.members`` against what it saw the last time it
@@ -74,7 +73,7 @@ class AmnesiacDetector:
         if sender not in self._traced:
             self._traced.add(sender)
             self._daemon.trace("gcs.evicted_liveness_ignored", peer=sender)
-        return isinstance(payload, LIVENESS_MESSAGES)
+        return isinstance(payload, Heartbeat)
 
     def observe_traffic(self, peer: Any) -> None:
         if not self._distrusts(peer):
@@ -124,10 +123,6 @@ class ChaosConfig:
             live mode shapes every link's base delay and jitter from the
             profile's latency matrix and scales the GCS timing constants
             by its ``settings_factor``.
-        membership: failure-detection protocol for the cluster under
-            test — ``heartbeat`` (all-pairs mesh, the default) or
-            ``gossip`` (SWIM; see ``gcs/swim.py``).  Applied to the GCS
-            settings alongside any plant, in both sim and live modes.
     """
 
     n_servers: int = 4
@@ -142,7 +137,6 @@ class ChaosConfig:
     plant: str | None = None
     mode: str = "sim"
     wan_profile: str | None = None
-    membership: str = "heartbeat"
 
     def __post_init__(self) -> None:
         if self.n_servers < 3:
@@ -157,10 +151,6 @@ class ChaosConfig:
             raise ValueError(f"unknown mode {self.mode!r} (valid: sim, live)")
         if self.wan_profile is not None and self.mode != "live":
             raise ValueError("wan_profile requires mode='live'")
-        if self.membership not in ("heartbeat", "gossip"):
-            raise ValueError(
-                f"unknown membership {self.membership!r} (valid: heartbeat, gossip)"
-            )
 
     # ------------------------------------------------------------------
     # derived topology
@@ -207,16 +197,6 @@ class ChaosConfig:
             policy.handoff_timeout = 1e9
         return policy
 
-    def apply_plant_settings(self, settings: GcsSettings) -> GcsSettings:
-        """Project this config onto the GCS settings: select the
-        failure-detection protocol.  (No plant lives in the settings;
-        see :meth:`plant_bugs`.)"""
-        if self.membership != settings.membership_mode:
-            settings = dataclasses.replace(
-                settings, membership_mode=self.membership
-            )
-        return settings
-
     def plant_bugs(self, cluster: Any) -> None:
         """Sabotage an assembled cluster (simulated or live, recording or
         replay) as the plant asks; ``handoff-stall`` is already in the
@@ -233,6 +213,16 @@ class ChaosConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ChaosConfig":
+        """The config an artifact embeds.  Artifacts recorded while a second
+        failure detector existed carry ``"membership": "heartbeat"``; that
+        key is dropped, and any other detector is refused by name."""
+        data = dict(data)
+        membership = data.pop("membership", "heartbeat")
+        if membership != "heartbeat":
+            raise ValueError(
+                f"membership {membership!r} is not supported: the SWIM gossip"
+                " detector was removed, the heartbeat mesh is the only one"
+            )
         fields = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - fields
         if unknown:

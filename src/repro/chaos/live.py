@@ -81,13 +81,11 @@ _CHAOS_SETTINGS_FACTOR = 2.0
 
 def _live_settings(config: ChaosConfig) -> GcsSettings:
     """The GCS timing constants for one live chaos run: the live-LAN
-    preset, scaled up when a WAN profile stretches the links, with the
-    config's failure-detection protocol."""
+    preset, scaled up when a WAN profile stretches the links."""
     factor = _CHAOS_SETTINGS_FACTOR
     if config.wan_profile is not None:
         factor = wan_profile(config.wan_profile).settings_factor
-    settings = GcsSettings.live_lan().scaled(factor)
-    return config.apply_plant_settings(settings)
+    return GcsSettings.live_lan().scaled(factor)
 
 
 def _assemble(

@@ -314,7 +314,7 @@ def run_schedule(
         units=vod_units(config),
         replication=config.n_servers,
         policy=config.build_policy(),
-        settings=config.apply_plant_settings(GcsSettings()),
+        settings=GcsSettings(),
         seed=seed,
     )
     config.plant_bugs(cluster)

@@ -2,9 +2,8 @@
 
 A :class:`GcsDaemon` combines
 
-* a failure detector — the all-pairs heartbeat mesh or the SWIM gossip
-  detector (:data:`DETECTORS`, keyed by ``settings.membership_mode``),
-  spoken to only through :class:`~repro.gcs.detector.Detector`,
+* the all-pairs heartbeat failure detector
+  (:class:`~repro.gcs.failure_detector.FailureDetector`),
 * the membership engine (view formation with flush),
 * the sequencer-based total order of its current configuration, and
 * the named-group layer (replicated group map, derived group views,
@@ -19,9 +18,8 @@ delivered messages, group views and configuration changes
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
-from repro.gcs.detector import Detector, DetectorHost
 from repro.gcs.failure_detector import FailureDetector
 from repro.gcs.groups import GroupMap, MEMBERSHIP_GROUP
 from repro.gcs.membership import MembershipEngine
@@ -44,7 +42,6 @@ from repro.gcs.messages import (
 from repro.gcs.ordering import DuplicateFilter, HoldbackBuffer, PendingRequests
 from repro.gcs.settings import GcsSettings
 from repro.gcs.spec import SpecMonitor
-from repro.gcs.swim import SwimDetector
 from repro.gcs.view import Configuration, GroupView, ViewId
 from repro.sim.engine import Event
 from repro.sim.network import Message, Network
@@ -56,13 +53,6 @@ from repro.sim.topology import NodeId
 # repair, DESIGN.md §6 hazard 9); with independent loss p per link the
 # tail stays unrepaired with probability p ** (_TAIL_REPEATS + 1)
 _TAIL_REPEATS = 3
-
-#: ``settings.membership_mode`` -> the failure detector a daemon runs
-DETECTORS: dict[str, Callable[[DetectorHost], Detector]] = {
-    "heartbeat": FailureDetector,
-    "gossip": SwimDetector,
-}
-
 
 class GcsDaemon(Process):
     """A group-communication daemon (one per server machine).
@@ -99,13 +89,7 @@ class GcsDaemon(Process):
         self.app = app
         self.settings = settings or GcsSettings()
         self.monitor = monitor
-        mode = self.settings.membership_mode
-        if mode not in DETECTORS:
-            raise ValueError(
-                f"unknown membership_mode {mode!r}"
-                f" (expected one of {sorted(DETECTORS)})"
-            )
-        self.fd: Detector = DETECTORS[mode](self)
+        self.fd = FailureDetector(self)
         self.membership = MembershipEngine(self)
         # The fields below survive a crash (DESIGN §6, "What a recovered
         # daemon keeps"); what a crash erases is built by _reset_volatile.
@@ -190,9 +174,6 @@ class GcsDaemon(Process):
             label=f"hb:{self.node_id}",
             first_delay=first_delay,
         )
-        # after the tick is armed: timer sequence numbers are allocated in
-        # call order, and the trace digests pin them
-        self.fd.start(first_delay)
 
     def _tick(self) -> None:
         self._next_tick = self.sim.now + self.settings.heartbeat_interval
@@ -231,7 +212,7 @@ class GcsDaemon(Process):
             self._deadline_timer = None
 
     # ------------------------------------------------------------------
-    # what the failure detector may use of us (gcs.detector.DetectorHost)
+    # what the failure detector may use of us (failure_detector.DetectorHost)
     # ------------------------------------------------------------------
     def now(self) -> float:
         return self.sim.now
@@ -825,8 +806,8 @@ class GcsDaemon(Process):
     def on_message(self, message: Message) -> None:
         payload = message.payload
         if self.fd.on_message(payload, message.sender):
-            # liveness vocabulary: each message reports its author's
-            # delivery point (compared with the view id at the tick)
+            # a heartbeat: it reports its author's delivery point
+            # (compared with the view id at the tick)
             if payload.sender in self.config:
                 self._reports[payload.sender] = (
                     payload.config_view_id,

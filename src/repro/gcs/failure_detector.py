@@ -10,6 +10,9 @@ heals, which is how components discover each other and merge.
 
 Incarnation numbers ride on heartbeats so a restarted peer is recognized as
 a membership change even if it restarted faster than the suspect timeout.
+
+The detector touches its daemon only through :class:`DetectorHost`, so a
+test can drive it on a fake host.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Protocol
 
-from repro.gcs.detector import DetectorHost
 from repro.gcs.messages import Heartbeat
+from repro.gcs.settings import GcsSettings
 from repro.gcs.view import ViewId
 from repro.sim.topology import NodeId
 
@@ -29,6 +32,39 @@ from repro.sim.topology import NodeId
 #: sender's view id and incarnation, which the divergence and restart
 #: detectors need.
 HEARTBEAT_REFRESH_FACTOR = 4
+
+
+class DetectorHost(Protocol):
+    """What the detector may use of the daemon that runs it."""
+
+    node_id: NodeId
+    #: every daemon id that may ever exist (the heartbeat targets); the
+    #: daemon appends to it when a server is spawned
+    world: list[NodeId]
+    settings: GcsSettings
+
+    def now(self) -> float:
+        """The protocol clock."""
+
+    def liveness_header(self) -> tuple[int, int, ViewId, int]:
+        """``(incarnation, view_counter, config_view_id, delivered_upto)``:
+        what every heartbeat reports about this daemon.  The detector only
+        carries ``delivered_upto`` (how much of its configuration's total
+        order the daemon has delivered); the daemon reads it off its
+        peers' heartbeats."""
+
+    def send_protocol(
+        self, dest: NodeId, payload: Any, kind: str, size: int = 1
+    ) -> None:
+        """Send one protocol message."""
+
+    def quiet_since(self, peer: NodeId) -> float:
+        """When this daemon last sent ``peer`` anything at all (``-inf``:
+        never) — traffic newer than a heartbeat interval stands in for a
+        heartbeat (piggybacking)."""
+
+    def on_detector_change(self) -> None:
+        """The estimate (or a member's incarnation) changed."""
 
 
 @dataclass
@@ -67,9 +103,6 @@ class FailureDetector:
         self.full_scans = 0
         self.reset()
 
-    def start(self, first_delay: float | None) -> None:
-        """Nothing to arm: heartbeats ride the host's tick."""
-
     def on_tick(self) -> None:
         self._broadcast_heartbeat(force=False)
 
@@ -107,6 +140,8 @@ class FailureDetector:
             host.send_protocol(peer, heartbeat, "gcs.heartbeat")
 
     def on_message(self, payload: Any, sender: NodeId) -> bool:
+        """Offered every received payload before the daemon dispatches it;
+        True when it was a heartbeat and is consumed."""
         if isinstance(payload, Heartbeat):
             self.on_heartbeat(payload)
             return True
@@ -259,4 +294,4 @@ class FailureDetector:
         return divergent
 
 
-__all__ = ["HEARTBEAT_REFRESH_FACTOR", "FailureDetector"]
+__all__ = ["HEARTBEAT_REFRESH_FACTOR", "DetectorHost", "FailureDetector"]

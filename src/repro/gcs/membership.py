@@ -301,11 +301,11 @@ class MembershipEngine:
         self.forming = False
         self._install_deadline = math.inf
         # A wait for a coordinator begun before this install (the estimate
-        # changed while we were forming) is answered or obsolete: end it,
-        # and compare the estimate with the view just installed instead.
+        # changed while we were forming) is answered or obsolete: left
+        # standing, it would declare the coordinator of this very view
+        # silent ``install_timeout`` from now.
         self._awaited = None
         self.daemon.apply_install(install)
-        self.reconfigure()
 
     def _on_install_timeout(self) -> None:
         """The coordinator we synced with went silent: resume and retry."""

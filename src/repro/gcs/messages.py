@@ -13,13 +13,7 @@ from repro.gcs.view import ViewId
 from repro.sim.topology import NodeId
 from repro.wiretypes import wire
 
-#: packed layouts shared by the liveness probes and by both multicast requests;
-#: the liveness header is the :meth:`~repro.gcs.detector.DetectorHost.liveness_header`
-#: of its sender, so every liveness message reports the sender's delivery point
-_LIVENESS = (
-    "sender:str8 incarnation:u32 view_counter:u32 delivered_upto:u32"
-    " config_view_id:value"
-)
+#: packed layout shared by both multicast requests
 _MCAST = "group:str8 request_id:value payload:value"
 
 
@@ -50,113 +44,24 @@ class RequestId:  # repro-lint: allow(P201) — id helper carried inside payload
 # ---------------------------------------------------------------------------
 
 
-@wire(4, 15, _LIVENESS)
+@wire(
+    4,
+    15,
+    "sender:str8 incarnation:u32 view_counter:u32 delivered_upto:u32 config_view_id:value",
+)
 @dataclass(frozen=True, slots=True)
 class Heartbeat:
+    """The failure detector's liveness message: its fields are the
+    :meth:`~repro.gcs.failure_detector.DetectorHost.liveness_header` of the
+    sender, so every heartbeat reports the sender's delivery point."""
+
     sender: NodeId
     incarnation: int
     view_counter: int
     config_view_id: ViewId | None = None
-    #: how many messages of ``config_view_id`` the sender has delivered (the
-    #: last field of every liveness message; see ``GcsDaemon._stable_point``)
+    #: how many messages of ``config_view_id`` the sender has delivered
+    #: (see ``GcsDaemon._stable_point``)
     delivered_upto: int = 0
-
-
-# ---------------------------------------------------------------------------
-# SWIM gossip failure detection (membership_mode="gossip"; see gcs/swim.py)
-# ---------------------------------------------------------------------------
-
-
-@wire(37, 23, "subject:str8 status:u8 incarnation:u32 epoch:u32")
-@dataclass(frozen=True, slots=True)
-class SwimUpdate:  # repro-lint: allow(P201) — carried inside swim payloads, not dispatched
-    """One piggybacked membership observation: ``subject`` is in ``status``
-    at ordering point ``(incarnation, epoch)``.
-
-    ``incarnation`` is the subject's process incarnation (bumped by the
-    runtime on restart); ``epoch`` is the subject's refutation counter
-    within that incarnation.  Observations are ordered lexicographically by
-    ``(incarnation, epoch)``; at an equal point a stronger status wins
-    (dead > suspect > alive), which is what makes dissemination monotone.
-    """
-
-    subject: NodeId
-    status: int  # 0 = alive, 1 = suspect, 2 = dead (gcs/swim.py constants)
-    incarnation: int
-    epoch: int
-
-
-@wire(38, 24, _LIVENESS + " probe_seq:u32 origin:value updates:tuple16")
-@dataclass(frozen=True, slots=True)
-class SwimPing:
-    """Direct (``origin=None``) or relayed probe of the receiver.
-
-    A helper relaying an indirect probe stamps ``origin`` with the
-    requesting prober so the target's ack can find its way back.
-    ``updates`` piggybacks pending gossip."""
-
-    sender: NodeId
-    incarnation: int
-    view_counter: int
-    config_view_id: ViewId | None
-    probe_seq: int
-    origin: NodeId | None
-    updates: tuple[SwimUpdate, ...] = ()
-    delivered_upto: int = 0
-
-
-@wire(39, 25, _LIVENESS + " probe_seq:u32 origin:value updates:tuple16")
-@dataclass(frozen=True, slots=True)
-class SwimAck:
-    """Probe response.  ``origin`` echoes the ping's origin: a helper
-    receiving an ack destined for another prober forwards it verbatim."""
-
-    sender: NodeId
-    incarnation: int
-    view_counter: int
-    config_view_id: ViewId | None
-    probe_seq: int
-    origin: NodeId | None
-    updates: tuple[SwimUpdate, ...] = ()
-    delivered_upto: int = 0
-
-
-@wire(40, 26, _LIVENESS + " target:str8 probe_seq:u32 updates:tuple16")
-@dataclass(frozen=True, slots=True)
-class SwimPingReq:
-    """Prober -> helper: ping ``target`` on my behalf (indirect probe after
-    the direct ping timed out; ``probe_seq`` is the prober's sequence)."""
-
-    sender: NodeId
-    incarnation: int
-    view_counter: int
-    config_view_id: ViewId | None
-    target: NodeId
-    probe_seq: int
-    updates: tuple[SwimUpdate, ...] = ()
-    delivered_upto: int = 0
-
-
-@wire(41, 27, _LIVENESS + " entries:tuple16 reply_requested:bool8")
-@dataclass(frozen=True, slots=True)
-class SwimDigest:
-    """Anti-entropy: the sender's full membership table.  The receiver
-    merges it under the update ordering and, when ``reply_requested``,
-    answers with its own digest (push-pull), which is what re-converges
-    views after a partition heals."""
-
-    sender: NodeId
-    incarnation: int
-    view_counter: int
-    config_view_id: ViewId | None
-    entries: tuple[SwimUpdate, ...]
-    reply_requested: bool = False
-    delivered_upto: int = 0
-
-
-#: the wire vocabulary of the failure detectors: what a daemon's detector
-#: consumes, and so what a node must stop hearing to stop believing in a peer
-LIVENESS_MESSAGES = (Heartbeat, SwimPing, SwimAck, SwimPingReq, SwimDigest)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +250,6 @@ class ClientAck:
 
 
 __all__ = [
-    "LIVENESS_MESSAGES",
     "NackSeqs",
     "PtpData",
     "AttemptId",
@@ -360,11 +264,6 @@ __all__ = [
     "ResyncRequired",
     "Sequenced",
     "SequencedBatch",
-    "SwimAck",
-    "SwimDigest",
-    "SwimPing",
-    "SwimPingReq",
-    "SwimUpdate",
     "SyncReply",
 ]
 

@@ -15,9 +15,6 @@ DURATION_FIELDS = (
     "install_timeout",
     "client_ack_timeout",
     "batch_window",
-    "probe_interval",
-    "probe_timeout",
-    "anti_entropy_interval",
 )
 
 
@@ -74,18 +71,6 @@ class GcsSettings:
             only while a member is not reporting; a peer lagging further
             than this can no longer be repaired in place and is resynced
             via a view change.
-        membership_mode: failure-detection protocol — ``"heartbeat"`` is
-            the all-pairs mesh above, ``"gossip"`` the SWIM detector in
-            ``gcs/swim.py`` (constant per-node probe work, epidemic
-            dissemination; see DESIGN.md §14).  Everything above the
-            detector interface is identical in both modes.
-        probe_interval: period of one SWIM probe round (gossip mode only).
-        probe_timeout: how long a prober waits for a direct ack before
-            asking ``swim.SWIM_FANOUT`` helpers to probe the target
-            indirectly; must be well under ``probe_interval``.
-        anti_entropy_interval: period of the push-pull full-digest
-            exchange with one random peer (bounds convergence time after
-            partitions heal and for updates that missed the piggyback).
     """
 
     heartbeat_interval: float = 0.1
@@ -99,10 +84,6 @@ class GcsSettings:
     batch_max: int = 32
     piggyback_liveness: bool = True
     holdback_keep: int = 4096
-    membership_mode: str = "heartbeat"
-    probe_interval: float = 0.1
-    probe_timeout: float = 0.04
-    anti_entropy_interval: float = 1.0
 
     @classmethod
     def live_lan(cls) -> "GcsSettings":
@@ -117,14 +98,6 @@ class GcsSettings:
         node-kill into a sub-100ms takeover instead of a sub-second one.
         ``suspect_timeout`` stays a few heartbeat intervals to ride out
         scheduler jitter, same rule as the default profile.
-
-        The SWIM knobs are deliberately *less* aggressive than the mesh
-        heartbeat: mesh liveness accepts any heartbeat within the
-        suspicion window, but a SWIM probe demands one specific
-        ping->ack round trip inside ``probe_timeout`` — on a loaded
-        event loop a few milliseconds of scheduling jitter would
-        manufacture suspicions (and under churn, view resyncs) that the
-        network never caused.
         """
         return cls(
             heartbeat_interval=0.008,
@@ -134,9 +107,6 @@ class GcsSettings:
             client_ack_timeout=0.04,
             batch_window=0.001,
             batch_max=64,
-            probe_interval=0.04,
-            probe_timeout=0.02,
-            anti_entropy_interval=0.2,
         )
 
     def scaled(self, factor: float) -> "GcsSettings":

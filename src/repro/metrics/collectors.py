@@ -33,16 +33,15 @@ def rate_per_second(count: int, duration: float) -> float:
     return count / duration
 
 
-#: Message kinds that exist purely to establish liveness/membership —
-#: mesh heartbeats and the whole SWIM probe/gossip vocabulary.  Everything
-#: else (ordering, view formation, application payloads) is data traffic.
+#: Message kinds that exist purely to establish liveness/membership: the
+#: heartbeats.  Everything else (ordering, view formation, application
+#: payloads) is data traffic.
 _LIVENESS_KINDS = frozenset({"gcs.heartbeat"})
-_LIVENESS_PREFIX = "swim."
 
 
 def is_liveness_kind(kind: str) -> bool:
     """True for message kinds carrying only liveness/membership signal."""
-    return kind in _LIVENESS_KINDS or kind.startswith(_LIVENESS_PREFIX)
+    return kind in _LIVENESS_KINDS
 
 
 def split_liveness(per_kind: dict) -> tuple[int, int]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, cast
 
@@ -73,21 +73,12 @@ class LiveClusterOptions:
 
 
 def resolve_profile(name: str) -> GcsSettings:
-    """Map a profile name to its :class:`GcsSettings` preset.  The
-    ``*_gossip`` variants run the same timings with the SWIM gossip
-    detector instead of the heartbeat mesh."""
+    """Map a profile name to its :class:`GcsSettings` preset."""
     if name == "default":
         return GcsSettings()
     if name == "live_lan":
         return GcsSettings.live_lan()
-    if name == "gossip":
-        return replace(GcsSettings(), membership_mode="gossip")
-    if name == "live_lan_gossip":
-        return replace(GcsSettings.live_lan(), membership_mode="gossip")
-    raise ValueError(
-        f"unknown settings profile {name!r}"
-        " (default, live_lan, gossip, live_lan_gossip)"
-    )
+    raise ValueError(f"unknown settings profile {name!r} (default, live_lan)")
 
 
 @dataclass(slots=True)
@@ -367,7 +358,7 @@ def _dump_stats(path: str | None, cluster: ServiceCluster) -> None:
     """Write every transport's full per-peer snapshot as one JSON file.
 
     Each node also reports its outgoing traffic split into liveness
-    (heartbeats / SWIM probes) and data, in real encoded bytes and
+    (heartbeats) and data, in real encoded bytes and
     frames — the number an operator watches to judge membership overhead
     at a given cluster size — and each server its holdback retention
     (``GcsDaemon.holdback_stats``)."""

@@ -66,8 +66,15 @@ from repro.wiretypes import DECLARED, wire
 #: version 5 added the sender's ``delivered_upto`` to the header of the
 #: five liveness messages (a ``u32`` packed, the holdback's stable point).
 #: A peer on another version would misread those frames, so the version
-#: byte makes the incompatibility explicit instead.
+#: byte makes the incompatibility explicit instead.  Still at version 5,
+#: the SWIM detector was removed with its five messages: their type ids
+#: (:data:`RETIRED_TYPE_IDS`) and packed tags 23..27 are retired, every
+#: other frame kept its bytes, and the next type added bumps the version.
 WIRE_VERSION = 5
+
+#: Type ids of removed wire types, never handed out again (a frame that
+#: carries one is refused): 37..41 were the SWIM detector's messages.
+RETIRED_TYPE_IDS = range(37, 42)
 
 #: Upper bound on one frame's body (a propagation snapshot of a pathological
 #: session state should still fit; anything larger is a protocol bug).
@@ -427,8 +434,8 @@ def register(cls: type, tag: int | None = None, layout: str | None = None) -> ty
     """Assign ``cls`` the next wire type id.
 
     The ``@wire`` declarations hold ids 0..n-1 from this module's import
-    on, so a call from a module above the codec gets the id after them,
-    the same in every process that makes the same calls in the same
+    on, so a call from a module above the codec gets the first id after
+    them that is not retired (:data:`RETIRED_TYPE_IDS`), the same in every process that makes the same calls in the same
     order.  ``tag`` and ``layout`` (both or neither) declare a
     packed byte form under a value tag of its own: ``layout`` lists every
     field once, in wire order, as ``field:kind`` with the kinds of
@@ -445,7 +452,7 @@ def register(cls: type, tag: int | None = None, layout: str | None = None) -> ty
         _DECODERS[tag] = _compile_on_first_call(
             _DECODERS, tag, lambda: _compile_decoder(cls, packed=True)
         )
-    type_id = _TYPE_IDS[cls] = len(_TYPES)
+    type_id = _TYPE_IDS[cls] = _next_type_id()
     _TYPES.append(cls)
     _GENERIC_DECODERS.append(
         _compile_on_first_call(
@@ -453,6 +460,19 @@ def register(cls: type, tag: int | None = None, layout: str | None = None) -> ty
         )
     )
     return cls
+
+
+def _next_type_id() -> int:
+    """The lowest type id neither registered nor retired; a retired id on
+    the way gets a decoder that refuses it."""
+    while len(_GENERIC_DECODERS) in RETIRED_TYPE_IDS:
+        _GENERIC_DECODERS.append(_dec_retired)
+    return len(_GENERIC_DECODERS)
+
+
+def _dec_retired(buf: bytes, off: int, count: int) -> tuple[Any, int]:
+    type_id = _DATACLASS_HEADER.unpack_from(buf, off - 3)[0]
+    raise UnknownTypeError(f"retired wire type id {type_id}")
 
 
 def registered_types() -> tuple[type, ...]:
@@ -859,13 +879,17 @@ import repro.services  # noqa: E402,F401
 
 
 def _register_declared() -> None:
-    """Register the ``@wire`` declarations in id order: 0, 1, 2, ..."""
+    """Register the ``@wire`` declarations in id order: 0, 1, 2, ...
+    (past the retired ids)."""
     for cls, type_id, tag, layout in sorted(DECLARED, key=lambda declared: declared[1]):
-        if type_id != len(_TYPES):
-            taken = 0 <= type_id < len(_TYPES)
-            problem = f"is also declared by {_TYPES[type_id].__name__}" if taken else "leaves a gap"
+        expected = _next_type_id()
+        if type_id != expected:
+            owners = {i: c.__name__ for c, i in _TYPE_IDS.items()}
+            taken = f"is also declared by {owners[type_id]}" if type_id in owners else "is retired"
+            problem = taken if type_id < expected else "leaves a gap"
             raise CodecError(f"{cls.__name__}: wire type id {type_id} {problem}")
         register(cls, tag, layout)
+    _next_type_id()  # and refuse the retired ids after the last declaration
 
 
 _register_declared()
@@ -874,6 +898,7 @@ _register_declared()
 __all__ = [
     "LAYOUT_KINDS",
     "MAX_FRAME",
+    "RETIRED_TYPE_IDS",
     "WIRE_VERSION",
     "CodecError",
     "FrameDecoder",

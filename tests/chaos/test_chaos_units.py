@@ -48,6 +48,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="meteor_rate"):
             ChaosConfig.from_json(data)
 
+    def test_from_json_drops_the_retired_heartbeat_membership(self):
+        # what every artifact recorded beside the SWIM detector carries
+        data = {**ChaosConfig(n_servers=5).to_json(), "membership": "heartbeat"}
+        assert ChaosConfig.from_json(data) == ChaosConfig(n_servers=5)
+
+    @pytest.mark.parametrize("membership", ["gossip", "carrier-pigeon"])
+    def test_from_json_refuses_any_other_membership(self, membership):
+        data = {**ChaosConfig().to_json(), "membership": membership}
+        with pytest.raises(ValueError, match=f"membership '{membership}'.*SWIM gossip"):
+            ChaosConfig.from_json(data)
+
     def test_plant_disables_handoff_timeout(self):
         normal = ChaosConfig().build_policy()
         planted = ChaosConfig(plant="handoff-stall").build_policy()

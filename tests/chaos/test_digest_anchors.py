@@ -20,12 +20,12 @@ same simulation" is these numbers, not only the hash.
 The propagation counts were recorded when each propagation began to ship
 whichever form the codec prices smaller.  The digests did not move (the
 trace records that a propagation was multicast, not its form); before,
-the same runs sent 144/144/135/134/252/254/17 deltas, 52 560/52 560/
-45 317/45 509/66 066/59 150/4 952 bytes, and the ``plant`` runs counted
-25 (gossip) and 4 (heartbeat) delta gaps.
+the six runs then pinned (the three below under each of two failure
+detectors) and the WAN run sent 144/144/135/134/252/254/17 deltas,
+52 560/52 560/45 317/45 509/66 066/59 150/4 952 bytes, and the ``plant``
+runs counted 25 (gossip) and 4 (heartbeat) delta gaps.
 
-The liveness census (``_LIVENESS``) counts where the heartbeat runs'
-heartbeats go; it explains why heartbeats are half of every chaos seed's
+The liveness census (``_LIVENESS``) counts where the runs' heartbeats go; it explains why heartbeats are half of every chaos seed's
 sends (ROADMAP item 19).
 
 The retained holdback entries (the last count) were added when the
@@ -34,12 +34,12 @@ than 4096 messages back.  No digest or other count moved; the same runs
 used to end holding 561/561/285/285/326/437 entries (in the order above)
 and the WAN run 48.
 
-The gossip ``mixed``/``plant`` pair moved when a participant's wait for a
-coordinator began ending at the next install (ROADMAP 2(e)/2(f)); the
-heartbeat runs and the WAN run did not.
+These runs used to be pinned under each of two failure detectors; the
+SWIM gossip detector's three were removed with it.  Ending a wait for a
+coordinator at the next install (ROADMAP 2(e)/2(f)) moved none of the
+runs here.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -62,38 +62,29 @@ _PLANTED = ChaosConfig(
 )
 
 _ANCHORS = {
-    ("empty", "heartbeat"): "9c2636d6a046ca70d2869d4a5f9cdd98d386eb9643bec7f4e706996811b8d55b",
-    ("empty", "gossip"): "20f9d1fd2c2896031506ccc449bbd1c50151898bc573304a7518ae4022bbc555",
-    ("mixed", "heartbeat"): "67a712360adaec31afb6e7a7b23ce7a411f3eb2a4fed65bce54d637567314b7c",
-    ("mixed", "gossip"): "58dbd0dbad85ca4a5f8163ac8e1087f688c3d7be0123d619d950ac8142d47327",
-    ("plant", "heartbeat"): "11a8b48f884938e49a61307dc72c0879b78318667ac8165f1d91b604123443ad",
-    ("plant", "gossip"): "81be7e73a01018e019ac669e47f46c315f795c328c7afda337a9c7aee192411b",
+    "empty": "9c2636d6a046ca70d2869d4a5f9cdd98d386eb9643bec7f4e706996811b8d55b",
+    "mixed": "67a712360adaec31afb6e7a7b23ce7a411f3eb2a4fed65bce54d637567314b7c",
+    "plant": "11a8b48f884938e49a61307dc72c0879b78318667ac8165f1d91b604123443ad",
 }
 
 #: (sim.executed_events, network.total_sent, network.total_dropped,
 #: len(trace_log()), holdback entries the servers retain at the end) of
 #: each anchored run
 _COUNTS = {
-    ("empty", "heartbeat"): (3455, 2139, 0, 2150, 6),
-    ("empty", "gossip"): (5604, 2828, 0, 2842, 5),
-    ("mixed", "heartbeat"): (3196, 1946, 54, 2016, 6),
-    ("mixed", "gossip"): (5090, 2546, 43, 2627, 6),
-    ("plant", "heartbeat"): (5504, 3616, 168, 3674, 6),
-    ("plant", "gossip"): (7567, 3803, 134, 3891, 11),
+    "empty": (3455, 2139, 0, 2150, 6),
+    "mixed": (3196, 1946, 54, 2016, 6),
+    "plant": (5504, 3616, 168, 3674, 6),
 }
 
 #: (propagations_sent, propagations_delta, propagation_delta_gaps,
 #: propagation_bytes_processed) summed over the servers of each anchored run
 _PROPAGATION = {
-    ("empty", "heartbeat"): (166, 0, 0, 47808),
-    ("empty", "gossip"): (166, 0, 0, 47808),
-    ("mixed", "heartbeat"): (161, 0, 0, 41472),
-    ("mixed", "gossip"): (160, 0, 0, 41088),
-    ("plant", "heartbeat"): (294, 3, 0, 54336),
-    ("plant", "gossip"): (300, 3, 0, 62784),
+    "empty": (166, 0, 0, 47808),
+    "mixed": (161, 0, 0, 41472),
+    "plant": (294, 3, 0, 54336),
 }
 
-#: the liveness census of the heartbeat runs: (heartbeats sent, heartbeats
+#: the liveness census: (heartbeats sent, heartbeats
 #: per daemon per simulated second, heartbeats on an idle link — to a peer
 #: the sender had sent no other frame within the previous heartbeat
 #: interval, so no piggybacked header could have stood in for them)
@@ -115,9 +106,8 @@ _RUNS = {
 }
 
 
-def _run(run: str, membership: str):
+def _run(run: str):
     config, seed, gen_seed = _RUNS[run]
-    config = dataclasses.replace(config, membership=membership)
     schedule = FaultSchedule(events=[])
     if gen_seed is not None:
         schedule = generate_schedule(
@@ -148,12 +138,12 @@ def _propagation(cluster):
     return tuple(sum(s.counters[key] for s in servers) for key in keys)
 
 
-@pytest.mark.parametrize("run,membership", sorted(_ANCHORS))
-def test_trace_digest_anchor(run, membership):
-    result, observation = _run(run, membership)
-    assert result.digest == _ANCHORS[(run, membership)]
-    assert _counts(observation.cluster) == _COUNTS[(run, membership)]
-    assert _propagation(observation.cluster) == _PROPAGATION[(run, membership)]
+@pytest.mark.parametrize("run", sorted(_ANCHORS))
+def test_trace_digest_anchor(run):
+    result, observation = _run(run)
+    assert result.digest == _ANCHORS[run]
+    assert _counts(observation.cluster) == _COUNTS[run]
+    assert _propagation(observation.cluster) == _PROPAGATION[run]
     # the planted bug is found (convergence: the healed sides never
     # re-merge), the unplanted runs are clean
     assert len(result.violations) == (6 if run == "plant" else 0)
@@ -172,7 +162,7 @@ def test_liveness_census(run, monkeypatch):
         account(self, key, kind, size, now)
 
     monkeypatch.setattr(Network, "_account_send", recording)
-    _, observation = _run(run, "heartbeat")
+    _, observation = _run(run)
     cluster = observation.cluster
     interval = cluster.settings.heartbeat_interval
     last_other: dict = {}

@@ -1,5 +1,6 @@
 """Membership tests: bootstrap, crash, recovery, partitions, merges."""
 
+from repro.chaos.config import AmnesiacDetector
 from tests.gcs.conftest import GcsWorld
 
 
@@ -88,6 +89,23 @@ def test_merge_after_partition_heals(world5):
     world5.settle()
     world5.assert_single_view(expected_members={f"s{i}" for i in range(5)})
     world5.check_spec()
+
+
+def test_amnesia_plant_prevents_remerge():
+    """Under the partition-amnesia chaos plant, a wrapper in front of each
+    daemon's detector, the healed components keep distrusting each
+    other: heartbeats from evicted members are swallowed."""
+    world = GcsWorld(5)
+    for daemon in world.daemons.values():
+        daemon.fd = AmnesiacDetector(daemon)
+    world.settle()
+    world.network.topology.partition({"s0", "s1"}, {"s2", "s3", "s4"})
+    world.settle()
+    world.network.topology.heal_partition()
+    world.run(6.0)
+    views = {d.config.members for d in world.daemons.values()}
+    assert views == {("s0", "s1"), ("s2", "s3", "s4")}
+    assert world.trace.count("gcs.evicted_liveness_ignored") > 0
 
 
 def test_view_ids_strictly_increase_at_each_daemon(world5):

@@ -1,18 +1,16 @@
 """Holdback retention: a daemon keeps a sequenced message only while a
 member of its configuration can still ask for it.
 
-Every liveness message reports its sender's ``delivered_upto``; at each
+Every heartbeat reports its sender's ``delivered_upto``; at each
 tick a daemon prunes its holdback below the least report of the current
 configuration (the stable point), never past its own delivery point or
 its highest entry, and never keeping more than ``holdback_keep``
-delivered messages.  These tests pin the bound in steady state (both
-failure detectors), the sync reply it shrinks, the lagging member that
+delivered messages.  These tests pin the bound in steady state, the sync
+reply it shrinks, the lagging member that
 holds it, and the reports it must ignore.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.gcs.failure_detector import HEARTBEAT_REFRESH_FACTOR
 from repro.gcs.messages import (
@@ -34,8 +32,8 @@ N_MCASTS = 2000
 PER_STEP, STEP = 2, 0.01  # 200 multicasts/s, spread over the three daemons
 
 
-def _joined_world(mode: str = "heartbeat") -> GcsWorld:
-    world = GcsWorld(3, settings=GcsSettings(membership_mode=mode))
+def _joined_world() -> GcsWorld:
+    world = GcsWorld(3)
     world.settle()
     for node in world.daemon_ids:
         world.daemons[node].join("g")
@@ -55,16 +53,14 @@ def _bound(settings: GcsSettings) -> float:
     at most one heartbeat refresh old.  On a link busy with protocol
     traffic the refresh heartbeat goes out on the tick after the refresh
     period has passed (the tick clock accumulates float error, so the
-    fourth tick falls a hair short of 0.4 s) — five intervals by default.
-    SWIM probes every member within that."""
+    fourth tick falls a hair short of 0.4 s) — five intervals by default."""
     interval = settings.heartbeat_interval
     refresh = (HEARTBEAT_REFRESH_FACTOR + 1) * interval
     return (PER_STEP / STEP) * refresh
 
 
-@pytest.mark.parametrize("mode", ["heartbeat", "gossip"])
-def test_steady_state_retention_is_what_the_reports_lag(mode):
-    world = _joined_world(mode)
+def test_steady_state_retention_is_what_the_reports_lag():
+    world = _joined_world()
     for daemon in world.daemons.values():
         daemon.holdback_retained_max = 0
     _load(world)

@@ -189,7 +189,7 @@ class TestSettingsScaling:
 
     def test_scaled_multiplies_durations_and_keeps_the_rest(self):
         base = dataclasses.replace(
-            GcsSettings.live_lan(), membership_mode="gossip", holdback_keep=7
+            GcsSettings.live_lan(), piggyback_liveness=False, holdback_keep=7
         )
         scaled = base.scaled(2.5)
         for f in dataclasses.fields(GcsSettings):

@@ -22,7 +22,6 @@ from repro.gcs.client_api import GcsClient
 from repro.gcs.daemon import GcsDaemon
 from repro.gcs.failure_detector import FailureDetector
 from repro.gcs.membership import MembershipEngine
-from repro.gcs.swim import SwimDetector
 
 WIRING = "fixed at construction: identity, collaborators or settings"
 COUNTER = "observability counter, kept for the process's lifetime"
@@ -73,31 +72,6 @@ CENSUS = {
             " which must outrank every view seen",
             "idle_checks": COUNTER,
             "full_scans": COUNTER,
-        },
-    ),
-    SwimDetector: (
-        "reset",
-        {
-            "_host": WIRING,
-            "me": WIRING,
-            "settings": WIRING,
-            "_world": WIRING,
-            "_now": WIRING,
-            "_on_change": WIRING,
-            "_send": WIRING,
-            "_local_state": WIRING,
-            "_rng": "never reseeded: draw counts stay deterministic",
-            "_probe_seq": "probe numbering continues: a late ack from the"
-            " previous life must not match a new probe",
-            "_round": "the round clock paces rejoin probes deterministically",
-            "_ae_turn": "the anti-entropy turn clock, same reason",
-            "_next_anti_entropy": "re-timing it would shift the gossip digests",
-            "max_view_counter_seen": "feeds restart_as_singleton's counter,"
-            " which must outrank every view seen",
-            "suspicions_started": COUNTER,
-            "suspicions_refuted": COUNTER,
-            "refutations_sent": COUNTER,
-            "evictions": COUNTER,
         },
     ),
     GcsClient: (

@@ -2,12 +2,24 @@
 
 import pytest
 
+from repro.gcs.messages import Heartbeat
 from repro.net.codec import WIRE_VERSION, WireEnvelope, encode_frame
 
 
 def _frame(body: bytes) -> bytes:
     body = bytes([WIRE_VERSION]) + body
     return len(body).to_bytes(4, "big") + body
+
+
+def retired_type_frame(type_id: int) -> bytes:
+    """An envelope, in the generic form, whose payload names wire type
+    ``type_id`` — what a peer that still speaks a retired type sends."""
+    frame = bytearray(
+        encode_frame(WireEnvelope("s0", "s1", "k", 1, Heartbeat("s0", 1, 2)), fast=False)
+    )
+    at = frame.index(b"\x0d\x00\x04\x05")  # the heartbeat's header: id 4, 5 fields
+    frame[at + 1 : at + 3] = type_id.to_bytes(2, "big")
+    return bytes(frame)
 
 
 @pytest.fixture

@@ -30,8 +30,10 @@ from repro.gcs.messages import (
     SequencedBatch,
 )
 from repro.gcs.view import ViewId
+from repro.net import codec
 from repro.net.codec import (
     MAX_FRAME,
+    RETIRED_TYPE_IDS,
     WIRE_VERSION,
     CodecError,
     FrameDecoder,
@@ -48,6 +50,7 @@ from repro.net.codec import (
     registered_types,
     split_frames,
 )
+from tests.net.conftest import retired_type_frame
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -200,6 +203,22 @@ def test_unknown_type_id_rejected():
         decode_frame(frame)
 
 
+def test_retired_type_ids_are_refused_and_never_reused():
+    """The SWIM detector's five messages (ids 37..41) are gone: a frame
+    naming one is a ``CodecError``, and no class registered since holds
+    one of their ids."""
+    assert list(RETIRED_TYPE_IDS) == [37, 38, 39, 40, 41]
+    assert decode_frame(retired_type_frame(4)).payload == Heartbeat("s0", 1, 2)
+    for type_id in RETIRED_TYPE_IDS:
+        with pytest.raises(CodecError, match=f"retired wire type id {type_id}"):
+            decode_frame(retired_type_frame(type_id))
+    assert not set(RETIRED_TYPE_IDS) & set(codec._TYPE_IDS.values())
+    # a class registered from above the codec gets an id past them
+    from repro.experiments.common import LedgerState
+
+    assert codec._TYPE_IDS[LedgerState] > max(RETIRED_TYPE_IDS)
+
+
 def test_field_count_mismatch_rejected():
     # force the generic form: the fast envelope shell has no count byte
     frame = bytearray(encode_frame(WireEnvelope("a", "b", "k", 1, None), fast=False))
@@ -341,7 +360,7 @@ def test_one_register_call_is_all_an_outside_class_needs():
         frame = encode_frame(WireEnvelope("a", "b", "k", 1, outside), fast=fast)
         assert decode_frame(frame).payload == outside
     # no annotation to predict from: same bytes through the plain dispatch
-    header = bytes([13]) + registered_types().index(_Vague).to_bytes(2, "big") + bytes([2])
+    header = bytes([13]) + codec._TYPE_IDS[_Vague].to_bytes(2, "big") + bytes([2])
     assert encode_payload(_Vague(3, "x")) == header + encode_payload(3) + encode_payload("x")
     assert encode_payload(_Vague("x", 3)) == header + encode_payload("x") + encode_payload(3)
     assert decode_frame(encode_frame(_Vague("x", 3))) == _Vague("x", 3)

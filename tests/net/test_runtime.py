@@ -15,6 +15,7 @@ from repro.net.runtime import LiveNetwork, LiveRuntime
 from repro.net.transport import UdpLoopbackTransport
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceLog
+from tests.net.conftest import retired_type_frame
 
 
 def _run(coro):
@@ -566,6 +567,20 @@ def test_live_network_rejects_garbage_frames():
         assert network.frames_rejected == 2
 
     _run(scenario())
+
+
+def test_live_network_counts_a_retired_wire_type_and_runs_on():
+    """A peer that still speaks a retired type (a SWIM probe, id 37) is
+    refused like any malformed frame, and the next frame is delivered."""
+    sim = Simulator()
+    network = LiveNetwork(sim, types.SimpleNamespace(on_frame=None), trace=TraceLog())
+    delivered = []
+    network.attach("s1", delivered.append, lambda: True)
+    network._ingest(retired_type_frame(37))
+    network._ingest(encode_frame(WireEnvelope("s0", "s1", "k", 1, "still here")))
+    assert network.frames_rejected == 1
+    assert network.trace.count("live.frame_rejected") == 1
+    assert [message.payload for message in delivered] == ["still here"]
 
 
 def test_live_network_survives_hostile_frames(hostile_frames):

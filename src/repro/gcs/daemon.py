@@ -54,6 +54,7 @@ from repro.sim.topology import NodeId
 # tail stays unrepaired with probability p ** (_TAIL_REPEATS + 1)
 _TAIL_REPEATS = 3
 
+
 class GcsDaemon(Process):
     """A group-communication daemon (one per server machine).
 

@@ -435,11 +435,12 @@ def register(cls: type, tag: int | None = None, layout: str | None = None) -> ty
 
     The ``@wire`` declarations hold ids 0..n-1 from this module's import
     on, so a call from a module above the codec gets the first id after
-    them that is not retired (:data:`RETIRED_TYPE_IDS`), the same in every process that makes the same calls in the same
-    order.  ``tag`` and ``layout`` (both or neither) declare a
-    packed byte form under a value tag of its own: ``layout`` lists every
-    field once, in wire order, as ``field:kind`` with the kinds of
-    :data:`LAYOUT_KINDS`.  Coders are compiled when first used.
+    them that is not retired (:data:`RETIRED_TYPE_IDS`), the same in
+    every process that makes the same calls in the same order.  ``tag``
+    and ``layout`` (both or neither) declare a packed byte form under a
+    value tag of its own: ``layout`` lists every field once, in wire
+    order, as ``field:kind`` with the kinds of :data:`LAYOUT_KINDS`.
+    Coders are compiled when first used.
     """
     if not is_dataclass(cls):
         raise CodecError(f"{cls.__name__} is not a dataclass")
@@ -885,8 +886,12 @@ def _register_declared() -> None:
         expected = _next_type_id()
         if type_id != expected:
             owners = {i: c.__name__ for c, i in _TYPE_IDS.items()}
-            taken = f"is also declared by {owners[type_id]}" if type_id in owners else "is retired"
-            problem = taken if type_id < expected else "leaves a gap"
+            if type_id > expected:
+                problem = "leaves a gap"
+            elif type_id in owners:
+                problem = f"is also declared by {owners[type_id]}"
+            else:
+                problem = "is retired"
             raise CodecError(f"{cls.__name__}: wire type id {type_id} {problem}")
         register(cls, tag, layout)
     _next_type_id()  # and refuse the retired ids after the last declaration

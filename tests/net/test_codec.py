@@ -409,13 +409,14 @@ import repro.net.codec
     [
         ("5", "OrderRequest: wire type id 5 is also declared by Stray"),
         ("43", "Stray: wire type id 43 leaves a gap"),
+        ("37", "Stray: wire type id 37 is retired"),
         ('42, 15, "seq:u32"', "Stray: packed tag 15 is used twice"),
     ],
 )
 def test_a_bad_declaration_fails_the_codec_import(declaration, complaint):
     """Ids are explicit at the class, so the codec checks them as a whole
-    when it reads the declarations: a duplicate id, a gap or a reused
-    packed tag stops its import and names the class."""
+    when it reads the declarations: a duplicate id, a gap, a retired id or
+    a reused packed tag stops its import and names the class."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     script = _STRAY_DECLARATION_SCRIPT.format(declaration)
     result = subprocess.run(

@@ -53,14 +53,26 @@ class ExplorationReport:
     def artifacts(self) -> list[str]:
         return [it.artifact_path for it in self.iterations if it.artifact_path]
 
+    def clean_by_profile(self) -> dict[str, tuple[int, int]]:
+        """Per profile, in name order: (clean seeds, seeds run)."""
+        counts: dict[str, tuple[int, int]] = {}
+        for it in self.iterations:
+            clean, total = counts.get(it.profile, (0, 0))
+            counts[it.profile] = (clean + (not it.failed), total + 1)
+        return dict(sorted(counts.items()))
+
     def summary(self) -> str:
+        """One headline line, then per profile its clean and total seeds."""
         plant = f", plant {self.config.plant}" if self.config.plant else ""
-        return (
+        lines = [
             f"chaos: {len(self.iterations)} iteration(s), seed {self.root_seed}, "
             f"profile {self.config.profile}{plant} -> "
             f"{self.violations_found} violation(s), "
             f"{len(self.artifacts)} artifact(s)"
-        )
+        ]
+        for profile, (clean, total) in self.clean_by_profile().items():
+            lines.append(f"  {profile:<10} {clean:4d} of {total:4d} seeds clean")
+        return "\n".join(lines)
 
 
 def _run_seed(root_seed: int, index: int) -> int:

@@ -193,18 +193,8 @@ class ServiceClient:
     # GcsClientApplication callbacks
     # ------------------------------------------------------------------
     def on_ptp(self, sender: NodeId, payload: Any) -> None:
-        if isinstance(payload, UnitList):
-            self.catalog = dict(payload.units)
-        elif isinstance(payload, SessionStarted):
-            handle = self.sessions.get(payload.session_id)
-            if handle is not None and handle.started_at is None:
-                handle.started_at = self.sim.now
-                handle.primary_seen = payload.primary
-        elif isinstance(payload, SessionDenied):
-            handle = self.sessions.get(payload.session_id)
-            if handle is not None:
-                handle.denied_reason = payload.reason
-        elif isinstance(payload, ResponseMsg):
+        # responses first: nearly everything a client receives is one
+        if isinstance(payload, ResponseMsg):
             handle = self.sessions.get(payload.session_id)
             if handle is None:
                 return
@@ -223,6 +213,17 @@ class ServiceClient:
             )
             if len(handle.received) > self.response_log_cap:
                 del handle.received[: -self.response_log_cap]
+        elif isinstance(payload, UnitList):
+            self.catalog = dict(payload.units)
+        elif isinstance(payload, SessionStarted):
+            handle = self.sessions.get(payload.session_id)
+            if handle is not None and handle.started_at is None:
+                handle.started_at = self.sim.now
+                handle.primary_seen = payload.primary
+        elif isinstance(payload, SessionDenied):
+            handle = self.sessions.get(payload.session_id)
+            if handle is not None:
+                handle.denied_reason = payload.reason
 
     def on_send_failed(self, group: str, payload: Any) -> None:
         if isinstance(payload, (ContextUpdate, EndSession)):

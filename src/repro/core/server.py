@@ -283,12 +283,13 @@ class FrameworkServer:
     def on_group_message(
         self, group: str, origin: NodeId, payload: object, seq: int
     ) -> None:
-        if isinstance(payload, StartSession):
+        # propagations are most of what a content group delivers
+        if isinstance(payload, Propagate):
+            self._on_propagate(payload)
+        elif isinstance(payload, StartSession):
             self._on_start_session(payload)
         elif isinstance(payload, ContextUpdate):
             self._on_context_update(payload)
-        elif isinstance(payload, Propagate):
-            self._on_propagate(payload)
         elif isinstance(payload, EndSession):
             self._on_end_session(payload)
         elif isinstance(payload, SessionEnded):

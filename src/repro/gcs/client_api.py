@@ -124,13 +124,13 @@ class GcsClient(Process):
 
     def on_message(self, message: Message) -> None:
         payload = message.payload
-        if isinstance(payload, ClientAck):
+        if isinstance(payload, PtpData):  # responses: the common case
+            if self.app is not None:
+                self.app.on_ptp(message.sender, payload.payload)
+        elif isinstance(payload, ClientAck):
             entry = self._outstanding.pop(payload.request_id, None)
             if entry is not None and entry.timer is not None:
                 entry.timer.cancel()
-        elif isinstance(payload, PtpData):
-            if self.app is not None:
-                self.app.on_ptp(message.sender, payload.payload)
         else:  # pragma: no cover - defensive
             self.trace("client.unknown_payload", type=type(payload).__name__)
 

@@ -229,7 +229,7 @@ class GcsDaemon(Process):
     def send_protocol(
         self, dest: NodeId, payload: Any, kind: str, size: int = 1
     ) -> None:
-        self.send(dest, payload, kind=kind, size=size)
+        self.send(dest, payload, kind, size)
 
     def quiet_since(self, peer: NodeId) -> float:
         return self.network.last_sent_at(self.node_id, peer)
@@ -281,9 +281,8 @@ class GcsDaemon(Process):
         return self.group_map.view(group, self.config, self.holdback.delivered_upto)
 
     def members_of(self, group: str) -> frozenset[NodeId]:
-        return frozenset(
-            m for m in self.group_map.members(group) if m in self.config
-        )
+        members = self.group_map.members(group)
+        return members.intersection(self.config.members)
 
     # ------------------------------------------------------------------
     # submission / total order
@@ -313,8 +312,8 @@ class GcsDaemon(Process):
         """Requests can be lost when their order request or its sequencing
         raced a view change; retry ones that have been pending too long
         (the duplicate filter makes retries idempotent)."""
-        if self.membership.forming:
-            return
+        if self.membership.forming or not self.pending:
+            return  # idle: nothing of ours awaits sequencing
         threshold = self.sim.now - 2 * self.settings.suspect_timeout
         for request in self.pending.outstanding():
             if self._pending_since.get(request.request_id, 0.0) <= threshold:
@@ -426,7 +425,8 @@ class GcsDaemon(Process):
         )
 
     def _on_sequenced(self, sequenced: Sequenced) -> None:
-        if sequenced.config_view_id != self.config.view_id:
+        stamped, view_id = sequenced.config_view_id, self.config.view_id
+        if stamped is not view_id and stamped != view_id:
             return
         self.holdback.insert(sequenced)
         if not self.membership.forming:
@@ -436,14 +436,18 @@ class GcsDaemon(Process):
         """Unpack a batch into the holdback buffer.  Entries are filtered
         per message, so a batch whose window straddled a view change (or a
         duplicate retransmission) contributes only its live entries."""
-        live = tuple(
-            m for m in batch.messages if m.config_view_id == self.config.view_id
-        )
-        if not live:
-            return
-        self.holdback.insert_batch(
-            SequencedBatch(config_view_id=live[0].config_view_id, messages=live)
-        )
+        view_id = self.config.view_id
+        messages = batch.messages
+        for message in messages:
+            # identity first: in the simulator a batch of this view carries
+            # the ViewId object every member installed
+            stamped = message.config_view_id
+            if stamped is not view_id and stamped != view_id:
+                messages = tuple(m for m in messages if m.config_view_id == view_id)
+                if not messages:
+                    return
+                break
+        self.holdback.insert_batch(messages)
         if not self.membership.forming:
             self.flush_ready()
 
@@ -486,7 +490,9 @@ class GcsDaemon(Process):
             if member == self.node_id:
                 continue
             report = self._reports.get(member)
-            if report is None or report[0] != view_id:
+            if report is None:
+                return 0
+            if report[0] is not view_id and report[0] != view_id:
                 return 0
             if report[1] < stable:
                 stable = report[1]
@@ -496,7 +502,11 @@ class GcsDaemon(Process):
         """Lossy links can drop a Sequenced message, leaving a holdback
         gap that would otherwise stall delivery until the next view
         change; ask the sequencer to retransmit the missing range."""
-        if self.membership.forming or self.config.sequencer == self.node_id:
+        if (
+            self.membership.forming
+            or self.config.sequencer == self.node_id
+            or self.holdback.gapless()
+        ):
             return
         missing = self.holdback.missing_seqs()
         if missing:
@@ -577,35 +587,30 @@ class GcsDaemon(Process):
         if self.dup_filter.is_duplicate(request_id):
             self._settle_request(request_id)
             return
-        if request.group != MEMBERSHIP_GROUP:
-            members = [
-                m
-                for m in self.group_map.members(request.group)
-                if m in self.config
-            ]
-            if not members:
-                # Nobody can apply this message: treating it as delivered
-                # would silently lose it (and poison the duplicate filter
-                # across a later merge).  Leave it pending — the origin
-                # retransmits until the group has members again, or the
-                # client gives up visibly.
-                return
+        group = request.group
+        members = self.group_map.members(group)
+        if group != MEMBERSHIP_GROUP and members.isdisjoint(self.config.members):
+            # Nobody can apply this message: treating it as delivered
+            # would silently lose it (and poison the duplicate filter
+            # across a later merge).  Leave it pending — the origin
+            # retransmits until the group has members again, or the
+            # client gives up visibly.
+            return
         self._settle_request(request_id)
         self.dup_filter.mark_delivered(request_id)
         if self.monitor is not None:
             self.monitor.record_delivery(
                 self.node_id, self.config.view_id, sequenced.seq, request
             )
-        if request.group == MEMBERSHIP_GROUP:
+        if group == MEMBERSHIP_GROUP:
             self._apply_membership_event(
                 request.payload, sequenced.seq, request_id
             )
             return
-        if self.node_id in self.group_map.members(request.group):
-            if self.app is not None:
-                self.app.on_group_message(
-                    request.group, request_id, request.payload, sequenced.seq
-                )
+        if self.node_id in members and self.app is not None:
+            self.app.on_group_message(
+                group, request_id, request.payload, sequenced.seq
+            )
 
     def _settle_request(self, request_id: RequestId) -> None:
         """The request is (now known to be) delivered: stop retransmitting
@@ -649,11 +654,8 @@ class GcsDaemon(Process):
         grace = 2 * self.settings.heartbeat_interval
         if self.sim.now - self._config_installed_at < grace:
             return False
-        return bool(
-            self.fd.divergent_peers(
-                self.config.view_id,
-                heard_after=self._config_installed_at + grace,
-            )
+        return self.fd.any_divergent(
+            self.config.view_id, heard_after=self._config_installed_at + grace
         )
 
     def incarnations_stale(self) -> bool:
@@ -809,7 +811,7 @@ class GcsDaemon(Process):
         if self.fd.on_message(payload, message.sender):
             # a heartbeat: it reports its author's delivery point
             # (compared with the view id at the tick)
-            if payload.sender in self.config:
+            if payload.sender in self.config.members:
                 self._reports[payload.sender] = (
                     payload.config_view_id,
                     payload.delivered_upto,

@@ -118,26 +118,31 @@ class FailureDetector:
         per peer, because only heartbeats carry our view id and incarnation
         (the divergence and restart detectors feed on them)."""
         host = self._host
-        incarnation, view_counter, config_view_id, delivered = host.liveness_header()
-        heartbeat = Heartbeat(
-            self.me, incarnation, view_counter, config_view_id, delivered
-        )
+        header = host.liveness_header()
+        heartbeat = self._heartbeat
+        if heartbeat is None or header != self._heartbeat_header:
+            # a heartbeat is immutable: one is built per header, not per tick
+            heartbeat = self._heartbeat = Heartbeat(self.me, *header)
+            self._heartbeat_header = header
         now = self._now()
         settings = host.settings
         interval = settings.heartbeat_interval
         refresh_after = interval * HEARTBEAT_REFRESH_FACTOR
+        piggyback = not force and settings.piggyback_liveness
+        me, last_sent, send = self.me, self._last_hb_sent, host.send_protocol
         for peer in host.world:
-            if peer == self.me:
+            if peer == me:
                 continue
-            if (
-                not force
-                and settings.piggyback_liveness
-                and now - self._last_hb_sent.get(peer, float("-inf")) < refresh_after
-                and now - host.quiet_since(peer) < interval
-            ):
-                continue
-            self._last_hb_sent[peer] = now
-            host.send_protocol(peer, heartbeat, "gcs.heartbeat")
+            if piggyback:
+                sent = last_sent.get(peer)  # None: never heartbeated
+                if (
+                    sent is not None
+                    and now - sent < refresh_after
+                    and now - host.quiet_since(peer) < interval
+                ):
+                    continue
+            last_sent[peer] = now
+            send(peer, heartbeat, "gcs.heartbeat")
 
     def on_message(self, payload: Any, sender: NodeId) -> bool:
         """Offered every received payload before the daemon dispatches it;
@@ -162,25 +167,25 @@ class FailureDetector:
         state = self._peers.get(peer)
         if state is not None and heartbeat.incarnation < state.incarnation:
             return
-        self.max_view_counter_seen = max(
-            self.max_view_counter_seen, heartbeat.view_counter
-        )
+        if heartbeat.view_counter > self.max_view_counter_seen:
+            self.max_view_counter_seen = heartbeat.view_counter
+        now = self._now()
         changed = False
         if state is None:
             self._peers[peer] = _PeerState(
-                self._now(),
+                now,
                 heartbeat.incarnation,
                 heartbeat.config_view_id,
-                last_view_report=self._now(),
+                last_view_report=now,
             )
             changed = True
         else:
             if heartbeat.incarnation != state.incarnation:
                 changed = True
-            state.last_heard = self._now()
+            state.last_heard = now
             state.incarnation = heartbeat.incarnation
             state.config_view_id = heartbeat.config_view_id
-            state.last_view_report = self._now()
+            state.last_view_report = now
         if self._refresh(peer) or changed:
             self._on_change()
 
@@ -249,6 +254,9 @@ class FailureDetector:
         # heartbeat (traffic suppresses them, but view-id/incarnation
         # reporting must not starve — see HEARTBEAT_REFRESH_FACTOR)
         self._last_hb_sent: dict[NodeId, float] = {}
+        # the last heartbeat built, and the liveness header it carries
+        self._heartbeat: Heartbeat | None = None
+        self._heartbeat_header: tuple[int, int, ViewId, int] | None = None
         # Alive peers, least recently heard first: every refresh moves its
         # peer to the end, so the head is the next peer that can expire —
         # next_deadline() is exact and check() idles on it, both in O(1).
@@ -268,6 +276,24 @@ class FailureDetector:
     def incarnation_of(self, peer: NodeId) -> int | None:
         state = self._peers.get(peer)
         return state.incarnation if state else None
+
+    def any_divergent(self, my_config_view_id: ViewId, heard_after: float) -> bool:
+        """``bool(divergent_peers(...))`` without the sort or the list:
+        stops at the first divergent peer (the daemon asks every tick).
+        A peer in our view usually reports the very :class:`ViewId` object
+        we installed, so identity settles it before the field compare."""
+        peers = self._peers
+        for peer in self._alive:
+            state = peers[peer]
+            reported = state.config_view_id
+            if (
+                reported is not my_config_view_id
+                and state.last_view_report >= heard_after
+                and reported is not None
+                and reported != my_config_view_id
+            ):
+                return True
+        return False
 
     def divergent_peers(
         self, my_config_view_id: ViewId, heard_after: float

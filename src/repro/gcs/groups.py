@@ -15,6 +15,8 @@ from repro.sim.topology import NodeId
 
 MEMBERSHIP_GROUP = "__membership__"
 
+_NOBODY: frozenset[NodeId] = frozenset()
+
 
 class GroupMap:
     """group name -> set of daemons that have joined it.
@@ -25,14 +27,16 @@ class GroupMap:
     """
 
     def __init__(self) -> None:
-        self._members: dict[str, set[NodeId]] = {}
+        # frozen: every delivery reads a group's members, joins and leaves
+        # are rare, so a change builds the new set and a read hands it out
+        self._members: dict[str, frozenset[NodeId]] = {}
 
     def join(self, group: str, node: NodeId) -> bool:
         """Apply a join; returns True if the map changed."""
-        members = self._members.setdefault(group, set())
+        members = self._members.get(group, _NOBODY)
         if node in members:
             return False
-        members.add(node)
+        self._members[group] = members | {node}
         return True
 
     def leave(self, group: str, node: NodeId) -> bool:
@@ -40,8 +44,10 @@ class GroupMap:
         members = self._members.get(group)
         if not members or node not in members:
             return False
-        members.discard(node)
-        if not members:
+        members = members - {node}
+        if members:
+            self._members[group] = members
+        else:
             del self._members[group]
         return True
 
@@ -54,7 +60,7 @@ class GroupMap:
         return affected
 
     def members(self, group: str) -> frozenset[NodeId]:
-        return frozenset(self._members.get(group, ()))
+        return self._members.get(group, _NOBODY)
 
     def groups_of(self, node: NodeId) -> tuple[str, ...]:
         """All groups ``node`` belongs to, sorted (used in sync replies)."""

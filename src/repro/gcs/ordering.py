@@ -15,7 +15,9 @@ is what makes virtual synchrony hold.
 
 from __future__ import annotations
 
-from repro.gcs.messages import OrderRequest, RequestId, Sequenced, SequencedBatch
+from typing import Iterable
+
+from repro.gcs.messages import OrderRequest, RequestId, Sequenced
 
 
 class HoldbackBuffer:
@@ -49,12 +51,12 @@ class HoldbackBuffer:
             if seq > self._highest:
                 self._highest = seq
 
-    def insert_batch(self, batch: SequencedBatch) -> int:
+    def insert_batch(self, messages: Iterable[Sequenced]) -> int:
         """Record every message of a batch; returns how many were new.
         Re-received batches (e.g. a NACK retransmission overlapping a late
         original) are de-duplicated per entry."""
         before = len(self._all)
-        for message in batch.messages:
+        for message in messages:
             self.insert(message)
         return len(self._all) - before
 
@@ -85,6 +87,12 @@ class HoldbackBuffer:
                 if len(missing) >= limit:
                     break
         return missing
+
+    def gapless(self) -> bool:
+        """``missing_seqs() == []`` — in O(1) while the delivery point has
+        caught up with the highest received (the steady state), and when
+        the delivery point itself is the first gap."""
+        return self._highest <= self.delivered_upto or not self.missing_seqs(1)
 
     def get(self, seq: int) -> Sequenced | None:
         return self._all.get(seq)
@@ -157,6 +165,11 @@ class DuplicateFilter:
     def _mark(self, key: tuple, counter: int) -> None:
         floor = self._floor.get(key, -1)
         if counter <= floor:
+            return
+        if counter == floor + 1 and key not in self._above:
+            # in order with nothing sparse above: the floor just moves up
+            # (what the general path below ends in, without its set)
+            self._floor[key] = counter
             return
         above = self._above.setdefault(key, set())
         above.add(counter)

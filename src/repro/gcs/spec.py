@@ -58,6 +58,12 @@ class _NodeHistory:
     requests: dict[ViewId, list[OrderRequest]] = field(
         default_factory=lambda: defaultdict(list)
     )
+    # the view deliveries last went to and its two lists: a run of
+    # deliveries in one view hashes its (Python-hashed) ViewId once
+    last_view: ViewId | None = None
+    last_lists: tuple[list[int], list[OrderRequest]] = field(
+        default_factory=lambda: ([], [])
+    )
 
 
 class SpecMonitor:
@@ -79,8 +85,15 @@ class SpecMonitor:
         self, node: NodeId, config_view_id: ViewId, seq: int, request: OrderRequest
     ) -> None:
         history = self.history[node]
-        history.seqs[config_view_id].append(seq)
-        history.requests[config_view_id].append(request)
+        if history.last_view is not config_view_id:
+            history.last_view = config_view_id
+            history.last_lists = (
+                history.seqs[config_view_id],
+                history.requests[config_view_id],
+            )
+        seqs, requests = history.last_lists
+        seqs.append(seq)
+        requests.append(request)
 
     # ------------------------------------------------------------------
     # checks
@@ -109,14 +122,15 @@ class SpecMonitor:
 
     def check_total_order(self) -> None:
         # Same seq in same configuration => same request, everywhere.
-        assignment: dict[tuple[ViewId, int], OrderRequest] = {}
+        # (per configuration, then per seq: one ViewId hash per view)
+        assignment: dict[ViewId, dict[int, OrderRequest]] = {}
         for node, history in self.history.items():
             for view_id, seqs in history.seqs.items():
+                bound = assignment.setdefault(view_id, {})
                 for seq, request in zip(seqs, history.requests[view_id]):
-                    key = (view_id, seq)
-                    existing = assignment.get(key)
+                    existing = bound.get(seq)
                     if existing is None:
-                        assignment[key] = request
+                        bound[seq] = request
                     elif existing.request_id != request.request_id:
                         raise SpecViolation(
                             f"seq {seq} in {view_id} bound to two requests"

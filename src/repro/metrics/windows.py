@@ -177,6 +177,8 @@ def max_silence_within(
     # intersect span-by-span: adjacent silences must not merge across the
     # response that separates them
     for span in silence_spans(times, hull_start, hull_end):
+        if span[1] - span[0] <= best:
+            continue  # its clean pieces lie inside it: none can be longer
         pieces = intersect_intervals([span], windows)
         best = max(best, max_length(pieces))
     return best

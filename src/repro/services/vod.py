@@ -89,7 +89,15 @@ class VodApplication:
             body=("frame", state.unit_id, frame),
             size=FRAME_SIZE.get(klass, 10),
         )
-        return replace(state, position=frame + 1), [response]
+        # spelled out: this runs once per frame, and ``dataclasses.replace``
+        # costs several times the constructor
+        advanced = VodSessionState(
+            unit_id=state.unit_id,
+            position=frame + 1,
+            rate=state.rate,
+            paused=state.paused,
+        )
+        return advanced, [response]
 
     def estimate_emitted(self, state: VodSessionState, elapsed: float) -> int:
         if state.paused:

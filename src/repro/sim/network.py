@@ -29,6 +29,7 @@ died rather than only how many.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
@@ -296,9 +297,9 @@ class Network:
         if not link.connected:
             self._drop(message, reason="disconnected-in-flight")
             return
-        is_up = self._is_up.get(receiver)
+        # the receiver's liveness is read here, once: its handler trusts it
         handler = self._handlers.get(receiver)
-        if handler is None or is_up is None or not is_up():
+        if handler is None or not self._is_up[receiver]():
             self._drop(message, reason="receiver-down")
             return
         kind = message.kind
@@ -379,7 +380,7 @@ class Network:
         (``-inf`` if it never sent one).  This is transport-level metadata:
         the GCS heartbeat layer uses it to suppress an explicit heartbeat
         to a peer that recent protocol traffic already covers."""
-        return self._last_send.get((sender, receiver), float("-inf"))
+        return self._last_send.get((sender, receiver), -math.inf)
 
     def kinds_received(self, node: NodeId) -> dict[str, int]:
         """Per-kind received message counts for ``node``."""

@@ -22,6 +22,9 @@ class ProcessState(enum.Enum):
     CRASHED = "crashed"
 
 
+_UP = ProcessState.UP
+
+
 class Process:
     """Base class for simulated nodes.
 
@@ -63,7 +66,7 @@ class Process:
     # lifecycle
     # ------------------------------------------------------------------
     def is_up(self) -> bool:
-        return self.state is ProcessState.UP
+        return self.state is _UP
 
     def start(self) -> None:
         """Run the subclass start hook (call once after construction)."""
@@ -114,9 +117,8 @@ class Process:
         self, receiver: NodeId, payload: Any, kind: str = "msg", size: int = 1
     ) -> None:
         """Send a point-to-point message (silently ignored while crashed)."""
-        if not self.is_up() or self._muted:
-            return
-        self.network.send(self.node_id, receiver, payload, kind=kind, size=size)
+        if self.state is _UP and not self._muted:
+            self.network.send(self.node_id, receiver, payload, kind, size)
 
     def multicast(
         self,
@@ -138,8 +140,8 @@ class Process:
         )
 
     def _receive(self, message: Message) -> None:
-        if not self.is_up():
-            return
+        # the network hands a message only to a receiver it has just read
+        # up (Network._deliver, on both runtimes): no second read here
         if self.dispatch_delay > 0.0:
             self._defer(lambda: self.on_message(message))
             return

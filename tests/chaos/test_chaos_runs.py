@@ -82,6 +82,13 @@ class TestPlantRegression:
         # the stall signature: the session goes silent and never converges
         assert "convergence" in names
 
+    def test_summary_counts_clean_seeds_per_profile(self, report):
+        clean = sum(not it.failed for it in report.iterations)
+        assert report.clean_by_profile() == {"crashes": (clean, 2)}
+        headline, *profiles = report.summary().splitlines()
+        assert headline.startswith("chaos: 2 iteration(s), seed 8")
+        assert profiles == [f"  crashes    {clean:4d} of    2 seeds clean"]
+
     def test_shrink_reduces_schedule(self, report):
         failing = next(it for it in report.iterations if it.failed)
         assert failing.shrunk is not None
@@ -117,6 +124,11 @@ class TestCleanSmoke:
             "crashes",
             "partitions",
             "gray",
+        }
+        assert report.clean_by_profile() == {
+            "crashes": (1, 1),
+            "gray": (1, 1),
+            "partitions": (1, 1),
         }
         # every run actually exercised the cluster
         assert all(it.result.responses > 0 for it in report.iterations)

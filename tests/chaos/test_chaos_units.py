@@ -286,3 +286,32 @@ class TestTraceDigest:
             reference.update(b"\n")
         assert trace_digest(log) == reference.hexdigest()
         assert trace_digest(TraceLog()) == hashlib.sha256().hexdigest()
+
+    def test_digest_is_the_line_formula(self):
+        """The digest's definition, written out: SHA-256 over one line per
+        record, ``f"{time!r}|{node}|{category}|{_stable(detail)}\\n"``.
+        The log mixes details recorded once with dicts recorded again and
+        again (as ``net.deliver`` shares one per sender and kind), ``int``
+        and ``float`` times, and the keys and values ``1``, ``True`` and
+        ``1.0``, which compare and hash equal but print differently."""
+        shared = [{"sender": "s0", "kind": "gcs.heartbeat"}, {"a": 1}, {1: "x"}]
+        log = TraceLog()
+        for i in range(600):
+            time = i // 3 if i % 2 else i * 0.0125
+            node = f"s{i % 4}"
+            category = "fw.promote" if i % 5 == 0 else "net.deliver"
+            for detail in shared:  # the same three dicts, again and again
+                log.record_detail(time, node, category, detail)
+            log.record_detail(time, node, category, {"sender": node, "kind": "k"})
+            for value in (1, True, 1.0):  # fresh dicts, equal but printed apart
+                log.record_detail(time, node, category, {"a": value})
+                log.record_detail(time, node, category, {value: "x", "n": value})
+        reference = hashlib.sha256()
+        for time, node, category, detail in zip(*log.columns()):
+            reference.update(f"{time!r}|{node}|{category}|{_stable(detail)}\n".encode())
+        assert trace_digest(log) == reference.hexdigest()
+        # the colliding keys are in the log under all three spellings
+        lines = {_stable(detail) for detail in log.columns()[3]}
+        spellings = {"{a:1}", "{a:True}", "{a:1.0}"}
+        spellings |= {"{1:'x',n:1}", "{True:'x',n:True}", "{1.0:'x',n:1.0}"}
+        assert spellings <= lines

@@ -1,4 +1,4 @@
-"""Four once-violating ``sim_chaos`` seeds, pinned verdict for verdict.
+"""Seven once-violating ``sim_chaos`` seeds, pinned verdict for verdict.
 
 Each case is ``(--seed, index)`` of the ``sim_chaos`` workload: the run
 seed, schedule and profile are derived exactly as
@@ -15,6 +15,13 @@ change that is not meant to touch protocol behaviour leaves all four
 verdicts as they are; the fix for the duplicate-delivery class must change
 the at-most-once ones on purpose, and update this file when it does.
 
+Three more break virtual synchrony under ``gray`` (``--seed 7``, indices
+65, 122 and 395): at one view change a single daemon delivered one request
+the others moving with it did not.  They are pinned by the view change and
+by that one extra delivery, parsed out of the error, not by the error
+string: the string prints each daemon's delivered set as a ``frozenset``,
+whose order follows the interpreter's string-hash seed.
+
 The duplicate deliveries are also committed as ddmin-shrunk
 ``repro-chaos/1`` artifacts under ``artifacts/`` (recorded with
 ``chaos.engine._explore_iteration`` on ``CONFIG``, shrink budget 48); each
@@ -22,7 +29,9 @@ replays to its recorded verdict, oracle and detail alike.  The (1006, 60)
 witness sits in ``artifacts/fixed/`` and replays clean.
 """
 
+import ast
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +67,33 @@ def derive(seed: int, index: int):
     return run_seed, schedule, profile
 
 
+#: (--seed, index) -> (old view, new view, the one daemon that delivered
+#: more, the request id it alone delivered) of a virtual-synchrony break
+_SYNCHRONY_BREAKS = {
+    (7, 65): ("v126@s1", "v201@s0", "s3", ("s3", 0, 55)),
+    (7, 122): ("v71@s1", "v75@s0", "s2", ("s2", 0, 76)),
+    (7, 395): ("v128@s1", "v156@s0", "s1", ("s1", 0, 94)),
+}
+
+_SYNCHRONY_ERROR = re.compile(r"virtual synchrony violated in (\S+) -> (\S+): \{(.*)\}$")
+_DELIVERED_SET = re.compile(r"'([^']+)': frozenset\(\{(.*?)\}\)")
+
+
+def extra_deliveries(error: str) -> tuple[str, str, dict]:
+    """The view change a virtual-synchrony error names, and per daemon the
+    requests it delivered that not every other daemon did."""
+    match = _SYNCHRONY_ERROR.match(error)
+    assert match is not None, error
+    old, new, body = match.groups()
+    delivered = {
+        node: ast.literal_eval("{" + items + "}")
+        for node, items in _DELIVERED_SET.findall(body)
+    }
+    common = set.intersection(*delivered.values())
+    extra = {node: sorted(ids - common) for node, ids in delivered.items() if ids - common}
+    return old, new, extra
+
+
 @pytest.mark.parametrize("case", sorted(_VIOLATORS), ids=lambda case: f"{case[0]}-{case[1]}")
 def test_known_violator_keeps_its_verdict(case):
     expected_profile, verdict = _VIOLATORS[case]
@@ -65,6 +101,24 @@ def test_known_violator_keeps_its_verdict(case):
     assert profile == expected_profile
     result = run_schedule(CONFIG, run_seed, schedule)
     assert [(v.oracle, v.detail) for v in result.violations] == verdict
+
+
+@pytest.mark.parametrize(
+    "case", sorted(_SYNCHRONY_BREAKS), ids=lambda case: f"{case[0]}-{case[1]}"
+)
+def test_virtual_synchrony_break_keeps_its_verdict(case):
+    old_view, new_view, node, request = _SYNCHRONY_BREAKS[case]
+    run_seed, schedule, profile = derive(*case)
+    assert profile == "gray"
+    result = run_schedule(CONFIG, run_seed, schedule)
+    [violation] = result.violations
+    assert violation.oracle == "gcs-spec"
+    assert violation.detail["property"] == "virtual synchrony"
+    assert extra_deliveries(violation.detail["error"]) == (
+        old_view,
+        new_view,
+        {node: [request]},
+    )
 
 
 ARTIFACTS = Path(__file__).parent / "artifacts"

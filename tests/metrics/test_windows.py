@@ -1,5 +1,7 @@
 """Unit tests for the interval algebra behind window-restricted oracles."""
 
+import random
+
 import pytest
 
 from repro.metrics.windows import (
@@ -103,3 +105,21 @@ class TestSilence:
 
     def test_max_silence_simple(self):
         assert max_silence_within([2.0, 3.0], [(0.0, 10.0)]) == pytest.approx(7.0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_max_silence_skips_only_spans_that_cannot_win(self, seed):
+        # the scan passes over a silence no longer than the best so far;
+        # the answer is still the best clean piece of every silence
+        rng = random.Random(seed)
+        times = [rng.uniform(0.0, 30.0) for _ in range(rng.randrange(1, 60))]
+        edges = sorted(rng.uniform(0.0, 30.0) for _ in range(2 * rng.randrange(1, 5)))
+        windows = list(zip(edges[::2], edges[1::2]))
+        hull = (min(s for s, _ in windows), max(e for _, e in windows))
+        expected = max(
+            (
+                max_length(intersect_intervals([span], windows))
+                for span in silence_spans(times, *hull)
+            ),
+            default=0.0,
+        )
+        assert max_silence_within(times, windows) == expected

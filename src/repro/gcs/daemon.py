@@ -444,9 +444,9 @@ class GcsDaemon(Process):
             stamped = message.config_view_id
             if stamped is not view_id and stamped != view_id:
                 messages = tuple(m for m in messages if m.config_view_id == view_id)
-                if not messages:
-                    return
                 break
+        if not messages:
+            return
         self.holdback.insert_batch(messages)
         if not self.membership.forming:
             self.flush_ready()

@@ -173,10 +173,21 @@ def trace_digest(trace) -> str:
     iff their digests match (times, nodes, categories and details)."""
     digest = hashlib.sha256()
     render = _detail_renderer()
+    # each line's tail after the time, rendered once per distinct (node,
+    # category, detail) — keyed by identity, which is exact: the log keeps
+    # every record alive and unchanged while this runs, and one object
+    # prints one way (a value key would let ``1`` stand for ``True``)
+    tails: dict[tuple[int, int, int], str] = {}
     lines: list[str] = []
     size = 0
     for time, node, category, detail in zip(*trace.columns()):
-        line = f"{time!r}|{node}|{category}|{render(detail)}\n"
+        key = (id(node), id(category), id(detail))  # repro-lint: allow(D104) — memo key
+        tail = tails.get(key)
+        if tail is None:
+            if len(tails) >= _DETAIL_MEMO:
+                tails.clear()
+            tail = tails[key] = f"|{node}|{category}|{render(detail)}\n"
+        line = f"{time!r}{tail}"
         if size + len(line) > _DIGEST_CHUNK and lines:
             digest.update("".join(lines).encode())
             lines.clear()

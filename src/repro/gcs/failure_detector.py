@@ -54,7 +54,7 @@ class DetectorHost(Protocol):
         peers' heartbeats."""
 
     def send_protocol(
-        self, dest: NodeId, payload: Any, kind: str, size: int = 1
+        self, receiver: NodeId, payload: Any, kind: str, size: int = 1
     ) -> None:
         """Send one protocol message."""
 

@@ -1,9 +1,11 @@
 """Discrete-event simulation engine.
 
 The engine is a classic calendar loop: a binary heap of ``(time, seq,
-event)`` tuples.  The monotonically increasing sequence number breaks
-ties deterministically in insertion order, which makes every simulation
-run exactly reproducible for a given seed and schedule of calls.
+event)`` tuples, and of ``(time, seq, fn, a, b)`` *call entries*
+(:meth:`Simulator.call_at`).  The monotonically increasing sequence
+number, one counter for both shapes, breaks ties deterministically in
+insertion order, which makes every simulation run exactly reproducible
+for a given seed and schedule of calls.
 
 Performance notes (this is the hottest loop in the repository — every
 benchmark, experiment, and chaos run funnels through it):
@@ -13,6 +15,13 @@ benchmark, experiment, and chaos run funnels through it):
   ``__lt__`` that builds two tuples per comparison.
 * :class:`Event` is a ``__slots__`` handle — no instance ``__dict__`` to
   allocate or walk.
+* A call entry is the whole of a callback that nobody will cancel — a
+  message delivery, two thirds of a chaos seed's events: the heap tuple
+  carries the function and its two arguments, so scheduling one builds
+  neither an :class:`Event` nor a ``functools.partial`` (≈ 0.5 µs of a
+  ≈ 4 µs simulated message, DESIGN §9).  The loop tells the shapes apart
+  by length; both count in ``pending_events`` and ``executed_events``
+  alike, and only an :class:`Event` can be cancelled.
 * ``pending_events`` is an O(1) read of a live counter maintained on
   schedule/cancel/pop (it used to scan the whole queue per call).
 * Cancellation stays O(1) (lazy deletion), but the engine now *compacts*
@@ -29,7 +38,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 #: Compaction trigger: rebuild the heap once more than half of at least
 #: this many entries are cancelled.  The floor keeps tiny queues from
@@ -106,7 +115,8 @@ class Simulator:
     __slots__ = ("_queue", "_seq", "_now", "_executed", "_running", "_live", "_dead")
 
     def __init__(self) -> None:
-        self._queue: list[tuple[float, int, Event]] = []
+        # (time, seq, event) or a call entry (time, seq, fn, a, b)
+        self._queue: list[tuple] = []
         self._seq: Iterator[int] = itertools.count()
         self._now = 0.0
         self._executed = 0
@@ -165,6 +175,22 @@ class Simulator:
         self._live += 1
         return event
 
+    def call_at(
+        self, time: float, fn: Callable[[Any, Any], None], a: Any, b: Any
+    ) -> None:
+        """Run ``fn(a, b)`` at absolute simulation time ``time``.
+
+        An uncancellable :meth:`schedule_at` that returns no handle: the
+        heap entry ``(time, seq, fn, a, b)`` is all there is, its seq drawn
+        from the same counter as every event's.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule at t={time} before now={self._now}"
+            )
+        heapq.heappush(self._queue, (time, next(self._seq), fn, a, b))
+        self._live += 1
+
     def inject_at(
         self,
         time: float,
@@ -196,10 +222,11 @@ class Simulator:
     def reserve_seqs(self, seqs: Iterable[int]) -> None:
         """Fence the given sequence numbers off from normal allocation.
 
-        After this call, :meth:`schedule`/:meth:`schedule_at` skip every
-        reserved value, leaving them for :meth:`inject_at`.  Must be
-        called before any events are scheduled past the smallest reserved
-        value — reserving an already-issued seq raises.
+        After this call, :meth:`schedule`, :meth:`schedule_at` and
+        :meth:`call_at` skip every reserved value, leaving them for
+        :meth:`inject_at`.  Must be called before any events are scheduled
+        past the smallest reserved value — reserving an already-issued seq
+        raises.
         """
         reserved = frozenset(seqs)
         if not reserved:
@@ -229,7 +256,11 @@ class Simulator:
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify (lazy-deletion cleanup)."""
-        self._queue = [entry for entry in self._queue if not entry[2].cancelled]
+        self._queue = [
+            entry
+            for entry in self._queue
+            if len(entry) == 5 or not entry[2].cancelled
+        ]
         heapq.heapify(self._queue)
         self._dead = 0
 
@@ -242,7 +273,7 @@ class Simulator:
         live runtime's pacer uses this to sleep exactly until the next
         protocol deadline instead of polling."""
         queue = self._queue
-        while queue and queue[0][2].cancelled:
+        while queue and len(queue[0]) == 3 and queue[0][2].cancelled:
             heapq.heappop(queue)
             self._dead -= 1
         return queue[0][0] if queue else None
@@ -256,7 +287,15 @@ class Simulator:
         queue = self._queue
         pop = heapq.heappop
         while queue:
-            event = pop(queue)[2]
+            entry = pop(queue)
+            if len(entry) == 5:
+                when, _, fn, a, b = entry
+                self._live -= 1
+                self._now = when
+                self._executed += 1
+                fn(a, b)
+                return True
+            event = entry[2]
             if event.cancelled:
                 self._dead -= 1
                 continue
@@ -287,15 +326,23 @@ class Simulator:
             while queue:
                 if queue[0][0] > time:
                     break
-                event = pop(queue)[2]
-                if event.cancelled:
-                    self._dead -= 1
-                    continue
-                self._live -= 1
-                self._now = event.time
-                self._executed += 1
-                event.executed = True
-                event.callback()
+                entry = pop(queue)
+                if len(entry) == 5:
+                    when, _, fn, a, b = entry
+                    self._live -= 1
+                    self._now = when
+                    self._executed += 1
+                    fn(a, b)
+                else:
+                    event = entry[2]
+                    if event.cancelled:
+                        self._dead -= 1
+                        continue
+                    self._live -= 1
+                    self._now = event.time
+                    self._executed += 1
+                    event.executed = True
+                    event.callback()
                 executed += 1
                 if max_events is not None and executed >= max_events:
                     raise SimulationError(
@@ -319,7 +366,8 @@ class Simulator:
         for entry in self._queue:
             # detach so a later cancel() of a dropped handle cannot skew
             # the live/dead accounting of events no longer in the heap
-            entry[2]._sim = None
+            if len(entry) == 3:
+                entry[2]._sim = None
         self._queue.clear()
         self._live = 0
         self._dead = 0

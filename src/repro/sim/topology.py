@@ -35,8 +35,10 @@ class Link:
     message cross it now, and how much extra one-way delay it carries.
 
     The simulator's send path reads this record, and nothing else of the
-    model but the two adversity probabilities, on every message; the
-    model refreshes ``connected`` in place on every connectivity change.
+    model but the two adversity probabilities, on every message, through
+    the route that holds it; the model refreshes ``connected`` in place on
+    every connectivity change and replaces a record only in
+    :meth:`Topology.remove_node`.
     """
 
     __slots__ = ("connected", "extra_delay")

@@ -315,3 +315,22 @@ class TestTraceDigest:
         spellings = {"{a:1}", "{a:True}", "{a:1.0}"}
         spellings |= {"{1:'x',n:1}", "{True:'x',n:True}", "{1.0:'x',n:1.0}"}
         assert spellings <= lines
+
+    @pytest.mark.parametrize("memo", [4096, 3])
+    def test_one_detail_under_two_nodes_and_two_categories(self, monkeypatch, memo):
+        """A line's tail after the time is rendered once per node, category
+        and detail: one dict recorded under two nodes and two categories
+        prints under each, nodes that compare equal but print apart (``1``
+        and ``True``) stay apart, and a memo that fills up starts over."""
+        monkeypatch.setattr("repro.chaos.runner._DETAIL_MEMO", memo)
+        shared = {"sender": "s0", "kind": "gcs.heartbeat"}
+        log = TraceLog()
+        for i in range(50):
+            for node in ("s1", "s2", 1, True):
+                for category in ("net.deliver", "fw.promote"):
+                    log.record_detail(i * 0.25, node, category, shared)
+            log.record_detail(i, "s1", "net.deliver", {"sender": "s1", "kind": str(i)})
+        reference = hashlib.sha256()
+        for time, node, category, detail in zip(*log.columns()):
+            reference.update(f"{time!r}|{node}|{category}|{_stable(detail)}\n".encode())
+        assert trace_digest(log) == reference.hexdigest()

@@ -445,3 +445,99 @@ def test_1024_sends_cost_two_generator_calls():
     net.sim.run()
     assert len(b.received) == 1024
     assert rng.calls == 2
+
+
+# ----------------------------------------------------------------------
+# routes: what a message resolves once and carries to its delivery
+# ----------------------------------------------------------------------
+def test_messages_in_flight_across_reset_stats_count_after_it(net):
+    """E2 resets the accounting at its warm-up cut with messages in
+    flight: their deliveries and drops count after the cut, their sends
+    before it, and a kind nothing touched since is not reported."""
+    Sink(net, "a")
+    Sink(net, "b")
+    down = Sink(net, "c", up=False)
+    net.send("a", "b", 1, kind="data", size=10)
+    net.send("a", "b", 2, kind="warm", size=5)
+    net.sim.run()  # "warm" has a route now, and nothing in flight
+    net.send("a", "b", 3, kind="data", size=10)
+    net.send("a", "c", 4, kind="data", size=7)
+    net.reset_stats()
+    assert net.sent_kind_stats("a") == {} and net.kinds_received("b") == {}
+    net.sim.run()
+    assert net.received_count("b") == 1 and net.received_bytes("b") == 10
+    assert net.kinds_received("b") == {"data": 1}
+    assert net.total_delivered == 1 and net.total_sent == 0
+    assert net.sent_count("a") == 0
+    assert net.sent_kind_stats("a") == {"data": (0, 0)}  # a drop touched it
+    assert net.dropped_count(node="a") == net.dropped_count("receiver-down") == 1
+    assert down.received == []
+    net.send("a", "b", 5, kind="warm", size=5)
+    net.sim.run()
+    assert net.sent_kind_stats("a") == {"data": (0, 0), "warm": (1, 5)}
+    assert net.kinds_received("b") == {"data": 1, "warm": 1}
+
+
+def test_a_message_in_flight_to_a_detached_node_is_dropped(net):
+    Sink(net, "a")
+    b = Sink(net, "b")
+    net.send("a", "b", 1)
+    net.detach("b")
+    net.sim.run()
+    assert b.received == []
+    assert net.drop_reasons() == {"receiver-down": 1}
+
+
+def test_a_message_in_flight_from_a_detached_node_meets_the_link_as_it_is_now(net):
+    # a and b share a partition component; once a is detached it belongs
+    # to none, so its message in flight no longer crosses
+    Sink(net, "a")
+    b = Sink(net, "b")
+    Sink(net, "c")
+    net.topology.partition(["a", "b"])
+    net.send("a", "b", 1)
+    net.send("c", "b", 2)  # c is in no component either: cut off at send
+    net.detach("a")
+    net.sim.run()
+    assert b.received == []
+    assert net.drop_reasons() == {
+        "disconnected-at-send": 1,
+        "disconnected-in-flight": 1,
+    }
+
+
+def test_messages_in_flight_are_heap_entries_not_events():
+    """The floor of a simulated message: a delivery in flight is one heap
+    tuple holding the network's method, the route and the envelope — no
+    ``Event`` and no ``functools.partial`` per message."""
+    import functools
+    import gc
+
+    from repro.sim.engine import Event
+
+    sim = Simulator()
+    net = Network(sim, Topology(), FixedLatency(0.01), trace=TraceLog())
+    for node in "abc":
+        Sink(net, node)
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(300):
+            net.send("abc"[i % 3], "abc"[(i + 1) % 3], i, kind=f"k{i % 2}")
+        mine = [
+            obj
+            for obj in gc.get_objects()
+            if (type(obj) is Event and obj._sim is sim)
+            or (
+                type(obj) is functools.partial
+                and getattr(obj.func, "__self__", None) is net
+            )
+        ]
+    finally:
+        gc.enable()
+    assert mine == []
+    assert sim.pending_events == len(sim._queue) == 300
+    assert {len(entry) for entry in sim._queue} == {5}
+    assert len(net._routes) == 6  # one per (sender, receiver, kind)
+    sim.run()
+    assert net.total_delivered == 300

@@ -90,10 +90,15 @@ def _cmd_policy(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.chaos import ChaosConfig, explore, replay
+    from repro.chaos import ChaosConfig, explore, load_artifact, replay
 
     if args.replay:
-        result, recorded, reproduced = replay(args.replay)
+        try:
+            artifact = load_artifact(args.replay)
+        except (OSError, ValueError) as exc:
+            print(f"chaos: {exc}", file=sys.stderr)
+            return 2
+        result, recorded, reproduced = replay(artifact)
         names = ", ".join(sorted({v["oracle"] for v in recorded})) or "(none)"
         found = ", ".join(sorted(result.oracle_names())) or "(none)"
         print(f"artifact oracles : {names}")
@@ -251,11 +256,9 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         help="worker processes to shard iterations across (default 1)",
     )
-    chaos.add_argument(
-        "--profile",
-        choices=("crashes", "partitions", "gray", "mixed"),
-        default="mixed",
-    )
+    from repro.chaos.config import PLANTS, PROFILE_CHOICES
+
+    chaos.add_argument("--profile", choices=PROFILE_CHOICES, default="mixed")
     chaos.add_argument("--servers", type=int, default=4)
     chaos.add_argument("--sessions", type=int, default=2)
     chaos.add_argument("--duration", type=float, default=20.0)
@@ -291,8 +294,6 @@ def main(argv: list[str] | None = None) -> int:
         help="live mode only: shape link latency from a WAN profile "
         "(us-eu, global) and scale the GCS timings to match",
     )
-    from repro.chaos.config import PLANTS
-
     chaos.add_argument(
         "--plant",
         choices=PLANTS,
@@ -305,7 +306,8 @@ def main(argv: list[str] | None = None) -> int:
         "--replay",
         metavar="FILE",
         default=None,
-        help="re-run a repro artifact instead of exploring",
+        help="re-run a repro artifact instead of exploring (exit 0 = "
+        "reproduced, 1 = not, 2 = not a loadable artifact)",
     )
 
     cluster = sub.add_parser(

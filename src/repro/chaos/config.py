@@ -36,6 +36,10 @@ from repro.gcs.messages import Heartbeat
 #: live partitions possible at all).
 PLANTS = ("handoff-stall", "partition-amnesia")
 
+#: The fault mixes of :mod:`repro.chaos.generator`; ``mixed`` takes each in turn.
+PROFILES = ("crashes", "partitions", "gray")
+PROFILE_CHOICES = (*PROFILES, "mixed")
+
 
 class AmnesiacDetector:
     """The ``partition-amnesia`` plant: a daemon's failure detector, deaf
@@ -143,8 +147,8 @@ class ChaosConfig:
             raise ValueError("chaos needs >= 3 servers (one is the spare)")
         if self.n_sessions < 1:
             raise ValueError("n_sessions must be >= 1")
-        if self.profile not in ("crashes", "partitions", "gray", "mixed"):
-            raise ValueError(f"unknown profile {self.profile!r}")
+        if self.profile not in PROFILE_CHOICES:
+            raise ValueError(f"unknown profile {self.profile!r} (valid: {PROFILE_CHOICES})")
         if self.plant is not None and self.plant not in PLANTS:
             raise ValueError(f"unknown plant {self.plant!r} (valid: {PLANTS})")
         if self.mode not in ("sim", "live"):
@@ -230,4 +234,4 @@ class ChaosConfig:
         return cls(**data)
 
 
-__all__ = ["PLANTS", "AmnesiacDetector", "ChaosConfig"]
+__all__ = ["PLANTS", "PROFILES", "PROFILE_CHOICES", "AmnesiacDetector", "ChaosConfig"]

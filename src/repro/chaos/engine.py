@@ -204,8 +204,9 @@ def explore(
     return report
 
 
-def replay(path: str | Path) -> tuple[RunResult, list[dict], bool]:
-    """Re-run an artifact exactly.
+def replay(artifact: str | Path | dict) -> tuple[RunResult, list[dict], bool]:
+    """Re-run an artifact (its path, or what :func:`load_artifact` made of
+    it) exactly.
 
     Returns ``(result, recorded_violations, reproduced)`` where
     ``reproduced`` is true when every recorded oracle fired again.
@@ -216,7 +217,8 @@ def replay(path: str | Path) -> tuple[RunResult, list[dict], bool]:
     ``reproduced`` additionally requires the trace digest to match the
     recorded one bit-for-bit.
     """
-    artifact = load_artifact(path)
+    if not isinstance(artifact, dict):
+        artifact = load_artifact(artifact)
     if artifact.get("replay_log"):
         from repro.chaos.live import replay_live
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chaos.config import ChaosConfig
-from repro.core.server import CRASH_HOOKS
+from repro.chaos.config import PROFILES, ChaosConfig
 from repro.faults.generators import (
     crash_burst_schedule,
     crash_hook_schedule,
@@ -31,9 +30,7 @@ from repro.faults.generators import (
     poisson_crash_schedule,
     slowdown_schedule,
 )
-from repro.faults.schedule import FaultSchedule
-
-PROFILES = ("crashes", "partitions", "gray")
+from repro.faults.schedule import CRASH_HOOKS, FaultSchedule
 
 
 def resolve_profile(config: ChaosConfig, index: int) -> str:
@@ -184,4 +181,4 @@ def generate_schedule(
     raise ValueError(f"unknown profile {profile!r}")
 
 
-__all__ = ["PROFILES", "generate_schedule", "resolve_profile"]
+__all__ = ["generate_schedule", "resolve_profile"]

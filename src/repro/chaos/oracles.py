@@ -17,23 +17,21 @@ any violation as a bug):
    faults with a never-crashed witness, but under partitions the client's
    updates may legitimately never reach any survivor.  Each oracle
    declares the fault kinds it tolerates via ``applies_to``, checked
-   against ``schedule.kinds()``.
+   against ``schedule.kinds()`` and derived from the vocabulary
+   (:data:`repro.faults.schedule.KINDS`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.faults.schedule import KINDS
 from repro.metrics.session_audit import lost_updates
 from repro.metrics.windows import (
     Interval,
     max_silence_within,
     multi_primary_time_within,
 )
-
-#: Kinds that disconnect parts of the cluster: while (and shortly after)
-#: they are active, the role/uniqueness guarantees are conditional.
-PARTITION_KINDS = frozenset({"partition", "heal", "cut_link", "restore_link"})
 
 
 @dataclass(frozen=True)
@@ -225,27 +223,16 @@ class Oracle:
         return self.applies_to is None or kinds <= self.applies_to
 
 
-#: Kinds under which "no silent lost updates" is a hard invariant.
-_LOSSLESS_KINDS = frozenset(
-    {
-        "crash",
-        "recover",
-        "crash_at",
-        "slowdown",
-        "restore_speed",
-        "delay_link",
-        "restore_delay",
-        "duplicate",
-        "reorder",
-    }
-)
+#: Kinds under which "no silent lost updates" is a hard invariant: those
+#: that do not disconnect.
+_LOSSLESS = frozenset(name for name, kind in KINDS.items() if not kind.disconnects)
 
 ORACLES = (
     Oracle("gcs-spec", check_gcs_spec),
     Oracle("unique-primary", check_unique_primary),
     Oracle("dual-sender", check_dual_sender),
     Oracle("responsiveness", check_responsiveness),
-    Oracle("silent-lost-updates", check_silent_lost_updates, _LOSSLESS_KINDS),
+    Oracle("silent-lost-updates", check_silent_lost_updates, _LOSSLESS),
     Oracle("convergence", check_convergence),
 )
 
@@ -264,7 +251,6 @@ def run_oracles(obs: RunObservation) -> list[Violation]:
 __all__ = [
     "ORACLES",
     "Oracle",
-    "PARTITION_KINDS",
     "RunObservation",
     "Violation",
     "run_oracles",

@@ -18,7 +18,7 @@ from repro.chaos.config import ChaosConfig
 from repro.chaos.oracles import RunObservation, Violation, run_oracles
 from repro.core.service import ServiceCluster
 from repro.faults.injector import inject
-from repro.faults.schedule import FaultSchedule
+from repro.faults.schedule import KINDS, FaultSchedule
 from repro.gcs.settings import GcsSettings
 from repro.metrics.windows import (
     Interval,
@@ -59,62 +59,25 @@ class RunResult:
 # ----------------------------------------------------------------------
 # disruption windows
 # ----------------------------------------------------------------------
-#: fault kinds that open a disruption, and the kind that closes it
-_CLOSERS = {
-    "crash": "recover",
-    "slowdown": "restore_speed",
-    "partition": "heal",
-    "cut_link": "restore_link",
-    "delay_link": "restore_delay",
-}
-
-
-def _same_scope(opener, closer) -> bool:
-    if opener.kind in ("crash", "slowdown"):
-        return closer.target == opener.target
-    if opener.kind in ("cut_link", "delay_link"):
-        pair = {opener.args.get("a"), opener.args.get("b")}
-        return {closer.args.get("a"), closer.args.get("b")} == pair
-    return True  # partition/heal are global
-
-
 def disruption_spans(
     schedule: FaultSchedule, t0: float, heal_time: float
 ) -> list[Interval]:
-    """Absolute-time intervals during which some fault is active.
-
-    Each opener runs until its matching closer or ``heal_time`` (when the
-    runner force-heals everything).  ``duplicate``/``reorder`` windows
-    close at the event that sets their probability back to zero.  A
-    ``crash_at`` trap is conservatively treated as disrupting from arming
-    to ``heal_time`` — it may fire at any point in between.
-    """
+    """Absolute-time intervals during which some fault is active: each
+    event that opens a disruption (:data:`repro.faults.schedule.KINDS`)
+    lasts until the first later closer its record matches, or to
+    ``heal_time``, when the runner force-heals everything."""
     events = schedule.sorted_events()
     spans: list[Interval] = []
     for index, event in enumerate(events):
-        start = t0 + event.time
-        if event.kind in _CLOSERS:
-            closer_kind = _CLOSERS[event.kind]
-            end = heal_time
-            for later in events[index + 1 :]:
-                if later.kind == closer_kind and _same_scope(event, later):
-                    end = t0 + later.time
-                    break
-            spans.append((start, end))
-        elif event.kind in ("duplicate", "reorder"):
-            if float(event.args.get("probability", 0.0)) <= 0.0:
-                continue
-            end = heal_time
-            for later in events[index + 1 :]:
-                if (
-                    later.kind == event.kind
-                    and float(later.args.get("probability", 0.0)) <= 0.0
-                ):
-                    end = t0 + later.time
-                    break
-            spans.append((start, end))
-        elif event.kind == "crash_at":
-            spans.append((start, heal_time))
+        kind = KINDS[event.kind]
+        if not kind.opens(event):
+            continue
+        end = heal_time
+        for later in events[index + 1 :]:
+            if later.kind == kind.closer and kind.match(event, later):
+                end = t0 + later.time
+                break
+        spans.append((t0 + event.time, end))
     return merge_intervals(spans)
 
 

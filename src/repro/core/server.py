@@ -49,29 +49,13 @@ from repro.core.wire import (
     service_group,
     session_group,
 )
+from repro.faults.schedule import CRASH_HOOKS
 from repro.gcs.daemon import GcsDaemon
 from repro.gcs.settings import GcsSettings
 from repro.gcs.spec import SpecMonitor
 from repro.gcs.view import Configuration, GroupView
 from repro.sim.network import Network
 from repro.sim.topology import NodeId
-
-#: Named protocol steps at which a chaos schedule can arm a crash
-#: (``FaultSchedule.crash_at``).  Each fires *when the server enters the
-#: step*, which is how Section 4's "crash at the worst moment" patterns
-#: become directly expressible: ``pre-handoff`` kills the old primary after
-#: it was demoted but before its context reaches the successor;
-#: ``post-update`` kills a primary between applying a ``ContextUpdate`` and
-#: the next ``Propagate``; ``mid-exchange`` kills a member that already
-#: contributed its state-exchange snapshot but has not merged.
-CRASH_HOOKS = (
-    "post-promote",  # primary role adopted (session group joined)
-    "pre-handoff",  # demoted primary about to send its context
-    "post-handoff",  # successor adopted a handed-off context
-    "post-update",  # client context update applied, not yet propagated
-    "pre-propagate",  # about to multicast a context snapshot
-    "mid-exchange",  # own state-exchange snapshot sent, merge pending
-)
 
 #: A primary sends a full snapshot at least every this-many propagations,
 #: even where deltas are smaller: it bounds how long a receiver at an
@@ -990,4 +974,4 @@ class FrameworkServer:
                 self._stop_backup(session_id)
 
 
-__all__ = ["CRASH_HOOKS", "FrameworkServer"]
+__all__ = ["FrameworkServer"]

@@ -11,12 +11,13 @@ from repro.faults.generators import (
     slowdown_schedule,
 )
 from repro.faults.injector import apply, apply_link, inject
-from repro.faults.schedule import FaultEvent, FaultSchedule, VALID_KINDS
+from repro.faults.schedule import KINDS, FaultEvent, FaultKind, FaultSchedule
 
 __all__ = [
+    "KINDS",
     "FaultEvent",
+    "FaultKind",
     "FaultSchedule",
-    "VALID_KINDS",
     "apply",
     "apply_link",
     "crash_burst_schedule",

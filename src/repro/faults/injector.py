@@ -23,11 +23,11 @@ from collections.abc import Mapping
 from typing import TYPE_CHECKING, Protocol
 
 from repro.faults.schedule import FaultEvent, FaultSchedule
-from repro.sim.topology import Topology
 
 if TYPE_CHECKING:
     from repro.core.server import FrameworkServer
     from repro.sim.engine import Simulator
+    from repro.sim.topology import Topology
     from repro.sim.trace import TraceLog
 
 

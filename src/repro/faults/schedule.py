@@ -20,6 +20,10 @@ moment" patterns need:
 * ``crash_at`` — arm a crash that fires the next time the target server
   enters a *named protocol step* (e.g. mid-handoff), the precision tool
   for the paper's worst-moment crash scenarios.
+
+Each kind is declared once, in :data:`KINDS`, for the validator, the chaos
+clean windows and the oracles' partition gate; :mod:`repro.faults.injector`
+maps an event to its action.
 """
 
 from __future__ import annotations
@@ -30,29 +34,42 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-VALID_KINDS = {
-    "crash",  # target: server id
-    "recover",  # target: server id
-    "partition",  # args: components (list of node-id lists)
-    "heal",  # no args
-    "cut_link",  # args: a, b, symmetric
-    "restore_link",  # args: a, b, symmetric
-    "slowdown",  # target: server id; args: delay (seconds of dispatch lag)
-    "restore_speed",  # target: server id
-    "delay_link",  # args: a, b, extra, symmetric
-    "restore_delay",  # args: a, b, symmetric
-    "duplicate",  # args: probability (0 disables)
-    "reorder",  # args: probability, window (0 disables)
-    "crash_at",  # target: server id; args: hook (named protocol step)
-}
+#: Named protocol steps at which a ``crash_at`` event can arm a crash; it
+#: fires *when the server enters the step*, which is how Section 4's "crash
+#: at the worst moment" patterns become directly expressible.
+CRASH_HOOKS = (
+    "post-promote",  # primary role adopted (session group joined)
+    "pre-handoff",  # demoted primary about to send its context
+    "post-handoff",  # successor adopted a handed-off context
+    "post-update",  # client context update applied, not yet propagated
+    "pre-propagate",  # about to multicast a context snapshot
+    "mid-exchange",  # own state-exchange snapshot sent, merge pending
+)
+
+
+@dataclass(frozen=True)
+class Range:
+    """The half-open interval ``[low, high)`` a numeric argument lies in
+    (NaN lies in none): the validator and the applier share it."""
+
+    low: float
+    high: float
+
+    def __contains__(self, value: float) -> bool:
+        return self.low <= value < self.high
+
+    def __str__(self) -> str:
+        return f"[{self.low:g}, {self.high:g})"
+
+
+#: a dispatch lag, an extra link delay or a reorder window, in seconds
+DELAY = Range(0.0, math.inf)
+#: a duplication or reordering probability
+PROBABILITY = Range(0.0, 1.0)
 
 
 def _is_str(value: object) -> bool:
     return isinstance(value, str)
-
-
-def _is_bool(value: object) -> bool:
-    return isinstance(value, bool)
 
 
 def _is_number(value: object) -> bool:
@@ -73,25 +90,87 @@ def _is_components(value: object) -> bool:
 
 
 _Check = tuple[Callable[[object], bool], str]
-_NODE: _Check = (_is_str, "a node id string")
-_BOOL: _Check = (_is_bool, "true or false")
-_NUMBER: _Check = (_is_number, "a number")
-_LINK = {"a": _NODE, "b": _NODE}
-_SYMMETRIC = {"symmetric": _BOOL}
 
-#: per kind: (required arguments, optional arguments), each with the
-#: check its JSON value must pass — what :func:`repro.faults.injector.apply`
-#: reads, so a validated event can always be applied
-_ARGS: dict[str, tuple[dict[str, _Check], dict[str, _Check]]] = {
-    "partition": ({"components": (_is_components, "a list of node-id lists")}, {}),
-    "cut_link": (_LINK, _SYMMETRIC),
-    "restore_link": (_LINK, _SYMMETRIC),
-    "delay_link": ({**_LINK, "extra": _NUMBER}, _SYMMETRIC),
-    "restore_delay": (_LINK, _SYMMETRIC),
-    "duplicate": ({"probability": _NUMBER}, {}),
-    "reorder": ({"probability": _NUMBER}, {"window": _NUMBER}),
-    "slowdown": ({"delay": _NUMBER}, {}),
-    "crash_at": ({"hook": (_is_str, "a protocol step name")}, {}),
+
+def _within(bounds: Range) -> _Check:
+    return (lambda value: _is_number(value) and value in bounds, f"in {bounds}")
+
+
+_NODE: _Check = (_is_str, "a node id string")
+_COMPONENTS = {"components": (_is_components, "a list of node-id lists")}
+_LINK = {"a": _NODE, "b": _NODE}
+_SYMMETRIC = {"symmetric": (lambda value: isinstance(value, bool), "true or false")}
+_PROBABILITY = {"probability": _within(PROBABILITY)}
+_DELAY = {"delay": _within(DELAY)}
+_EXTRA = {**_LINK, "extra": _within(DELAY)}
+_WINDOW = {"window": _within(DELAY)}
+_HOOK = {"hook": (lambda value: value in CRASH_HOOKS, f"one of {CRASH_HOOKS}")}
+
+
+# how a closer is matched to the opener it ends
+def _same_server(opener: FaultEvent, closer: FaultEvent) -> bool:
+    return closer.target == opener.target
+
+
+def _same_pair(opener: FaultEvent, closer: FaultEvent) -> bool:
+    pair = {opener.args.get("a"), opener.args.get("b")}
+    return {closer.args.get("a"), closer.args.get("b")} == pair
+
+
+def _anywhere(opener: FaultEvent, closer: FaultEvent) -> bool:
+    return True
+
+
+def _at_zero(opener: FaultEvent, closer: FaultEvent) -> bool:
+    return float(closer.args.get("probability", 0.0)) <= 0.0
+
+
+@dataclass(frozen=True)
+class FaultKind:
+    """One fault kind: all the tree knows of it but how to apply it."""
+
+    #: the arguments, each with the check its JSON value must pass: what
+    #: the injector reads, so a validated event can always be applied
+    required: dict[str, _Check] = field(default_factory=dict)
+    optional: dict[str, _Check] = field(default_factory=dict)
+    #: acts on the server its ``target`` names
+    on_server: bool = False
+    #: opens a disruption, which lasts until the first later ``closer``
+    #: event for which ``match(opener, closer)`` holds, or to the heal sweep
+    disrupts: bool = False
+    closer: str | None = None
+    match: Callable[[FaultEvent, FaultEvent], bool] = _anywhere
+    #: changes who can reach whom (the partition class Section 4 accepts)
+    disconnects: bool = False
+
+    def opens(self, event: FaultEvent) -> bool:
+        """Does ``event`` start a disruption?  One that would close its
+        own kind's (``duplicate`` at probability 0) does not."""
+        return self.disrupts and not (self.closer == event.kind and self.match(event, event))
+
+
+#: the fault vocabulary: one record per kind
+KINDS: dict[str, FaultKind] = {
+    "crash": FaultKind(on_server=True, disrupts=True, closer="recover", match=_same_server),
+    "recover": FaultKind(on_server=True),
+    "partition": FaultKind(_COMPONENTS, disrupts=True, closer="heal", disconnects=True),
+    "heal": FaultKind(disconnects=True),
+    "cut_link": FaultKind(
+        _LINK, _SYMMETRIC, disrupts=True, closer="restore_link", match=_same_pair, disconnects=True
+    ),
+    "restore_link": FaultKind(_LINK, _SYMMETRIC, disconnects=True),
+    "slowdown": FaultKind(
+        _DELAY, on_server=True, disrupts=True, closer="restore_speed", match=_same_server
+    ),
+    "restore_speed": FaultKind(on_server=True),
+    "delay_link": FaultKind(
+        _EXTRA, _SYMMETRIC, disrupts=True, closer="restore_delay", match=_same_pair
+    ),
+    "restore_delay": FaultKind(_LINK, _SYMMETRIC),
+    "duplicate": FaultKind(_PROBABILITY, disrupts=True, closer="duplicate", match=_at_zero),
+    "reorder": FaultKind(_PROBABILITY, _WINDOW, disrupts=True, closer="reorder", match=_at_zero),
+    # the trap may fire at any moment until the heal sweep disarms it
+    "crash_at": FaultKind(_HOOK, on_server=True, disrupts=True),
 }
 
 
@@ -105,7 +184,7 @@ class FaultEvent:
     args: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in VALID_KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if not math.isfinite(self.time):
             raise ValueError(f"fault time must be finite (got {self.time!r})")
@@ -118,8 +197,9 @@ class FaultEvent:
 
         The entry is untrusted input (a repro artifact, a control-channel
         command): a malformed entry, an unknown kind, a non-finite or
-        negative time, or an argument the applier could not use raises
-        ``ValueError``.
+        negative time, a missing or mistyped argument, one outside its
+        range, or a missing server ``target`` raises ``ValueError`` — so
+        the applier never meets a value it would refuse.
         """
         if not isinstance(entry, dict):
             raise ValueError("entry is not an object")
@@ -128,19 +208,22 @@ class FaultEvent:
             kind = entry["kind"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"entry is malformed: {exc!r}") from exc
-        if not isinstance(kind, str):
+        spec = KINDS.get(kind) if isinstance(kind, str) else None
+        if spec is None:
             raise ValueError(f"unknown fault kind {kind!r}")
         args = entry.get("args") or {}
         if not isinstance(args, dict):
             raise ValueError("args must be an object")
-        required, optional = _ARGS.get(kind, ({}, {}))
-        for name, (check, what) in required.items():
-            if name not in args or not check(args[name]):
-                raise ValueError(f"{kind} needs {name}: {what}")
-        for name, (check, what) in optional.items():
+        for name in spec.required:
+            if name not in args:
+                raise ValueError(f"{kind} needs {name}")
+        for name, (check, what) in {**spec.required, **spec.optional}.items():
             if name in args and not check(args[name]):
                 raise ValueError(f"{kind}'s {name} must be {what}")
-        return cls(time=time, kind=kind, target=entry.get("target"), args=args)
+        target = entry.get("target")
+        if spec.on_server and not isinstance(target, str):
+            raise ValueError(f"{kind} needs a target: a server id string")
+        return cls(time=time, kind=kind, target=target, args=args)
 
     def key(self) -> tuple:
         """A stable identity used for sorting and shrinking."""
@@ -204,7 +287,7 @@ class FaultSchedule:
 
     def crash_at(self, time: float, server: str, hook: str) -> "FaultSchedule":
         """Arm a crash that fires when ``server`` next enters the named
-        protocol step (see ``repro.core.server.CRASH_HOOKS``)."""
+        protocol step (one of :data:`CRASH_HOOKS`)."""
         return self.add(time, "crash_at", server, hook=hook)
 
     def sorted_events(self) -> list[FaultEvent]:
@@ -271,4 +354,7 @@ class FaultSchedule:
         return cls(events=events)
 
 
-__all__ = ["FaultEvent", "FaultSchedule", "VALID_KINDS"]
+__all__ = [
+    "CRASH_HOOKS", "DELAY", "KINDS", "PROBABILITY", "FaultEvent", "FaultKind", "FaultSchedule",
+    "Range",
+]

@@ -251,13 +251,15 @@ class FaultPlane:
 
         Raises ``ValueError`` for an unknown or malformed command, before
         anything changes; the control server turns it into an error reply.
+        A server-side kind is checked like a schedule entry (its
+        ``target`` too) and then refused: the plane has no servers.
         """
         if command.get("op") == "clear_all":
             self.model.clear_all()
             return
         args = {key: value for key, value in command.items() if key != "op"}
         event = FaultEvent.from_json(
-            {"time": 0.0, "kind": command.get("op"), "args": args}
+            {"time": 0.0, "kind": command.get("op"), "target": args.get("target"), "args": args}
         )
         apply_link(self.model, event)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable
 
+from repro.faults.schedule import DELAY
 from repro.sim.engine import Event, PeriodicTimer, Simulator
 from repro.sim.network import Message, Network
 from repro.sim.topology import NodeId
@@ -154,8 +155,8 @@ class Process:
         """Model a gray failure: the process is alive but slow — every
         message handler and timer callback runs ``delay`` seconds after it
         normally would.  ``0.0`` restores normal speed."""
-        if delay < 0.0:
-            raise ValueError("dispatch delay must be >= 0")
+        if delay not in DELAY:
+            raise ValueError(f"dispatch delay must be in {DELAY}")
         self.dispatch_delay = delay
         if delay > 0.0:
             self.network.trace.record(

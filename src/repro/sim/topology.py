@@ -23,9 +23,10 @@ therefore means the same thing in the simulator, in-process and across
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from typing import Hashable
+
+from repro.faults.schedule import DELAY, PROBABILITY
 
 NodeId = Hashable
 
@@ -165,8 +166,8 @@ class Topology:
     ) -> None:
         """Add ``extra`` seconds of one-way delay to the ``a -> b`` link
         (a transient congestion spike; :meth:`clear_link_delay` lifts it)."""
-        if not 0.0 <= extra < math.inf:
-            raise ValueError("extra link delay must be finite and >= 0")
+        if extra not in DELAY:
+            raise ValueError(f"extra link delay must be in {DELAY}")
         self.link(a, b).extra_delay = extra
         if symmetric:
             self.link(b, a).extra_delay = extra
@@ -183,8 +184,8 @@ class Topology:
         self._adversity_refused = reason
 
     def _check_adversity(self, probability: float, what: str) -> None:
-        if not 0.0 <= probability < 1.0:
-            raise ValueError(f"{what} probability must be in [0, 1)")
+        if probability not in PROBABILITY:
+            raise ValueError(f"{what} probability must be in {PROBABILITY}")
         if probability > 0.0 and self._adversity_refused is not None:
             raise ValueError(self._adversity_refused)
 
@@ -198,8 +199,8 @@ class Topology:
         """With the given probability, hold a message back by up to
         ``window`` extra seconds and exempt it from per-pair FIFO, so it
         can arrive after messages sent later on the same link."""
-        if not 0.0 <= window < math.inf:
-            raise ValueError("reorder window must be finite and >= 0")
+        if window not in DELAY:
+            raise ValueError(f"reorder window must be in {DELAY}")
         self._check_adversity(probability, "reorder")
         self.reorder_probability = probability
         self.reorder_window = window

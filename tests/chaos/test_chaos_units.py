@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from repro.chaos.artifact import FORMAT, load_artifact, write_artifact
-from repro.chaos.config import ChaosConfig
-from repro.chaos.generator import PROFILES, generate_schedule, resolve_profile
+from repro.chaos.config import PROFILES, ChaosConfig
+from repro.chaos.generator import generate_schedule, resolve_profile
 from repro.chaos.oracles import ORACLES, Violation
 from repro.chaos.runner import _detail_renderer, _stable, disruption_spans, trace_digest
 from repro.chaos.shrink import shrink_events
-from repro.faults.schedule import FaultSchedule
+from repro.faults.schedule import KINDS, FaultSchedule
 from repro.sim.trace import TraceLog
 
 
@@ -131,6 +131,47 @@ class TestDisruptionSpans:
         schedule = FaultSchedule().duplicate(1.0, 0.05).duplicate(6.0, 0.0)
         assert disruption_spans(schedule, t0=0.0, heal_time=20.0) == [(1.0, 6.0)]
 
+    def test_slowdown_closed_only_by_its_servers_restore_speed(self):
+        schedule = (
+            FaultSchedule()
+            .slowdown(1.0, "s0", 0.3)
+            .recover(2.0, "s0")
+            .restore_speed(3.0, "s1")
+            .restore_speed(5.0, "s0")
+        )
+        assert disruption_spans(schedule, t0=0.0, heal_time=20.0) == [(1.0, 5.0)]
+
+    def test_partition_closed_by_heal(self):
+        schedule = FaultSchedule().partition(2.0, ["s0"], ["s1", "s2"]).heal(7.0)
+        assert disruption_spans(schedule, t0=0.0, heal_time=20.0) == [(2.0, 7.0)]
+
+    def test_cut_link_closed_by_its_pair_in_either_order(self):
+        reversed_pair = FaultSchedule().cut_link(1.0, "s0", "s1").restore_link(4.0, "s1", "s0")
+        assert disruption_spans(reversed_pair, t0=0.0, heal_time=20.0) == [(1.0, 4.0)]
+        other_pair = FaultSchedule().cut_link(1.0, "s0", "s1").restore_link(4.0, "s0", "s2")
+        assert disruption_spans(other_pair, t0=0.0, heal_time=20.0) == [(1.0, 20.0)]
+
+    def test_delay_link_closed_by_restore_delay_of_its_pair(self):
+        schedule = (
+            FaultSchedule()
+            .delay_link(1.0, "s0", "s1", 0.2)
+            .restore_delay(3.0, "s0", "s2")
+            .restore_delay(6.0, "s0", "s1")
+        )
+        assert disruption_spans(schedule, t0=0.0, heal_time=20.0) == [(1.0, 6.0)]
+
+    def test_reorder_closes_at_zero_probability(self):
+        schedule = FaultSchedule().reorder(2.0, 0.05).duplicate(3.0, 0.0).reorder(8.0, 0.0)
+        assert disruption_spans(schedule, t0=0.0, heal_time=20.0) == [(2.0, 8.0)]
+
+    def test_second_nonzero_duplicate_does_not_close_the_first(self):
+        schedule = FaultSchedule().duplicate(1.0, 0.05).duplicate(3.0, 0.02)
+        assert disruption_spans(schedule, t0=0.0, heal_time=20.0) == [(1.0, 20.0)]
+
+    def test_closer_before_its_opener_is_ignored(self):
+        schedule = FaultSchedule().recover(1.0, "s0").crash(4.0, "s0")
+        assert disruption_spans(schedule, t0=0.0, heal_time=20.0) == [(4.0, 20.0)]
+
 
 class TestShrink:
     def test_finds_single_culprit(self):
@@ -216,6 +257,10 @@ class TestOracleTable:
         assert lost.applies_to is not None
         assert "partition" not in lost.applies_to
         assert "crash" in lost.applies_to
+
+    def test_lossless_kinds_are_all_but_the_partition_class(self):
+        lost = {o.name: o for o in ORACLES}["silent-lost-updates"]
+        assert lost.applies_to == set(KINDS) - {"partition", "heal", "cut_link", "restore_link"}
 
     def test_unconditional_oracles(self):
         by_name = {o.name: o for o in ORACLES}

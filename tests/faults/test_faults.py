@@ -11,7 +11,7 @@ from repro.faults.generators import (
     poisson_crash_schedule,
 )
 from repro.faults.injector import apply, inject
-from repro.faults.schedule import VALID_KINDS, FaultEvent, FaultSchedule
+from repro.faults.schedule import KINDS, FaultEvent, FaultSchedule
 from repro.net.faults import FaultPlane, FaultyTransport
 from repro.net.replay import ReplayTransport
 from repro.sim.engine import Simulator
@@ -255,6 +255,32 @@ class TestSchedulePersistence:
             FaultSchedule.from_json(
                 [{"time": 1.0, "kind": "crash", "args": "not-a-dict"}]
             )
+
+    @pytest.mark.parametrize(
+        "kind, target, args, error",
+        [
+            ("crash_at", "s0", {"hook": "bogus"}, "hook must be one of"),
+            ("slowdown", "s0", {"delay": -5}, "delay must be in"),
+            ("slowdown", "s0", {"delay": float("nan")}, "delay must be in"),
+            ("delay_link", None, {"a": "s0", "b": "s1", "extra": float("inf")}, "extra must be in"),
+            ("reorder", None, {"probability": 0.1, "window": -0.01}, "window must be in"),
+            ("duplicate", None, {"probability": 1.0}, r"probability must be in \[0, 1\)"),
+            ("reorder", None, {"probability": -0.1}, r"probability must be in \[0, 1\)"),
+            ("crash", ["s0"], {}, "crash needs a target"),
+            ("recover", None, {}, "recover needs a target"),
+        ],
+        ids=[
+            "unknown-hook", "negative-delay", "nan-delay", "infinite-extra",
+            "negative-window", "probability-one", "negative-probability",
+            "list-target", "missing-target",
+        ],
+    )
+    def test_from_json_refuses_what_the_applier_would(self, kind, target, args, error):
+        # each of these used to load, then raise mid-run in the injector
+        # or the link model, or replay as no fault at all
+        entry = {"time": 1.0, "kind": kind, "target": target, "args": args}
+        with pytest.raises(ValueError, match=error):
+            FaultSchedule.from_json([entry])
 
 
 class TestInjectorExtended:
@@ -535,7 +561,7 @@ class TestOneApplierTwoSurfaces:
             .reorder(0.0, 0.01)
         )
         # a kind added to the vocabulary needs an example here ...
-        assert examples.kinds() == VALID_KINDS
+        assert examples.kinds() == set(KINDS)
         cluster = make_vod_cluster()
         for event in examples.events:
             apply(cluster, event)  # ... and an arm there, or this raises

@@ -7,7 +7,7 @@ import json
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.faults.schedule import VALID_KINDS
+from repro.faults.schedule import KINDS
 from repro.net.codec import encode_frame
 from repro.net.faults import (
     WAN_PROFILES,
@@ -349,12 +349,12 @@ _near_args = {
 _arg_names = st.sampled_from(sorted(_near_args) + ["target", "hook", "delay", "time"])
 _near_valid = st.builds(
     lambda op, args: {**args, "op": op},
-    st.sampled_from([*sorted(VALID_KINDS), "clear_all"]),
+    st.sampled_from([*sorted(KINDS), "clear_all"]),
     st.fixed_dictionaries({}, optional=_near_args),
 )
 _arbitrary = st.builds(
     lambda op, args, with_op: {**args, "op": op} if with_op else args,
-    st.sampled_from([*sorted(VALID_KINDS), "clear_all"]) | _json_values,
+    st.sampled_from([*sorted(KINDS), "clear_all"]) | _json_values,
     st.dictionaries(_arg_names | st.text(max_size=3), _json_values, max_size=5),
     st.booleans(),
 )

@@ -1,5 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -71,3 +74,31 @@ def test_chaos_plant_found_shrunk_and_replayable(capsys, tmp_path):
     assert main(["chaos", "--replay", str(artifacts[0])]) == 0
     out = capsys.readouterr().out
     assert "reproduced       : yes" in out
+
+
+_INVALID = sorted((Path(__file__).parent / "chaos" / "artifacts" / "invalid").glob("*.json"))
+
+
+def _refused(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_chaos_replay_refuses_a_missing_file(capsys, tmp_path):
+    err = _refused(["chaos", "--replay", str(tmp_path / "gone.json")], capsys)
+    assert err.startswith("chaos:") and "gone.json" in err
+
+
+def test_chaos_replay_refuses_a_wrong_format(capsys, tmp_path):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps({"format": "repro-chaos/0"}))
+    err = _refused(["chaos", "--replay", str(path)], capsys)
+    assert err.startswith("chaos:") and "repro-chaos/1" in err
+
+
+@pytest.mark.parametrize("path", _INVALID, ids=[p.stem for p in _INVALID])
+def test_chaos_replay_refuses_an_invalid_entry(capsys, path):
+    err = _refused(["chaos", "--replay", str(path)], capsys)
+    assert err.startswith("chaos: malformed chaos artifact") and "schedule entry" in err

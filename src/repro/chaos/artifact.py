@@ -60,8 +60,10 @@ def write_artifact(
 
 def load_artifact(path: str | Path) -> dict:
     """Parse and validate an artifact; returns a dict with ``config``
-    (:class:`ChaosConfig`), ``seed``, ``schedule`` (:class:`FaultSchedule`)
-    and the recorded ``violations`` (as plain dicts)."""
+    (:class:`ChaosConfig`), ``seed``, ``schedule`` (:class:`FaultSchedule`),
+    the recorded ``violations`` (as plain dicts), ``profile``, ``mode`` and,
+    for a live run, its ``trace_digest`` and ``replay_log``.  Every one of
+    them is checked here, so a malformed file is refused before it runs."""
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or data.get("format") != FORMAT:
         raise ValueError(
@@ -73,18 +75,45 @@ def load_artifact(path: str | Path) -> dict:
         seed = int(data["seed"])
         config = ChaosConfig.from_json(data["config"])
         schedule = FaultSchedule.from_json(data["schedule"])
+        violations = _violations(data.get("violations", []))
+        text = {key: _text(data, key) for key in ("profile", "trace_digest", "replay_log")}
+        mode = data.get("mode", "sim")
+        if mode not in ("sim", "live"):
+            raise ValueError(f"mode must be 'sim' or 'live', not {mode!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed chaos artifact {path}: {exc}") from exc
     return {
         "seed": seed,
         "config": config,
         "schedule": schedule,
-        "violations": data.get("violations", []),
-        "profile": data.get("profile"),
-        "mode": data.get("mode", "sim"),
-        "trace_digest": data.get("trace_digest"),
-        "replay_log": data.get("replay_log"),
+        "violations": violations,
+        "mode": mode,
+        **text,
     }
+
+
+def _violations(entries: object) -> list[dict]:
+    """The recorded violations, each as :meth:`Violation.to_json` wrote it."""
+    if not isinstance(entries, list):
+        raise ValueError(f"violations must be a list, not {entries!r}")
+    for i, entry in enumerate(entries):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("oracle"), str)
+            and isinstance(entry.get("session_id"), (str, type(None)))
+            and isinstance(entry.get("detail"), dict)
+        ):
+            raise ValueError(
+                f"violations entry {i} is not an oracle, session_id and detail: {entry!r}"
+            )
+    return entries
+
+
+def _text(data: dict, key: str) -> str | None:
+    value = data.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, not {value!r}")
+    return value
 
 
 __all__ = ["FORMAT", "load_artifact", "write_artifact"]

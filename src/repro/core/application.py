@@ -24,7 +24,7 @@ from repro.wiretypes import wire
 
 
 @wire(20)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseBody:
     """One application response.
 

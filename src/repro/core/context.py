@@ -28,6 +28,7 @@ field is small (a one-field delta outweighs a small snapshot).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -48,20 +49,27 @@ def state_delta(old: Any, new: Any) -> tuple[tuple[str, Any], ...] | None:
     """
     if old is new:
         return ()
-    if (
-        not dataclasses.is_dataclass(old)
-        or not dataclasses.is_dataclass(new)
-        or type(old) is not type(new)
-        or isinstance(old, type)
-    ):
+    cls = type(new)
+    names = _field_names(cls) if type(old) is cls else None
+    if names is None:
         return None
     changed = []
-    for f in dataclasses.fields(new):
-        old_value = getattr(old, f.name)
-        new_value = getattr(new, f.name)
+    for name in names:
+        old_value = getattr(old, name)
+        new_value = getattr(new, name)
         if old_value is not new_value and old_value != new_value:
-            changed.append((f.name, new_value))
+            changed.append((name, new_value))
     return tuple(changed)
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """The field names of a dataclass whose instances :func:`state_delta`
+    diffs, looked up once per class; ``None`` for any other class (``type``
+    included: two dataclasses themselves are no states)."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
 
 
 def apply_state_delta(state: Any, changes: tuple) -> Any:

@@ -54,6 +54,7 @@ from repro.gcs.daemon import GcsDaemon
 from repro.gcs.settings import GcsSettings
 from repro.gcs.spec import SpecMonitor
 from repro.gcs.view import Configuration, GroupView
+from repro.net.codec import frame_size
 from repro.sim.network import Network
 from repro.sim.topology import NodeId
 
@@ -669,12 +670,14 @@ class FrameworkServer:
             and own.snapshot.epoch == runtime.ctx.epoch
             and runtime.deltas_since_full + 1 < FULL_PROPAGATION_EVERY,
         )
-        forms = [Propagate(session_id, unit, snapshot=snapshot)]
-        if delta is not None:
-            forms.append(Propagate(session_id, unit, delta=delta))
-        # the codec prices both forms (a state it cannot encode fails here,
-        # before anything is sent); on a tie min() keeps the full one
-        message = min(forms, key=lambda form: form.wire_size)
+        # the codec prices both contexts (a state it cannot encode fails
+        # here, before anything is sent): the two frames differ only there,
+        # and the delta ships only when it is strictly smaller
+        if delta is not None and frame_size(delta) < frame_size(snapshot):
+            message = Propagate(session_id, unit, delta=delta)
+        else:
+            message = Propagate(session_id, unit, snapshot=snapshot)
+        size = message.wire_size
         if message.delta is not None:
             runtime.deltas_since_full += 1
             self.counters["propagations_delta"] += 1
@@ -682,7 +685,7 @@ class FrameworkServer:
             runtime.deltas_since_full = 0
             runtime.propagated_view_key = view_key
             self.counters["propagations_full"] += 1
-        self.counters["propagation_bytes_sent"] += message.wire_size
+        self.counters["propagation_bytes_sent"] += size
         self.daemon.mcast(content_group(unit), message)
         self.counters["propagations_sent"] += 1
 

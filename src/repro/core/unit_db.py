@@ -22,7 +22,7 @@ from repro.wiretypes import wire
 
 
 @wire(19)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionRecord:
     """One session's entry in the unit database."""
 

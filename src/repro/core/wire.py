@@ -12,7 +12,6 @@ These ride inside GCS multicasts (ordered) or point-to-point sends
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any
 
 from repro.core.context import ContextDelta, ContextSnapshot
@@ -42,13 +41,13 @@ def session_group(session_id: str) -> str:
 
 
 @wire(21)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListUnitsRequest:
     client_id: NodeId
 
 
 @wire(22)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitList:
     """Reply: available units and the content group name for each."""
 
@@ -61,7 +60,7 @@ class UnitList:
 
 
 @wire(23)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StartSession:
     client_id: NodeId
     session_id: str
@@ -70,7 +69,7 @@ class StartSession:
 
 
 @wire(24)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionStarted:
     """Primary -> client: your session group is ready."""
 
@@ -80,7 +79,7 @@ class SessionStarted:
 
 
 @wire(25)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionDenied:
     session_id: str
     reason: str
@@ -92,7 +91,7 @@ class SessionDenied:
 
 
 @wire(26)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContextUpdate:
     session_id: str
     counter: int
@@ -100,7 +99,7 @@ class ContextUpdate:
 
 
 @wire(27)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndSession:
     session_id: str
 
@@ -110,42 +109,58 @@ class EndSession:
 # ---------------------------------------------------------------------------
 
 
+class _PricedOnce:
+    """``Propagate.wire_size``: priced by the codec on the first read and
+    kept in the instance's ``__dict__``, where every later read finds it
+    without coming here — :func:`functools.cached_property` without its
+    lock, which cost twice the pricing itself (two threads racing would
+    both store the same number)."""
+
+    def __get__(self, instance: Any, owner: type | None = None) -> Any:
+        if instance is None:
+            return self
+        # imported here: the codec imports this module for its declarations
+        from repro.net.codec import frame_size
+
+        size = instance.__dict__["wire_size"] = frame_size(instance)
+        return size
+
+
 @wire(28)
 @dataclass(frozen=True)
-class Propagate:
+class Propagate:  # repro-lint: allow(D105) — caches wire_size in its __dict__
     """Primary -> content group: periodic context propagation.
 
     Carries either a full ``snapshot`` or an incremental ``delta``
-    (exactly one is set): the primary builds both and ships the one with
-    the smaller ``wire_size``.  Deltas ship only the app-state fields
-    changed since the previous propagation epoch; a receiver whose record
-    is not at the delta's base epoch ignores it and is repaired by the next
-    full snapshot (the primary sends one after content view changes and
-    state-exchange merges, and at least every
+    (exactly one is set): the primary prices both contexts and builds the
+    one form it ships, the delta only when its frame is strictly smaller
+    (the two frames differ only in the context they carry).  Deltas ship
+    only the app-state fields changed since the previous propagation epoch;
+    a receiver whose record is not at the delta's base epoch ignores it and
+    is repaired by the next full snapshot (the primary sends one after
+    content view changes and state-exchange merges, and at least every
     ``server.FULL_PROPAGATION_EVERY`` propagations).
 
     ``wire_size`` is what the codec makes of this message — the bytes
     the load accounting charges the propagation-frequency knob, on both
     runtimes.  A state the codec cannot encode raises
-    :class:`~repro.net.codec.UnknownTypeError` here.  It is encoded once
-    per object: the simulator hands the sender's object to every
-    receiver, and each one accounts for it."""
+    :class:`~repro.net.codec.UnknownTypeError` here.  It is priced once
+    per object, from the codec's field plan and without encoding
+    (:func:`~repro.net.codec.frame_size`): the simulator hands the
+    sender's object to every receiver, and each one accounts for it.
+    The class keeps a ``__dict__`` for that cached size, so it is the one
+    wire type without slots."""
 
     session_id: str
     unit_id: str
     snapshot: ContextSnapshot | None = None
     delta: ContextDelta | None = None
 
-    @cached_property
-    def wire_size(self) -> int:
-        # imported here: the codec imports this module for its declarations
-        from repro.net.codec import frame_size
-
-        return frame_size(self)
+    wire_size = _PricedOnce()
 
 
 @wire(29)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionEnded:
     """Primary -> content group: drop the session from the unit database."""
 
@@ -154,7 +169,7 @@ class SessionEnded:
 
 
 @wire(30)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RebalanceRequest:
     """Anyone -> content group: re-run the deterministic rebalance now.
 
@@ -169,7 +184,7 @@ class RebalanceRequest:
 
 
 @wire(31)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateExchange:
     """Member -> content group after a join-type view change: my unit
     database, so the merged state can be rebuilt deterministically."""
@@ -186,7 +201,7 @@ class StateExchange:
 
 
 @wire(32)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Handoff:
     """Old primary -> new primary during a controlled migration: the exact
     up-to-date context (no uncertainty window)."""
@@ -197,7 +212,7 @@ class Handoff:
 
 
 @wire(33)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResponseMsg:
     """Primary -> client: one response.
 

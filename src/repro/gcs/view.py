@@ -19,7 +19,7 @@ from repro.wiretypes import wire
 
 @wire(1, 18, "counter:u32 coordinator:str8")
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewId:
     """A totally ordered view identifier: ``(counter, coordinator)``.
 

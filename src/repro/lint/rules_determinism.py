@@ -381,25 +381,36 @@ def _slots_exempt(node: ast.ClassDef) -> bool:
     return False
 
 
+def _is_wire_type(node: ast.ClassDef, module: ModuleInfo) -> bool:
+    """Declared with ``@wire(...)``: built once per message on both runtimes."""
+    return any(
+        isinstance(decorator, ast.Call)
+        and module.qualified_name(decorator.func) == "repro.wiretypes.wire"
+        for decorator in node.decorator_list
+    )
+
+
 @rule(
     "D105",
     "slots-required",
-    "class in a designated hot module lacks __slots__",
+    "class in a designated hot module, or a wire type anywhere, lacks __slots__",
 )
 def check_slots(module: ModuleInfo) -> Iterator[Finding]:
-    if not module.endswith(*HOT_MODULES):
-        return
+    hot = module.endswith(*HOT_MODULES)
     for node in module.tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
+        if not hot and not _is_wire_type(node, module):
+            continue
         if _slots_exempt(node) or _has_slots(node) or _is_named_tuple(node, module):
             continue
+        where = "lives in a hot module" if hot else "is a wire type"
         yield _finding(
             "D105",
             "slots-required",
             module,
             node,
-            f"class {node.name} lives in a hot module but has no __slots__ "
+            f"class {node.name} {where} but has no __slots__ "
             "(add __slots__, @dataclass(slots=True) or derive from NamedTuple)",
         )
 

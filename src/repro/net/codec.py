@@ -23,15 +23,19 @@ class.  A class defined above the codec (a service builder's session
 state) calls :func:`register` instead and gets the next free id.
 
 **The compile step.**  Nothing here interprets a schema per value.  On
-the first encode or decode of a registered class the module generates
-straight-line source for it from ``dataclasses.fields(cls)`` and
-``exec``-s it (as :mod:`dataclasses` does for ``__init__``): the generic
-form's header is a precomputed constant, and a field annotated ``int``,
-``float``, ``str`` or ``bool`` gets an inline arm for exactly that type —
-a *prediction* only: any other value takes the ordinary tagged dispatch,
-so every value still encodes, and to the same bytes.  Compilation is
-lazy because building every class at import costs a short-lived process
-more than it saves; :func:`generated_source` shows what was built.
+the first encode, size or decode of a registered class the module
+generates straight-line source for it from ``dataclasses.fields(cls)``
+and ``exec``-s it (as :mod:`dataclasses` does for ``__init__``): the
+generic form's header is a precomputed constant, and a field annotated
+``int``, ``float``, ``str`` or ``bool`` gets an inline arm for exactly
+that type — a *prediction* only: any other value takes the ordinary
+tagged dispatch, so every value still encodes, and to the same bytes.
+The same field plan yields a *sizer* per form, which :func:`frame_size`
+runs: the encoder's reads and fit checks with lengths in place of bytes.
+Compilation is lazy because building every class at import costs a
+short-lived process more than it saves; :func:`generated_source` shows
+what was built.  (The decoders build values through the constructor that
+``@wire`` compiled for the class, see :mod:`repro.wiretypes`.)
 
 **Packed layouts.**  The hottest frame types (heartbeats, client acks,
 sequenced batches, the envelope itself) declare a second, struct-packed
@@ -127,6 +131,7 @@ _Encoder = Callable[[Any, bytearray], None]
 _Decoder = Callable[[bytes, int], "tuple[Any, int]"]
 _GenericDecoder = Callable[[bytes, int, int], "tuple[Any, int]"]
 _ShellEncoder = Callable[[Any, Any, Any, Any, bytes, bytearray], None]
+_Sizer = Callable[[Any], int]
 
 
 # ---------------------------------------------------------------------------
@@ -231,26 +236,96 @@ class _EncoderTable(dict[type, _Encoder]):
         self[frozenset] = enc_set(_T_FROZENSET)
 
     def __missing__(self, cls: type) -> _Encoder:
-        for base in _BUILTIN_BASES:
-            if issubclass(cls, base):
-                encoder = self[base]
-                break
+        base = _builtin_base(cls)
+        if base is not None:
+            encoder = self[base]
         else:
-            if cls not in _TYPE_IDS:
-                if is_dataclass(cls):
-                    raise UnknownTypeError(
-                        f"{cls.__name__} is not registered with the codec (declare it "
-                        "with @wire(type_id) where it is defined, or call register(cls) "
-                        "from a module above the codec)"
-                    )
-                raise UnknownTypeError(f"cannot encode {cls.__name__!r} (not a wire type)")
             encoder = _compile_encoder(cls, self, packed=self.packed and cls in _LAYOUTS)
         self[cls] = encoder
         return encoder
 
 
+def _builtin_base(cls: type) -> type | None:
+    """The builtin whose encoding a value of ``cls`` gets, or ``None`` for a
+    registered dataclass; anything else is not a wire type."""
+    for base in _BUILTIN_BASES:
+        if issubclass(cls, base):
+            return base
+    if cls not in _TYPE_IDS:
+        if is_dataclass(cls):
+            raise UnknownTypeError(
+                f"{cls.__name__} is not registered with the codec (declare it "
+                "with @wire(type_id) where it is defined, or call register(cls) "
+                "from a module above the codec)"
+            )
+        raise UnknownTypeError(f"cannot encode {cls.__name__!r} (not a wire type)")
+    return None
+
+
 _ENCODE_PACKED = _EncoderTable(packed=True)
 _ENCODE_GENERIC = _EncoderTable(packed=False)
+
+
+# ---------------------------------------------------------------------------
+# sizing: type -> sizer table, the length the packed encoder table writes
+# ---------------------------------------------------------------------------
+def _size_int(value: Any) -> int:
+    if _INT64_MIN <= value <= _INT64_MAX:
+        return 9
+    return 5 + (value.bit_length() + 8) // 8
+
+
+def _size_str(value: Any) -> int:
+    return 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+
+
+def _size_bytes(value: Any) -> int:
+    return 5 + len(value)
+
+
+class _SizerTable(dict[type, _Sizer]):
+    """``table[type(value)](value)`` is the length of what
+    ``_ENCODE_PACKED[type(value)](value, out)`` appends, computed without
+    writing it, and raising what the encoder raises.  A set's members sort
+    by their bytes, which moves them but not their lengths."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            {
+                type(None): lambda value: 1,
+                bool: lambda value: 1,
+                int: _size_int,
+                float: lambda value: 9,
+                str: _size_str,
+                bytes: _size_bytes,
+                bytearray: _size_bytes,
+            }
+        )
+
+        def size_items(value: Any) -> int:
+            size = 5
+            for item in value:
+                size += self[type(item)](item)
+            return size
+
+        def size_dict(value: Any) -> int:
+            size = 5
+            for key, item in value.items():
+                size += self[type(key)](key) + self[type(item)](item)
+            return size
+
+        for container in (list, tuple, set, frozenset):
+            self[container] = size_items
+        self[dict] = size_dict
+
+    def __missing__(self, cls: type) -> _Sizer:
+        base = _builtin_base(cls)
+        sizer = self[base] if base is not None else _compile_sizer(cls, self, cls in _LAYOUTS)
+        self[cls] = sizer
+        return sizer
+
+
+_SIZE = _SizerTable()
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +744,60 @@ def _compile_encoder(cls: type, table: _EncoderTable, packed: bool, spliced: boo
     return _build(name, args, body, **constants)
 
 
+#: predicted type -> (test on {x}, its size when the test holds)
+_SIZE_ARMS: dict[Any, tuple[str, str]] = {
+    int: (f"type({{x}}) is int and {_INT64_MIN} <= {{x}} <= {_INT64_MAX}", "9"),
+    float: ("type({x}) is float", "9"),
+    bool: ("type({x}) is bool", "1"),
+    str: ("type({x}) is str and {x}.isascii()", "5 + len({x})"),
+}
+
+
+def _compile_sizer(cls: type, table: _SizerTable, packed: bool) -> Any:
+    """The length the encoder of the same form writes: the same reads, the
+    same fit checks in the same order (so a misfit falls back to the generic
+    sizer exactly where the encoder falls back), and a constant for the tag,
+    header and fixed-width steps; only strings, ``value`` fields and tuple
+    items are measured."""
+    predictions, steps = _predictions(cls), _steps(cls, packed)
+    locals_ = [f"f{i}" for i in range(len(predictions))]
+    body = [f"    {x} = value.{f.name}" for x, f in zip(locals_, fields(cls))]
+    constants: dict[str, Any] = {"_size": table}
+    terms = [str(1 + _DATACLASS_HEADER.size)]  # the generic form's tag and header
+    if packed:
+        constants["_generic"] = _compile_sizer(cls, table, False)
+        fixed = [(kind, locals_[i]) for kind, i in steps if kind in _FIXED_KINDS]
+        strings = [x for kind, x in fixed if kind == "str8"]
+        if fixed:
+            checks = " and ".join(_FIXED_KINDS[kind][1].format(x=x) for kind, x in fixed)
+            body.append(f"    if not ({checks}): return _generic(value)")
+        if strings:
+            body += [
+                f"    r{x} = len({x}) if {x}.isascii() else len({x}.encode('utf-8'))"
+                for x in strings
+            ]
+            misfit = " or ".join(f"r{x} > 255" for x in strings)
+            body.append(f"    if {misfit}: return _generic(value)")
+        width = struct.calcsize(">B" + "".join(_FIXED_KINDS[kind][0] for kind, _ in fixed))
+        terms = [str(width), *(f"r{x}" for x in strings)]
+    body.append(f"    size = {' + '.join(terms)}")
+    for kind, i in steps:
+        x = locals_[i]
+        if kind == "tuple16.items":
+            body.append(f"    for item in {x}: size += _size[type(item)](item)")
+        elif kind == "value":
+            arm = _SIZE_ARMS.get(predictions[i])
+            dispatch = f"_size[type({x})]({x})"
+            if arm is None:
+                body.append(f"    size += {dispatch}")
+            else:
+                test, size = (part.format(x=x) for part in arm)
+                body.append(f"    size += {size} if {test} else {dispatch}")
+    body.append("    return size")
+    form = "packed" if packed else "generic"
+    return _build(f"{cls.__name__}: {form} sizer", "value", body, **constants)
+
+
 def _compile_decoder(cls: type, packed: bool) -> Any:
     """The mirror image: one ``unpack_from`` per fixed-width run; a string's
     length byte and a tuple's count land in ``n<field>`` until they are used.
@@ -797,9 +926,14 @@ def encode_envelope_frame(
 
 
 def frame_size(value: Any) -> int:
-    """Actual wire cost of ``value`` in bytes (the byte accounting of both
-    runtimes: ``Propagate.wire_size``)."""
-    return len(encode_frame(value))
+    """Wire cost of ``value`` in bytes, ``len(encode_frame(value))`` exactly
+    and raising what it raises, computed from the compiled field plan
+    without writing a byte (the byte accounting of both runtimes:
+    ``Propagate.wire_size``)."""
+    body = 1 + _SIZE[type(value)](value)
+    if body > MAX_FRAME:
+        raise CodecError(f"frame body of {body} bytes exceeds {MAX_FRAME}")
+    return _LEN.size + body
 
 
 def decode_frame(frame: bytes) -> Any:

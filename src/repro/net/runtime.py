@@ -54,7 +54,7 @@ from repro.net.codec import (
 from repro.net.transport import MeshTransport
 from repro.sim.engine import Simulator
 from repro.sim.latency import FixedLatency
-from repro.sim.network import Message, Network
+from repro.sim.network import Message, Network, _new_message
 from repro.sim.topology import NodeId, Topology
 from repro.sim.trace import TraceLog
 
@@ -177,16 +177,11 @@ class LiveNetwork(Network):
     ) -> Message:
         if receiver in self._handlers:
             return super().send(sender, receiver, payload, kind=kind, size=size)
-        message = Message(
-            sender=sender,
-            receiver=receiver,
-            payload=payload,
-            kind=kind,
-            size=size,
-            send_time=self.sim.now,
-            msg_id=next(self._msg_ids),
+        now = self.sim.now
+        message = _new_message(
+            Message, (sender, receiver, payload, kind, size, now, next(self._msg_ids))
         )
-        self._account_send((sender, receiver), kind, size, message.send_time)
+        self._account_send((sender, receiver), kind, size, now)
         frame = encode_envelope_frame(
             sender, receiver, kind, size, self._payload_bytes(payload)
         )
@@ -249,14 +244,17 @@ class LiveNetwork(Network):
         self.actual_bytes_received[kind] = self.actual_bytes_received.get(
             kind, 0
         ) + len(data)
-        message = Message(
-            sender=envelope.sender,
-            receiver=envelope.receiver,
-            payload=envelope.payload,
-            kind=kind,
-            size=envelope.size,
-            send_time=self.sim.now,
-            msg_id=next(self._msg_ids),
+        message = _new_message(
+            Message,
+            (
+                envelope.sender,
+                envelope.receiver,
+                envelope.payload,
+                kind,
+                envelope.size,
+                self.sim.now,
+                next(self._msg_ids),
+            ),
         )
         self._deliver(message)
 

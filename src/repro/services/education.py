@@ -19,7 +19,7 @@ from repro.wiretypes import wire
 
 
 @wire(35)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EducationSessionState:
     unit_id: str
     current_object: int = 0

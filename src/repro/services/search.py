@@ -18,7 +18,7 @@ from repro.wiretypes import wire
 
 
 @wire(36)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchSessionState:
     unit_id: str
     result_sets: tuple[tuple[int, ...], ...] = ()

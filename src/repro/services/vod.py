@@ -22,7 +22,7 @@ FRAME_SIZE = {"I": 30, "P": 10, "B": 5}
 
 
 @wire(34)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VodSessionState:
     """Immutable VoD session context (frozen => snapshots are cheap and
     can never alias the live state)."""

@@ -2,6 +2,7 @@
 disruption windows, shrinking, and artifacts (no full cluster runs)."""
 
 import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,6 +242,33 @@ class TestArtifact:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else/9"}')
         with pytest.raises(ValueError, match="format"):
+            load_artifact(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("violations", {"oracle": "gcs-spec"}),
+            ("violations", [{"oracle": 3, "session_id": None, "detail": {}}]),
+            ("violations", [{"oracle": "gcs-spec", "session_id": 4, "detail": {}}]),
+            ("violations", [{"oracle": "gcs-spec", "session_id": None}]),
+            ("profile", ["gray"]),
+            ("mode", "wan"),
+            ("trace_digest", 12),
+            ("replay_log", False),
+        ],
+    )
+    def test_rejects_a_malformed_field(self, tmp_path, key, value):
+        data = {
+            "format": FORMAT,
+            "seed": 1,
+            "config": ChaosConfig().to_json(),
+            "schedule": FaultSchedule().to_json(),
+            "violations": [],
+            key: value,
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"malformed chaos artifact .*{key}"):
             load_artifact(path)
 
     def test_format_name_stable(self):

@@ -61,6 +61,11 @@ class _Unregistered:
     position: int = 0
 
 
+@dataclass(frozen=True)
+class _LoopState(PlayState):
+    loop: bool = False
+
+
 class _SeekApplication(RequestResponseApplication):
     """Every update is a new position; the rest of the state stays."""
 
@@ -194,6 +199,24 @@ class TestStateDelta:
     def test_undiffable_states_return_none(self):
         assert state_delta([1], [1, 2]) is None
         assert state_delta(PlayState(), (1, 2)) is None
+        # a dataclass of another type, a subclass, the class itself
+        assert state_delta(PlayState(), _Unregistered()) is None
+        assert state_delta(PlayState(), _LoopState()) is None
+        assert state_delta(PlayState, _Unregistered) is None
+        assert state_delta(PlayState, PlayState) == ()
+
+    def test_pairs_follow_the_field_order_on_every_call(self):
+        old = PlayState(position=1, rate=1.0, buffer=("a",))
+        new = PlayState(position=2, rate=2.0, buffer=("b",))
+        expected = (("position", 2), ("rate", 2.0), ("buffer", ("b",)))
+        assert state_delta(old, new) == expected
+        assert state_delta(old, new) == expected
+        # equal but distinct values are unchanged; subclasses diff their own fields
+        assert state_delta(old, PlayState(position=1, rate=1.0, buffer=("a",))) == ()
+        assert state_delta(_LoopState(loop=False), _LoopState(position=5, loop=True)) == (
+            ("position", 5),
+            ("loop", True),
+        )
 
 
 class TestContextDelta:
@@ -436,6 +459,33 @@ class TestCodecPricing:
         assert sum(encoded.values()) > 0
         for server_id, server in cluster.servers.items():
             assert server.counters["propagation_bytes_sent"] == encoded[server_id]
+
+    #: per server: (full, delta, propagation_bytes_sent).  The VoD unit's id
+    #: is 13 characters, so a delta of the position alone prices exactly as
+    #: the full snapshot: every tie ships the full one (a delta only when
+    #: strictly smaller; the other rule reads (4, 25, 3422) for s0).  The
+    #: play state's large buffer makes its deltas strictly smaller.
+    _TALLY = {
+        "vod-tie": {"s0": (29, 0, 3422), "s1": (0, 0, 0), "s2": (0, 0, 0)},
+        "play": {"s0": (4, 25, 13697), "s1": (0, 0, 0), "s2": (0, 0, 0)},
+    }
+
+    @pytest.mark.parametrize("state", sorted(_TALLY))
+    def test_each_server_ships_the_forms_pinned(self, state):
+        unit = "movie-theatre"
+        if state == "vod-tie":
+            app = VodApplication({unit: build_movie(unit, duration_seconds=120, frame_rate=10)})
+            cluster = _run_session(app, unit, drive=lambda *_: None)
+        else:
+            cluster = _run_session(*_STATES[state]())
+        tally = {
+            server_id: tuple(
+                server.counters[counter]
+                for counter in ("propagations_full", "propagations_delta", "propagation_bytes_sent")
+            )
+            for server_id, server in cluster.servers.items()
+        }
+        assert tally == self._TALLY[state]
 
     def test_unregistered_state_fails_at_first_propagation(self):
         with pytest.raises(UnknownTypeError, match="_Unregistered"):

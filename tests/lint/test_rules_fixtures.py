@@ -79,6 +79,30 @@ def test_d105_named_tuple_counts_as_slotted(tmp_path):
     assert [f.message.split()[1] for f in found] == ["Message"]
 
 
+def test_d105_wire_types_are_slotted_anywhere(tmp_path):
+    # outside the hot modules only a class declared @wire(...) is checked
+    module = tmp_path / "services" / "state.py"
+    module.parent.mkdir()
+    module.write_text(
+        "from dataclasses import dataclass\n"
+        "import repro.wiretypes\n"
+        "from repro.wiretypes import wire\n"
+        "from elsewhere import wire as other_wire\n\n\n"
+        "@wire(40)\n@dataclass(frozen=True)\nclass Unslotted:\n    x: int\n\n\n"
+        "@repro.wiretypes.wire(41)\n@dataclass(frozen=True)\nclass Dotted:\n    x: int\n\n\n"
+        "@wire(42)\n@dataclass(frozen=True, slots=True)\nclass Slotted:\n    x: int\n\n\n"
+        "@wire(43)\n@dataclass(frozen=True)\n"
+        "class Allowed:  # repro-lint: allow(D105) — keeps a __dict__ on purpose\n"
+        "    x: int\n\n\n"
+        "@other_wire(44)\n@dataclass(frozen=True)\nclass NotOurs:\n    x: int\n\n\n"
+        "@dataclass(frozen=True)\nclass Plain:\n    x: int\n"
+    )
+    found = _findings(tmp_path, "D105")
+    assert [f.message.split()[1] for f in found] == ["Unslotted", "Dotted"]
+    assert all("is a wire type" in f.message for f in found)
+    assert lint_paths([tmp_path], select=["D105"]).suppressed == 1
+
+
 def test_d106_mutable_default(bad_dir):
     found = _findings(bad_dir, "D106")
     assert len(found) == 2

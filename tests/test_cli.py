@@ -77,6 +77,9 @@ def test_chaos_plant_found_shrunk_and_replayable(capsys, tmp_path):
 
 
 _INVALID = sorted((Path(__file__).parent / "chaos" / "artifacts" / "invalid").glob("*.json"))
+#: the field an invalid artifact's refusal names: the schedule, unless the
+#: file is named after another field
+_REFUSED_FIELD = {"violations": "violations", "replay": "replay_log"}
 
 
 def _refused(argv, capsys):
@@ -101,4 +104,5 @@ def test_chaos_replay_refuses_a_wrong_format(capsys, tmp_path):
 @pytest.mark.parametrize("path", _INVALID, ids=[p.stem for p in _INVALID])
 def test_chaos_replay_refuses_an_invalid_entry(capsys, path):
     err = _refused(["chaos", "--replay", str(path)], capsys)
-    assert err.startswith("chaos: malformed chaos artifact") and "schedule entry" in err
+    field = _REFUSED_FIELD.get(path.stem.split("-")[0], "schedule entry")
+    assert err.startswith("chaos: malformed chaos artifact") and field in err

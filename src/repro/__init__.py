@@ -17,9 +17,9 @@ The package layers, bottom to top:
 * :mod:`repro.services` — the three example applications from Section 2
   (video-on-demand, distance education, refinement search).
 * :mod:`repro.faults`, :mod:`repro.metrics`, :mod:`repro.analysis`,
-  :mod:`repro.baselines`, :mod:`repro.experiments` — fault injection,
-  measurement, the Section-4 analytic models, comparison baselines, and the
-  experiment harness that regenerates every quantified claim.
+  :mod:`repro.experiments` — fault injection, measurement, the Section-4
+  analytic models, and the experiment harness that regenerates every
+  quantified claim (its baselines are configurations of the same code).
 """
 
 __version__ = "1.0.0"

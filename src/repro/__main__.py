@@ -58,8 +58,17 @@ def _cmd_demo(_args) -> int:
 
 
 def _cmd_experiments(args) -> int:
+    from repro.experiments import EXPERIMENT_MODULES
     from repro.experiments.runner import run_all
 
+    unknown = [name for name in args.ids if name not in EXPERIMENT_MODULES]
+    if unknown:
+        print(
+            f"experiments: unknown id(s) {' '.join(unknown)} "
+            f"(known: {' '.join(EXPERIMENT_MODULES)})",
+            file=sys.stderr,
+        )
+        return 2
     run_all(
         args.ids or None,
         seed=args.seed,

@@ -1,9 +1,9 @@
 """The experiment suite: one module per quantified paper claim.
 
 Every experiment exposes ``run(seed=0, fast=False) -> list[Table]``;
-``fast=True`` shrinks sweeps and durations for CI.  ``runner`` executes
-everything and prints the full report (the material EXPERIMENTS.md
-records).  Benchmarks in ``benchmarks/`` wrap each experiment for
+``fast=True`` shrinks sweeps and durations for CI.  ``python -m repro
+experiments`` (``runner.run_all``) executes everything and prints the full
+report (the material EXPERIMENTS.md records).  Benchmarks in ``benchmarks/`` wrap each experiment for
 ``pytest-benchmark``.
 
 Experiment modules are imported lazily (``get_experiments``) so that

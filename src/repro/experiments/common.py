@@ -2,7 +2,8 @@
 
 Provides the :class:`LedgerApplication` — a minimal service whose session
 state is the *set of update counters received*, making per-update loss
-directly observable — plus world builders and measurement helpers used by
+directly observable — and :func:`ledger_churn`, the one Section-4 loss run
+(E1, E7 and E11), plus world builders and measurement helpers used by
 several experiments.
 """
 
@@ -15,6 +16,10 @@ import numpy as np
 
 from repro.core import AvailabilityPolicy, ServiceCluster
 from repro.core.application import RequestResponseApplication
+from repro.faults.generators import poisson_crash_schedule
+from repro.faults.injector import inject
+from repro.faults.schedule import FaultSchedule
+from repro.gcs.settings import GcsSettings
 from repro.net.codec import register
 from repro.services.content import build_movie
 from repro.services.vod import VodApplication
@@ -83,26 +88,78 @@ def surviving_counters(cluster, session_id: str) -> frozenset[int]:
 
 def ledger_cluster(
     n_servers: int,
-    num_backups: int,
-    propagation_period: float,
+    policy: AvailabilityPolicy,
     seed: int,
     replication: int | None = None,
-    n_units: int = 1,
+    settings: GcsSettings | None = None,
 ) -> ServiceCluster:
-    app = LedgerApplication()
-    units = {f"ledger-{i}": app for i in range(n_units)}
+    """A settled cluster serving the one ledger unit ``ledger-0``."""
     cluster = ServiceCluster.build(
         n_servers=n_servers,
-        units=units,
+        units={"ledger-0": LedgerApplication()},
         replication=replication if replication is not None else n_servers,
-        policy=AvailabilityPolicy(
-            num_backups=num_backups, propagation_period=propagation_period
-        ),
+        policy=policy,
+        settings=settings,
         seed=seed,
         trace=False,
     )
     cluster.settle()
     return cluster
+
+
+def ledger_churn(
+    cluster: ServiceCluster,
+    n_sessions: int,
+    faults_rng: np.random.Generator,
+    duration: float,
+    failure_rate: float,
+    mean_downtime: float,
+    update_period: float,
+    spare: str | None = None,
+    settle: float = 8.0,
+) -> tuple[int, int, FaultSchedule]:
+    """The Section-4 loss run on a :func:`ledger_cluster`.
+
+    Clients ``c0…`` each open a ledger session and stream ``{"counter":
+    k+1}`` every ``update_period`` while the servers crash and recover as
+    independent Poisson processes (``spare`` never crashes).  After the
+    fault window every downed server recovers and the cluster settles for
+    ``settle`` seconds.  Returns ``(sent, lost, schedule)``: the counters
+    sent (less those the client saw fail), how many of them no surviving
+    context holds, and the injected schedule (relative to its start).
+    """
+    sessions = []
+    for index in range(n_sessions):
+        client = cluster.add_client(f"c{index}")
+        sessions.append((client, client.start_session("ledger-0")))
+    cluster.run(2.0)
+    schedule = poisson_crash_schedule(
+        faults_rng,
+        servers=sorted(cluster.servers),
+        duration=duration,
+        failure_rate=failure_rate,
+        mean_downtime=mean_downtime,
+        spare=spare,
+    )
+    inject(cluster, schedule)
+    for client, handle in sessions:
+        send_updates_periodically(
+            cluster, client, handle, update_period, duration,
+            lambda k: {"counter": k + 1},
+        )
+    cluster.run(duration + 1.0)
+    for server_id in list(cluster.servers):
+        if not cluster.servers[server_id].is_up():
+            cluster.recover_server(server_id)
+    cluster.run(settle)
+    sent = 0
+    lost = 0
+    for _, handle in sessions:
+        failed = set(handle.failed_update_counters)
+        sent_counters = {c for _, c, _ in handle.updates_sent} - failed
+        sent += len(sent_counters)
+        lost += len(sent_counters - surviving_counters(cluster, handle.session_id))
+    return sent, lost, schedule
 
 
 def vod_cluster(
@@ -169,6 +226,7 @@ def rng_for(seed: int, name: str) -> np.random.Generator:
 __all__ = [
     "LedgerApplication",
     "LedgerState",
+    "ledger_churn",
     "ledger_cluster",
     "rng_for",
     "send_updates_periodically",

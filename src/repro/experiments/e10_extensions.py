@@ -152,8 +152,3 @@ def _manager_experiment() -> Table:
 
 def run(seed: int = 0, fast: bool = False) -> list[Table]:
     return [_rsm_experiment(seed, fast), _manager_experiment()]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for t in run():
-        t.show()

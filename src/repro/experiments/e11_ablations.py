@@ -18,17 +18,10 @@ quantifying its contribution:
 from __future__ import annotations
 
 from repro.analysis.montecarlo import MonteCarlo
-from repro.core import AvailabilityPolicy, ServiceCluster
-from repro.faults.generators import poisson_crash_schedule
-from repro.faults.injector import inject
+from repro.core import AvailabilityPolicy
 from repro.gcs.settings import GcsSettings
 from repro.metrics.report import Table
-from repro.experiments.common import (
-    LedgerApplication,
-    rng_for,
-    send_updates_periodically,
-    surviving_counters,
-)
+from repro.experiments.common import ledger_churn, ledger_cluster, rng_for
 
 FAILURE_RATE = 0.08
 MEAN_DOWNTIME = 2.0
@@ -55,50 +48,19 @@ def _one_rep(seed: int, variant: dict, duration: float) -> dict:
         propagation_period=0.5,
         prefer_backup_promotion=variant.get("prefer_backup_promotion", True),
     )
-    cluster = ServiceCluster.build(
-        n_servers=N_SERVERS,
-        units={"ledger-0": LedgerApplication()},
-        replication=N_SERVERS,
-        policy=policy,
-        settings=settings,
-        seed=seed,
-        trace=False,
+    cluster = ledger_cluster(
+        n_servers=N_SERVERS, policy=policy, seed=seed, settings=settings
     )
-    cluster.settle()
-    clients, handles = [], []
-    for index in range(N_SESSIONS):
-        client = cluster.add_client(f"c{index}")
-        handles.append(client.start_session("ledger-0"))
-        clients.append(client)
-    cluster.run(2.0)
-    rng = rng_for(seed, "e11-faults")
-    schedule = poisson_crash_schedule(
-        rng,
-        servers=sorted(cluster.servers),
-        duration=duration,
-        failure_rate=FAILURE_RATE,
-        mean_downtime=MEAN_DOWNTIME,
+    sent, lost, _ = ledger_churn(
+        cluster,
+        N_SESSIONS,
+        rng_for(seed, "e11-faults"),
+        duration,
+        FAILURE_RATE,
+        MEAN_DOWNTIME,
+        UPDATE_PERIOD,
         spare="s4",
     )
-    inject(cluster, schedule)
-    for client, handle in zip(clients, handles):
-        send_updates_periodically(
-            cluster, client, handle, UPDATE_PERIOD, duration,
-            lambda k: {"counter": k + 1},
-        )
-    cluster.run(duration + 1.0)
-    for server_id in list(cluster.servers):
-        if not cluster.servers[server_id].is_up():
-            cluster.recover_server(server_id)
-    cluster.run(8.0)
-    sent = 0
-    lost = 0
-    for handle in handles:
-        failed = set(handle.failed_update_counters)
-        sent_counters = {c for _, c, _ in handle.updates_sent} - failed
-        survived = surviving_counters(cluster, handle.session_id)
-        sent += len(sent_counters)
-        lost += len(sent_counters - survived)
     return {"sent": sent, "lost": lost}
 
 
@@ -130,8 +92,3 @@ def run(seed: int = 0, fast: bool = False) -> list[Table]:
         "the no-backups row"
     )
     return [table]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for t in run():
-        t.show()

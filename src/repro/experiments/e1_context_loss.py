@@ -20,15 +20,9 @@ from __future__ import annotations
 
 from repro.analysis.availability import context_loss_probability
 from repro.analysis.montecarlo import MonteCarlo
-from repro.faults.generators import poisson_crash_schedule
-from repro.faults.injector import inject
+from repro.core import AvailabilityPolicy
 from repro.metrics.report import Table
-from repro.experiments.common import (
-    ledger_cluster,
-    rng_for,
-    send_updates_periodically,
-    surviving_counters,
-)
+from repro.experiments.common import ledger_churn, ledger_cluster, rng_for
 
 FAILURE_RATE = 0.04  # crashes / second / server (accelerated, see DESIGN.md)
 MEAN_DOWNTIME = 3.0
@@ -41,53 +35,21 @@ SPARE = "s4"
 def _one_rep(seed: int, num_backups: int, period: float, duration: float):
     cluster = ledger_cluster(
         n_servers=N_SERVERS,
-        num_backups=num_backups,
-        propagation_period=period,
+        policy=AvailabilityPolicy(
+            num_backups=num_backups, propagation_period=period
+        ),
         seed=seed,
     )
-    clients = []
-    handles = []
-    for index in range(N_SESSIONS):
-        client = cluster.add_client(f"c{index}")
-        handle = client.start_session("ledger-0")
-        clients.append(client)
-        handles.append(handle)
-    cluster.run(2.0)
-
-    rng = rng_for(seed, "e1-faults")
-    schedule = poisson_crash_schedule(
-        rng,
-        servers=sorted(cluster.servers),
-        duration=duration,
-        failure_rate=FAILURE_RATE,
-        mean_downtime=MEAN_DOWNTIME,
+    sent, lost, _ = ledger_churn(
+        cluster,
+        N_SESSIONS,
+        rng_for(seed, "e1-faults"),
+        duration,
+        FAILURE_RATE,
+        MEAN_DOWNTIME,
+        UPDATE_PERIOD,
         spare=SPARE,
     )
-    inject(cluster, schedule)
-    for client, handle in zip(clients, handles):
-        send_updates_periodically(
-            cluster,
-            client,
-            handle,
-            period=UPDATE_PERIOD,
-            duration=duration,
-            make_update=lambda k: {"counter": k + 1},
-        )
-    cluster.run(duration + 1.0)
-    # quiesce: recover everyone, let state merge back
-    for server_id in list(cluster.servers):
-        if not cluster.servers[server_id].is_up():
-            cluster.recover_server(server_id)
-    cluster.run(8.0)
-
-    sent = 0
-    lost = 0
-    for handle in handles:
-        failed = set(handle.failed_update_counters)
-        sent_counters = {c for _, c, _ in handle.updates_sent} - failed
-        survived = surviving_counters(cluster, handle.session_id)
-        sent += len(sent_counters)
-        lost += len(sent_counters - survived)
     # the cost half of the tradeoff: codec bytes of the propagations each
     # server processed per second
     prop_bytes = sum(
@@ -152,8 +114,3 @@ def run(seed: int = 0, fast: bool = False) -> list[Table]:
         "processed per second, tracking the propagation count"
     )
     return [table]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for t in run():
-        t.show()

@@ -131,8 +131,3 @@ def run(seed: int = 0, fast: bool = False) -> list[Table]:
         "in the propagation count"
     )
     return [table]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for t in run():
-        t.show()

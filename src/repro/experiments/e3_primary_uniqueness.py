@@ -72,8 +72,3 @@ def run(seed: int = 0, fast: bool = False) -> list[Table]:
         "total content loss is the no-primary (outage) case"
     )
     return [table]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for t in run():
-        t.show()

@@ -84,8 +84,3 @@ def run(seed: int = 0, fast: bool = False) -> list[Table]:
         "migration; duplicates should grow roughly linearly with T"
     )
     return [table]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for t in run():
-        t.show()

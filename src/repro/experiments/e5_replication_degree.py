@@ -122,8 +122,3 @@ def run(seed: int = 0, fast: bool = False) -> list[Table]:
         "the permanent tail — the cost of under-replication"
     )
     return [table]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for t in run():
-        t.show()

@@ -123,8 +123,3 @@ def run(seed: int = 0, fast: bool = False) -> list[Table]:
         "(handoff), so its client gap stays small"
     )
     return [table]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for t in run():
-        t.show()

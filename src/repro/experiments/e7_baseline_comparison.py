@@ -18,16 +18,15 @@ processing load.
 from __future__ import annotations
 
 from repro.analysis.montecarlo import MonteCarlo
-from repro.faults.generators import poisson_crash_schedule
+from repro.core import AvailabilityPolicy
 from repro.faults.injector import inject
 from repro.metrics.report import Table
 from repro.metrics.session_audit import audit_session
 from repro.metrics.windows import no_primary_time
 from repro.experiments.common import (
+    ledger_churn,
     ledger_cluster,
     rng_for,
-    send_updates_periodically,
-    surviving_counters,
     vod_cluster,
 )
 
@@ -51,41 +50,26 @@ def _one_rep(seed: int, config: dict, duration: float) -> dict:
     # Two parallel worlds under the same fault schedule: a ledger cluster
     # for exact lost-update counting and a VoD cluster for response
     # duplicates/outage.
-    results: dict[str, float] = {}
-
     ledger = ledger_cluster(
         n_servers=config["n_servers"],
-        num_backups=config["num_backups"],
-        propagation_period=config["period"],
+        policy=AvailabilityPolicy(
+            num_backups=config["num_backups"],
+            propagation_period=config["period"],
+        ),
         seed=seed,
         replication=config["replication"],
     )
-    client = ledger.add_client("c0")
-    handle = client.start_session("ledger-0")
-    ledger.run(2.0)
-    rng = rng_for(seed, "e7-faults")
-    schedule = poisson_crash_schedule(
-        rng,
-        servers=sorted(ledger.servers),
-        duration=duration,
-        failure_rate=FAILURE_RATE,
-        mean_downtime=MEAN_DOWNTIME,
+    sent, lost, schedule = ledger_churn(
+        ledger,
+        1,
+        rng_for(seed, "e7-faults"),
+        duration,
+        FAILURE_RATE,
+        MEAN_DOWNTIME,
+        UPDATE_PERIOD,
+        settle=6.0,
     )
-    inject(ledger, schedule)
-    send_updates_periodically(
-        ledger, client, handle, UPDATE_PERIOD, duration,
-        lambda k: {"counter": k + 1},
-    )
-    ledger.run(duration + 1.0)
-    for server_id in list(ledger.servers):
-        if not ledger.servers[server_id].is_up():
-            ledger.recover_server(server_id)
-    ledger.run(6.0)
-    failed = set(handle.failed_update_counters)
-    sent = {c for _, c, _ in handle.updates_sent} - failed
-    survived = surviving_counters(ledger, handle.session_id)
-    results["updates_sent"] = len(sent)
-    results["updates_lost"] = len(sent - survived)
+    results: dict[str, float] = {"updates_sent": sent, "updates_lost": lost}
 
     vod = vod_cluster(
         n_servers=config["n_servers"],
@@ -156,8 +140,3 @@ def run(seed: int = 0, fast: bool = False) -> list[Table]:
         "duplicates to ~0 at an order-of-magnitude higher propagation load"
     )
     return [table]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for t in run():
-        t.show()

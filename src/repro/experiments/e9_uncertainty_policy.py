@@ -101,8 +101,3 @@ def run(seed: int = 0, fast: bool = False) -> list[Table]:
         "(never lose one), accept losing some P/B frames"
     )
     return [table]
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for t in run():
-        t.show()

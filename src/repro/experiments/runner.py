@@ -1,11 +1,11 @@
 """Run the whole experiment suite and print every table.
 
-Usage::
+``python -m repro experiments`` is its command line::
 
-    python -m repro.experiments.runner            # full suite
-    python -m repro.experiments.runner --fast     # CI-sized sweeps
-    python -m repro.experiments.runner E1 E4      # a subset
-    python -m repro.experiments.runner --workers 4  # shard across cores
+    python -m repro experiments               # full suite
+    python -m repro experiments --fast        # CI-sized sweeps
+    python -m repro experiments E1 E4         # a subset
+    python -m repro experiments --workers 4   # shard across cores
 
 Experiments are independent (each builds its own simulated worlds from
 its own seeds), so with ``--workers N`` they are sharded across worker
@@ -15,8 +15,6 @@ order, so a parallel run prints exactly what a serial run prints.
 
 from __future__ import annotations
 
-import argparse
-import sys
 import time
 
 from repro.experiments import EXPERIMENT_MODULES, get_experiment
@@ -66,35 +64,3 @@ def run_all(
             f"{total:.1f}s wall total"
         )
     return results
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        choices=list(EXPERIMENT_MODULES) + [[]],
-        help="experiment ids to run (default: all)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--fast", action="store_true", help="small sweeps for smoke runs"
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes to shard experiments across (default 1)",
-    )
-    args = parser.parse_args(argv)
-    run_all(
-        args.experiments or None,
-        seed=args.seed,
-        fast=args.fast,
-        workers=args.workers,
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

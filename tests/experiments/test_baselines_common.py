@@ -1,8 +1,7 @@
-"""Tests for the baselines package and the experiments' shared machinery."""
+"""Tests for the single-server baseline (E7's ``single-server``
+configuration, built directly) and the experiments' shared machinery."""
 
-import pytest
-
-from repro.baselines import full_sync_policy, no_backup_policy, single_server_cluster
+from repro.core import AvailabilityPolicy, ServiceCluster
 from repro.experiments.common import (
     LedgerApplication,
     ledger_cluster,
@@ -12,24 +11,21 @@ from repro.experiments.common import (
 from repro.services import VodApplication, build_movie
 
 
+def _single_server_vod():
+    movie = build_movie("m0", duration_seconds=60, frame_rate=10)
+    cluster = ServiceCluster.build(
+        n_servers=1,
+        units={"m0": VodApplication({"m0": movie})},
+        replication=1,
+        policy=AvailabilityPolicy(num_backups=0, propagation_period=0.5),
+    )
+    cluster.settle()
+    return cluster
+
+
 class TestBaselines:
-    def test_no_backup_policy_matches_vod_paper(self):
-        policy = no_backup_policy(propagation_period=0.5)
-        assert policy.num_backups == 0
-        assert policy.session_group_size == 1
-
-    def test_full_sync_period_matches_response_rate(self):
-        policy = full_sync_policy(response_rate=24.0)
-        assert policy.propagation_period == pytest.approx(1 / 24)
-
-    def test_full_sync_validation(self):
-        with pytest.raises(ValueError):
-            full_sync_policy(response_rate=0.0)
-
     def test_single_server_cluster_serves(self):
-        movie = build_movie("m0", duration_seconds=60, frame_rate=10)
-        cluster = single_server_cluster({"m0": VodApplication({"m0": movie})})
-        cluster.settle()
+        cluster = _single_server_vod()
         client = cluster.add_client("c0")
         handle = client.start_session("m0")
         cluster.run(3.0)
@@ -37,9 +33,7 @@ class TestBaselines:
         assert len(cluster.servers) == 1
 
     def test_single_server_crash_is_total_outage(self):
-        movie = build_movie("m0", duration_seconds=60, frame_rate=10)
-        cluster = single_server_cluster({"m0": VodApplication({"m0": movie})})
-        cluster.settle()
+        cluster = _single_server_vod()
         client = cluster.add_client("c0")
         handle = client.start_session("m0")
         cluster.run(3.0)
@@ -71,7 +65,9 @@ class TestLedgerApplication:
 class TestSurvivingCounters:
     def test_counts_primary_state(self):
         cluster = ledger_cluster(
-            n_servers=3, num_backups=1, propagation_period=0.5, seed=9
+            n_servers=3,
+            policy=AvailabilityPolicy(num_backups=1, propagation_period=0.5),
+            seed=9,
         )
         client = cluster.add_client("c0")
         handle = client.start_session("ledger-0")
@@ -83,7 +79,9 @@ class TestSurvivingCounters:
 
     def test_survives_primary_crash_through_backup(self):
         cluster = ledger_cluster(
-            n_servers=3, num_backups=1, propagation_period=5.0, seed=9
+            n_servers=3,
+            policy=AvailabilityPolicy(num_backups=1, propagation_period=5.0),
+            seed=9,
         )
         client = cluster.add_client("c0")
         handle = client.start_session("ledger-0")
@@ -96,7 +94,9 @@ class TestSurvivingCounters:
 
     def test_send_updates_periodically_schedules_all(self):
         cluster = ledger_cluster(
-            n_servers=2, num_backups=0, propagation_period=0.5, seed=9
+            n_servers=2,
+            policy=AvailabilityPolicy(num_backups=0, propagation_period=0.5),
+            seed=9,
         )
         client = cluster.add_client("c0")
         handle = client.start_session("ledger-0")

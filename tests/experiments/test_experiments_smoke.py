@@ -6,8 +6,37 @@ import pytest
 from repro.experiments import EXPERIMENT_MODULES, get_experiment
 
 
-@pytest.mark.parametrize("name", list(EXPERIMENT_MODULES))
-def test_experiment_runs_fast(name):
+# The Section-4 loss counts of the one loss run (``common.ledger_churn``)
+# at seed=1, fast=True: each row's leading columns.  E1 (backups, period_s,
+# sent, lost); E7 (configuration, updates_lost, updates_sent); E11
+# (variant, updates_sent, updates_lost).
+LOSS_PINS = {
+    "E1": [
+        (0, 0.25, 384, 15),
+        (0, 1.0, 384, 24),
+        (1, 0.25, 384, 0),
+        (1, 1.0, 384, 2),
+        (2, 0.25, 384, 4),
+        (2, 1.0, 384, 3),
+    ],
+    "E7": [
+        ("single-server", 32, 69),
+        ("no-backup [2]", 0, 74),
+        ("framework b=1", 0, 74),
+    ],
+    "E11": [
+        ("full design", 320, 1),
+        ("no-divergence-detection", 320, 1),
+        ("no-backups", 320, 16),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "name, loss_pins",
+    [pytest.param(name, LOSS_PINS.get(name), id=name) for name in EXPERIMENT_MODULES],
+)
+def test_experiment_runs_fast(name, loss_pins):
     module = get_experiment(name)
     tables = module.run(seed=1, fast=True)
     assert tables
@@ -15,6 +44,9 @@ def test_experiment_runs_fast(name):
         assert table.rows
         rendered = table.render()
         assert table.title in rendered
+    if loss_pins is not None:
+        width = len(loss_pins[0])
+        assert [tuple(row[:width]) for row in tables[0].rows] == loss_pins
 
 
 def test_e2_load_shape():

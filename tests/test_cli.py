@@ -21,6 +21,13 @@ def test_experiments_subset_fast(capsys):
     assert "E3:" in out
 
 
+def test_experiments_unknown_id_is_refused(capsys):
+    assert main(["experiments", "--fast", "E3", "E99"]) == 2
+    captured = capsys.readouterr()
+    assert "unknown id(s) E99" in captured.err
+    assert "E3:" not in captured.out
+
+
 def test_demo(capsys):
     assert main(["demo"]) == 0
     out = capsys.readouterr().out

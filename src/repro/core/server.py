@@ -78,7 +78,6 @@ class _PrimaryRuntime:
     client_id: NodeId
     ctx: PrimaryContext
     awaiting_handoff: bool = False
-    handoff_base_key: tuple = ()
     pending_updates: list[tuple[int, Any]] = field(default_factory=list)
     finished: bool = False
     timer_armed: bool = False
@@ -247,9 +246,6 @@ class FrameworkServer:
     def backup_sessions(self) -> frozenset[str]:
         return frozenset(self.backups)
 
-    def app_for(self, unit_id: str) -> ServiceApplication:
-        return self.applications[unit_id]
-
     # ------------------------------------------------------------------
     # GcsApplication callbacks
     # ------------------------------------------------------------------
@@ -375,7 +371,6 @@ class FrameworkServer:
             client_id=client_id,
             ctx=ctx,
             awaiting_handoff=await_handoff,
-            handoff_base_key=snapshot.freshness_key(),
         )
         self.primaries[session_id] = runtime
         self.daemon.join(session_group(session_id))
@@ -818,38 +813,50 @@ class FrameworkServer:
             self._apply_allocation(unit, view, allocation, cause="failure")
             self.counters["failure_reallocations"] += 1
 
+    def freshest_context(self, unit: str, session_id: str) -> ContextSnapshot | None:
+        """The freshest context of the session this server can rebuild;
+        ``None`` when it holds none.
+
+        The server's own knowledge comes first: its live primary context
+        (stamped now, epoch unchanged), or its backup's base with the
+        update log since replayed.  The unit database's record (the last
+        propagation, or what a state-exchange merge adopted) replaces it
+        only when strictly fresher, so on a tie the server keeps the
+        context it applied itself (DESIGN §6)."""
+        own = None
+        runtime = self.primaries.get(session_id)
+        backup = self.backups.get(session_id)
+        if runtime is not None and runtime.unit_id == unit:
+            ctx = runtime.ctx
+            own = ContextSnapshot(
+                app_state=ctx.app_state,
+                update_counter=ctx.update_counter,
+                response_counter=ctx.response_counter,
+                stamped_at=self.sim.now,
+                epoch=ctx.epoch,
+            )
+        elif backup is not None and self._backup_units.get(session_id) == unit:
+            own = backup.effective(self.applications[unit].apply_update)
+        db = self.unit_dbs.get(unit)
+        record = db.get(session_id) if db is not None else None
+        if record is not None and (
+            own is None or record.snapshot.freshness_key() > own.freshness_key()
+        ):
+            return record.snapshot
+        return own
+
     def _exchange_snapshot(self, unit: str) -> dict:
         """The unit database dump this member contributes to an exchange,
-        upgraded with its own live knowledge.
+        each record upgraded to the member's :meth:`freshest_context`.
 
-        The database only holds the last *propagated* snapshot of each
-        session, but this member may know strictly more: a backup's
-        recorded update log, or an incumbent primary's live counters.
         Views can briefly exclude a live member (a merge racing the
         failure detector), and updates delivered only inside the excluded
         member's configuration would otherwise be silently forgotten by
         the merge — the exchange must offer the freshest context each
         member can actually reconstruct, not just the last propagation."""
         dump = self.unit_dbs[unit].snapshot_for_exchange()
-        app = self.applications[unit]
         for session_id, record in list(dump.items()):
-            best = record.snapshot
-            runtime = self.primaries.get(session_id)
-            if runtime is not None and runtime.unit_id == unit:
-                live = ContextSnapshot(
-                    app_state=runtime.ctx.app_state,
-                    update_counter=runtime.ctx.update_counter,
-                    response_counter=runtime.ctx.response_counter,
-                    stamped_at=self.sim.now,
-                    epoch=runtime.ctx.epoch,
-                )
-                if live.freshness_key() > best.freshness_key():
-                    best = live
-            backup = self.backups.get(session_id)
-            if backup is not None and self._backup_units.get(session_id) == unit:
-                effective = backup.effective(app.apply_update)
-                if effective.freshness_key() > best.freshness_key():
-                    best = effective
+            best = self.freshest_context(unit, session_id)
             if best is not record.snapshot:
                 dump[session_id] = replace(record, snapshot=best)
         return dump
@@ -927,17 +934,11 @@ class FrameworkServer:
                     and old_primary in members
                     and old_primary != self.server_id
                 )
-                if session_id in self.backups:
-                    app = self.applications[unit]
-                    snapshot = self.backups[session_id].effective(app.apply_update)
-                    # a state-exchange merge may know more than this
-                    # member's own backup log (another member's updates)
-                    if record.snapshot.freshness_key() > snapshot.freshness_key():
-                        snapshot = record.snapshot
-                    self.backups.pop(session_id, None)
-                    self._backup_units.pop(session_id, None)
-                else:
-                    snapshot = record.snapshot
+                # a backup's own log, unless a state-exchange merge knows
+                # strictly more (another member's updates)
+                snapshot = self.freshest_context(unit, session_id)
+                self.backups.pop(session_id, None)
+                self._backup_units.pop(session_id, None)
                 self._start_primary(
                     session_id,
                     unit,

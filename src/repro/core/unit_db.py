@@ -151,10 +151,11 @@ class UnitDatabase:
     def merge(unit_id: str, dumps: list[dict]) -> "UnitDatabase":
         """Deterministically merge exchanged databases.
 
-        Per session, the record with the freshest snapshot wins (epoch,
-        then update counter, then response counter; ties broken by the
-        record's primary id for full determinism).  Allocations are *not*
-        merged — the caller recomputes them for the new view.
+        Per session, the record with the freshest snapshot wins (by
+        ``freshness_key()``: update counter, then response counter, then
+        epoch; ties broken by the record's primary id for full
+        determinism).  Allocations are *not* merged — the caller
+        recomputes them for the new view.
         """
         merged = UnitDatabase(unit_id)
         best: dict[str, SessionRecord] = {}

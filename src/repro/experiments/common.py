@@ -1,89 +1,22 @@
 """Shared experiment machinery.
 
-Provides the :class:`LedgerApplication` — a minimal service whose session
-state is the *set of update counters received*, making per-update loss
-directly observable — and :func:`ledger_churn`, the one Section-4 loss run
-(E1, E7 and E11), plus world builders and measurement helpers used by
-several experiments.
+Provides :func:`ledger_churn`, the one Section-4 loss run (E1, E7 and
+E11) over the :mod:`repro.services.ledger` service, plus world builders
+and measurement helpers used by several experiments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any
-
 import numpy as np
 
 from repro.core import AvailabilityPolicy, ServiceCluster
-from repro.core.application import RequestResponseApplication
 from repro.faults.generators import poisson_crash_schedule
 from repro.faults.injector import inject
 from repro.faults.schedule import FaultSchedule
 from repro.gcs.settings import GcsSettings
-from repro.net.codec import register
 from repro.services.content import build_movie
+from repro.services.ledger import LedgerApplication, promised_and_lost
 from repro.services.vod import VodApplication
-
-
-@dataclass(frozen=True)
-class LedgerState:
-    """The set of update counters this session has absorbed."""
-
-    unit_id: str
-    counters: frozenset[int] = frozenset()
-
-
-# propagated inside snapshots, so it is priced (and would travel) as a wire type
-register(LedgerState)
-
-
-class LedgerApplication(RequestResponseApplication):
-    """A diagnostic service: every update ``{"counter": c}`` is recorded in
-    the context.  A counter the client sent but no surviving context holds
-    is *exactly* one lost context update — the Section-4 event."""
-
-    def initial_state(self, unit_id: str, params: Any) -> LedgerState:
-        return LedgerState(unit_id=unit_id)
-
-    def apply_update(self, state: LedgerState, update: Any) -> LedgerState:
-        counter = update.get("counter")
-        if counter is None:
-            return state
-        return replace(state, counters=state.counters | {int(counter)})
-
-    def respond_to_update(self, state, update):
-        return state, []
-
-
-def surviving_counters(cluster, session_id: str) -> frozenset[int]:
-    """The counters present in the session's *current serving context*
-    (the live primary's), falling back to the freshest surviving backup or
-    unit-database record when no primary exists."""
-    for server in cluster.servers.values():
-        if not server.is_up():
-            continue
-        runtime = server.primaries.get(session_id)
-        if runtime is not None:
-            return runtime.ctx.app_state.counters
-    best: frozenset[int] = frozenset()
-    best_key = None
-    for server in cluster.servers.values():
-        if not server.is_up():
-            continue
-        backup = server.backups.get(session_id)
-        if backup is not None:
-            app = server.applications[backup.base.app_state.unit_id]
-            effective = backup.effective(app.apply_update)
-            key = effective.freshness_key()
-            if best_key is None or key > best_key:
-                best, best_key = effective.app_state.counters, key
-        for db in server.unit_dbs.values():
-            record = db.get(session_id)
-            if record is not None:
-                key = record.snapshot.freshness_key()
-                if best_key is None or key > best_key:
-                    best, best_key = record.snapshot.app_state.counters, key
-    return best
 
 
 def ledger_cluster(
@@ -152,14 +85,8 @@ def ledger_churn(
         if not cluster.servers[server_id].is_up():
             cluster.recover_server(server_id)
     cluster.run(settle)
-    sent = 0
-    lost = 0
-    for _, handle in sessions:
-        failed = set(handle.failed_update_counters)
-        sent_counters = {c for _, c, _ in handle.updates_sent} - failed
-        sent += len(sent_counters)
-        lost += len(sent_counters - surviving_counters(cluster, handle.session_id))
-    return sent, lost, schedule
+    counts = [promised_and_lost(cluster, handle) for _, handle in sessions]
+    return sum(sent for sent, _ in counts), sum(lost for _, lost in counts), schedule
 
 
 def vod_cluster(
@@ -224,12 +151,9 @@ def rng_for(seed: int, name: str) -> np.random.Generator:
 
 
 __all__ = [
-    "LedgerApplication",
-    "LedgerState",
     "ledger_churn",
     "ledger_cluster",
     "rng_for",
     "send_updates_periodically",
-    "surviving_counters",
     "vod_cluster",
 ]

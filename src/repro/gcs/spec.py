@@ -218,10 +218,6 @@ class SpecMonitor:
     # ------------------------------------------------------------------
     # convenience queries for tests
     # ------------------------------------------------------------------
-    def current_config(self, node: NodeId) -> Configuration | None:
-        configs = self.history[node].configs
-        return configs[-1] if configs else None
-
     def delivered_payloads(self, node: NodeId) -> list:
         """All payloads ``node`` delivered, in delivery order."""
         history = self.history[node]

@@ -26,13 +26,6 @@ def summarize(values) -> dict[str, float]:
     }
 
 
-def rate_per_second(count: int, duration: float) -> float:
-    """A count normalized to a per-second rate."""
-    if duration <= 0:
-        return math.nan
-    return count / duration
-
-
 #: Message kinds that exist purely to establish liveness/membership: the
 #: heartbeats.  Everything else (ordering, view formation, application
 #: payloads) is data traffic.
@@ -61,4 +54,4 @@ def split_liveness(per_kind: dict) -> tuple[int, int]:
     return liveness, data
 
 
-__all__ = ["is_liveness_kind", "rate_per_second", "split_liveness", "summarize"]
+__all__ = ["is_liveness_kind", "split_liveness", "summarize"]

@@ -88,25 +88,18 @@ def audit_session(
     )
 
 
-def _best_reflected_counter(cluster, session_id: str) -> int:
+def _best_reflected_counter(cluster, handle: SessionHandle) -> int:
     """Freshest context-update counter any live server still holds for the
-    session (primary runtime, backup replica, or unit-DB record); -1 when
-    no trace of the session survives anywhere."""
-    best = -1
-    for server in cluster.servers.values():
-        if not server.is_up():
-            continue
-        runtime = server.primaries.get(session_id)
-        if runtime is not None:
-            best = max(best, runtime.ctx.update_counter)
-        backup = server.backups.get(session_id)
-        if backup is not None:
-            best = max(best, backup.effective_update_counter)
-        for db in server.unit_dbs.values():
-            record = db.get(session_id)
-            if record is not None:
-                best = max(best, record.snapshot.update_counter)
-    return best
+    session (its :meth:`~repro.core.server.FrameworkServer.freshest_context`);
+    -1 when no trace of the session survives anywhere."""
+    contexts = [
+        server.freshest_context(handle.unit_id, handle.session_id)
+        for server in cluster.servers.values()
+        if server.is_up()
+    ]
+    return max(
+        (context.update_counter for context in contexts if context is not None), default=-1
+    )
 
 
 def lost_updates(cluster, handle: SessionHandle) -> int:
@@ -118,7 +111,7 @@ def lost_updates(cluster, handle: SessionHandle) -> int:
     session has no live primary the whole tail is at risk; we report the
     gap against the freshest surviving record (unit DB / backups).
     """
-    best = _best_reflected_counter(cluster, handle.session_id)
+    best = _best_reflected_counter(cluster, handle)
     if best < 0:
         return handle.update_counter  # everything is gone
     return max(0, handle.update_counter - best)
@@ -132,7 +125,7 @@ def lost_acked_updates(cluster, handle: SessionHandle) -> int:
     Counters the client itself saw fail (and reported to the caller) are
     excluded — they were never promised.
     """
-    best = _best_reflected_counter(cluster, handle.session_id)
+    best = _best_reflected_counter(cluster, handle)
     failed = set(handle.failed_update_counters)
     return sum(
         1

@@ -72,8 +72,12 @@ from repro.wiretypes import DECLARED, wire
 #: A peer on another version would misread those frames, so the version
 #: byte makes the incompatibility explicit instead.  Still at version 5,
 #: the SWIM detector was removed with its five messages: their type ids
-#: (:data:`RETIRED_TYPE_IDS`) and packed tags 23..27 are retired, every
-#: other frame kept its bytes, and the next type added bumps the version.
+#: (:data:`RETIRED_TYPE_IDS`) and packed tags 23..27 are retired, and every
+#: other frame kept its bytes.  Declaring the ledger's ``LedgerState`` as
+#: id 42 changed no frame either: 42 is the id ``register`` already gave
+#: it, and a class registered at run time (as the stack benchmark's state
+#: is) still gets the first free id, now 43, the same in every process.
+#: The next type that changes a frame's bytes bumps the version.
 WIRE_VERSION = 5
 
 #: Type ids of removed wire types, never handed out again (a frame that

@@ -8,6 +8,10 @@
 * :mod:`repro.services.search` — refinement search: the context is the
   list of previous result sets, which later queries narrow or combine.
 
+:mod:`repro.services.ledger` is a diagnostic service, not one of the
+paper's: its context is the set of update counters a session absorbed, so
+the Section-4 loss run can count each lost update.
+
 :mod:`repro.services.content` provides synthetic content-unit generators
 (movies with I/P/B frame structure, topics with learning objects, document
 corpora); :mod:`repro.services.workload` drives client behaviour.
@@ -23,6 +27,7 @@ from repro.services.content import (
     build_topic,
 )
 from repro.services.education import EducationApplication
+from repro.services.ledger import LedgerApplication, LedgerState
 from repro.services.search import SearchApplication
 from repro.services.vod import VodApplication, VodSessionState
 
@@ -30,6 +35,8 @@ __all__ = [
     "Corpus",
     "EducationApplication",
     "LearningObject",
+    "LedgerApplication",
+    "LedgerState",
     "Movie",
     "SearchApplication",
     "Topic",

@@ -8,7 +8,7 @@ many-client load experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,44 +158,8 @@ class SearcherWorkload:
         self._schedule_next()
 
 
-@dataclass
-class SessionPopulation:
-    """Keeps ``target`` concurrent VoD sessions alive across one unit set:
-    used by the load and fairness experiments."""
-
-    cluster: ServiceCluster
-    unit_ids: list[str]
-    rng: np.random.Generator
-    target: int = 10
-    started: int = 0
-    handles: list[SessionHandle] = field(default_factory=list)
-    workloads: list[VodViewerWorkload] = field(default_factory=list)
-
-    def start(self, movie_frames: int = 24 * 60) -> None:
-        for index in range(self.target):
-            client = self.cluster.add_client(f"pop-c{index}")
-            unit = self.unit_ids[index % len(self.unit_ids)]
-            handle = client.start_session(unit)
-            self.handles.append(handle)
-            workload = VodViewerWorkload(
-                cluster=self.cluster,
-                client=client,
-                handle=handle,
-                rng=self.rng,
-                movie_frames=movie_frames,
-            )
-            self.workloads.append(workload)
-            workload.start()
-            self.started += 1
-
-    def stop(self) -> None:
-        for workload in self.workloads:
-            workload.stop()
-
-
 __all__ = [
     "SearcherWorkload",
-    "SessionPopulation",
     "StudentWorkload",
     "VodViewerWorkload",
 ]

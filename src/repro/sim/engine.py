@@ -417,15 +417,9 @@ class PeriodicTimer:
             self._event = self.sim.schedule(self.period, self._fire, label=self.label)
 
 
-def format_time(t: float) -> str:
-    """Render a simulation timestamp for traces, e.g. ``12.3456s``."""
-    return f"{t:.4f}s"
-
-
 __all__ = [
     "Event",
     "PeriodicTimer",
     "SimulationError",
     "Simulator",
-    "format_time",
 ]

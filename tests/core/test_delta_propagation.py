@@ -25,11 +25,12 @@ from repro.core.context import (
 )
 from repro.core.server import FULL_PROPAGATION_EVERY
 from repro.core.wire import Propagate
-from repro.experiments.common import LedgerApplication, send_updates_periodically
+from repro.experiments.common import send_updates_periodically
 from repro.net import codec
 from repro.net.codec import UnknownTypeError, encode_frame, register
 from repro.services import (
     EducationApplication,
+    LedgerApplication,
     SearchApplication,
     VodApplication,
     build_corpus,

@@ -4,9 +4,14 @@ These tests exercise the scenarios of the paper's Section 4 analysis in
 miniature; the experiment suite measures them quantitatively.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core import AvailabilityPolicy
 from repro.core.responses import SkipUncertain
+from repro.experiments.common import ledger_cluster
+from repro.services.ledger import LedgerState
 from tests.core.conftest import make_vod_cluster, start_streaming_session
 
 
@@ -88,6 +93,37 @@ def test_client_update_survives_failover_via_backup(streaming):
     cluster.run(5.0)
     tail = handle.response_indices()[-10:]
     assert all(index >= 800 for index in tail)
+
+
+def test_promotion_keeps_the_backups_context_on_a_tie():
+    """The tie rule of ``FrameworkServer.freshest_context``: a backup whose
+    replayed log ties the unit-database record on ``freshness_key()`` is
+    promoted with its own context, not the record's (DESIGN §6)."""
+    cluster = ledger_cluster(
+        n_servers=3,
+        policy=AvailabilityPolicy(num_backups=1, propagation_period=100.0),
+        seed=9,
+    )
+    client = cluster.add_client("c0")
+    handle = client.start_session("ledger-0")
+    cluster.run(2.0)
+    primary = cluster.primaries_of(handle.session_id)[0]
+    (holder,) = [s for s in cluster.servers.values() if handle.session_id in s.backups]
+    record = holder.unit_dbs["ledger-0"].get(handle.session_id)
+    holder.backups[handle.session_id].apply_update(1, {"counter": 1})
+    tied = replace(
+        record.snapshot, app_state=LedgerState("ledger-0", frozenset({2})), update_counter=1
+    )
+    assert holder.unit_dbs["ledger-0"].apply_propagation(handle.session_id, tied)
+    own = holder.freshest_context("ledger-0", handle.session_id)
+    assert own.freshness_key() == tied.freshness_key()
+    assert own.app_state.counters == {1}
+    assert holder.freshest_context("ledger-0", "no-such-session") is None
+
+    cluster.crash_server(primary)
+    cluster.run(4.0)
+    assert cluster.primaries_of(handle.session_id) == [holder.server_id]
+    assert holder.primaries[handle.session_id].ctx.app_state.counters == {1}
 
 
 def test_update_lost_without_backups_in_window():

@@ -62,7 +62,7 @@ def _compiled(cls):
 
 
 def test_every_wire_type_but_propagate_is_slotted_and_compiled():
-    assert len(_DECLARED) == 37
+    assert len(_DECLARED) == 38
     assert [cls for cls in _DECLARED if cls not in _SLOTTED] == [Propagate]
     for cls in _SLOTTED:
         cls(*[None] * len(fields(cls)))
